@@ -18,6 +18,7 @@ from .experiments import (
     align_pair,
     embedding_experiment,
     epsilon_sweep,
+    noisy_dataset,
     pointwise_experiment,
     rel_errors,
     slope_fit,
@@ -40,8 +41,7 @@ from .laplacian import (
     LaplacianKind,
     LaplacianOp,
     apply_rescaled,
-    bistochastic_affinity,
-    dm_affinity,
+    dm_scale,
     laplacian_from_affinity,
     smallest_eigenpairs,
 )

@@ -28,9 +28,9 @@ import numpy as np
 from .csvio import fmt, write_eigenpairs, write_residual_history, write_rows, write_slopes_json
 from .errors import DegenerateInputError, NumericalFailureError, UsageError
 from .experiments import (
-    _noisy_dataset,
     embedding_experiment,
     epsilon_sweep,
+    noisy_dataset,
     pointwise_experiment,
     slope_fit,
     write_embedding_csv,
@@ -142,12 +142,8 @@ _SCHEMAS = {
         ("eigen_out", str, None),
     ]
     + _SK_OPTS
-    + [
-        ("noise", _noise, "simple"),
-        ("m", int, 2000),
-        ("sigma_out", float, 0.1),
-        ("p_out", float, 0.1),
-    ],
+    + [("noise", _noise, "simple")]
+    + _NOISE_OPTS[1:],
     "skdiag": [
         ("fixture", str, None),
         ("n", int, 3000),
@@ -251,7 +247,7 @@ def _sk_config(params):
 
 
 def _cmd_generate(p):
-    ds = _noisy_dataset(p["n"], _DENSITIES[p["density"]], _noise_model(p), p["seed"])
+    ds = noisy_dataset(p["n"], _DENSITIES[p["density"]], _noise_model(p), p["seed"])
     write_dataset_csv(ds, p["out"])
 
 
@@ -347,7 +343,7 @@ def _cmd_skdiag(p):
     else:
         if p["epsilon"] is None:
             raise UsageError("--epsilon is required without --fixture")
-        ds = _noisy_dataset(
+        ds = noisy_dataset(
             p["n"], _DENSITIES[p["density"]], _noise_model(p), p["seed"]
         )
         target = build_affinity(

@@ -27,13 +27,10 @@ from scipy.linalg import svd
 from .csvio import fmt, write_rows
 from .kernel import Convention, build_affinity
 from .laplacian import (
-    KIND_FORM,
-    SK_KINDS,
     LaplacianForm,
     LaplacianKind,
     apply_rescaled,
-    bistochastic_affinity,
-    dm_affinity,
+    dm_scale,
     laplacian_from_affinity,
     smallest_eigenpairs,
 )
@@ -152,7 +149,12 @@ def rel_errors(est, ref):
     )
 
 
-def _noisy_dataset(n, spec, noise_model, seed):
+def noisy_dataset(n, spec, noise_model, seed):
+    """Sample a dataset and, given a noise model, pad it to R^m and add noise.
+
+    The noise stream uses seed + NOISE_SEED_OFFSET; without a noise
+    model the clean dataset is returned.
+    """
     ds = sample_dataset(n, spec, seed)
     if noise_model is None:
         return ds
@@ -177,13 +179,13 @@ def pointwise_experiment(
     """
     if not isinstance(kind, LaplacianKind):
         raise ValueError(f"unknown laplacian kind: {kind!r}")
-    ds = _noisy_dataset(n, spec, noise_model, seed)
+    ds = noisy_dataset(n, spec, noise_model, seed)
     aff = build_affinity(
         ds.points, epsilon, intrinsic_dim=1, zero_diag=True, convention=Convention.UNSCALED
     )
-    if kind in SK_KINDS:
+    if kind.bistochastic:
         scaling = approx_sym_sk(aff, sk_config)
-        scaled = bistochastic_affinity(aff, scaling.eta)
+        scale = scaling.eta
         sk_iters = scaling.iterations
         hits = scaling.projection_hits
         eta_norm = to_normalized_convention(scaling.eta, aff)
@@ -192,9 +194,9 @@ def pointwise_experiment(
         )
         min_eta = float(np.min(eta_norm[inliers]))
     else:
-        scaled = dm_affinity(aff)
+        scale = dm_scale(aff)
         sk_iters, hits, min_eta = 0, 0, None
-    lap = laplacian_from_affinity(scaled, KIND_FORM[kind])
+    lap = laplacian_from_affinity(aff, kind.form, scale)
     est = apply_rescaled(lap, test_function(ds.t))
     relerr2, relerrinf = rel_errors(est, delta_p_f(ds.t, spec))
     return PointwiseResult(
@@ -287,9 +289,10 @@ def align_pair(v, r):
 
     Minimizes ||s V Q - R||_F^2 over s >= 0 and orthogonal Q (including
     reflections).  With M = V^T R = U S W^T the minimizer is Q = U W^T,
-    s = (s1 + s2) / ||V||_F^2; if M is (near) rank-deficient the SVD
-    factor is not unique, so Q falls back to a dense search over
-    rotation angles and reflection.
+    s = (s1 + s2) / ||V||_F^2.  The maximum of tr(Q^T M) over O(2) is
+    s1 + s2 and U W^T attains it for any SVD of M, so a rank-deficient
+    M (whose SVD is not unique) needs no special case; M = 0 gives
+    s = 0.
 
     Returns an AlignmentResult whose mse is the minimum divided by the
     number of entries (2n).
@@ -303,19 +306,6 @@ def align_pair(v, r):
         raise ValueError("frame must be nonzero")
     m = v.T @ r
     u, sig, wt = svd(m)
-    if sig[0] == 0 or sig[1] / sig[0] < 1e-12:
-        best = None
-        angles = np.linspace(0.0, 2.0 * np.pi, 3600, endpoint=False)
-        for theta in angles:
-            c, s = np.cos(theta), np.sin(theta)
-            for refl in (1.0, -1.0):
-                q = np.array([[c, -s * refl], [s, c * refl]])
-                scale = max(float(np.sum((v @ q) * r)) / vnorm2, 0.0)
-                err = float(np.sum((scale * (v @ q) - r) ** 2))
-                if best is None or err < best[0]:
-                    best = (err, scale, q)
-        err, scale, q = best
-        return AlignmentResult(mse=err / v.size, scale=scale, rotation=q)
     q = u @ wt
     scale = float(sig.sum()) / vnorm2
     err = max(float(np.sum(r * r)) - float(sig.sum()) ** 2 / vnorm2, 0.0)
@@ -323,18 +313,15 @@ def align_pair(v, r):
 
 
 def _embed_one(n, noise_model, epsilon, sk_config, seed):
-    ds = _noisy_dataset(n, DensitySpec.UNIFORM_CIRCLE, noise_model, seed)
+    ds = noisy_dataset(n, DensitySpec.UNIFORM_CIRCLE, noise_model, seed)
     aff = build_affinity(
         ds.points, epsilon, intrinsic_dim=1, zero_diag=True, convention=Convention.UNSCALED
     )
     scaling = approx_sym_sk(aff, sk_config)
     mse = {}
     eigs = {}
-    for method, scaled in (
-        ("sk", bistochastic_affinity(aff, scaling.eta)),
-        ("dm", dm_affinity(aff)),
-    ):
-        lap = laplacian_from_affinity(scaled, LaplacianForm.RANDOM_WALK)
+    for method, scale in (("sk", scaling.eta), ("dm", dm_scale(aff))):
+        lap = laplacian_from_affinity(aff, LaplacianForm.RANDOM_WALK, scale)
         eig = smallest_eigenpairs(lap, 5)
         eigs[method] = eig
         for pair, (lo, k) in ((1, (1, 1)), (2, (3, 2))):

@@ -13,6 +13,10 @@ equivariant with a known conversion, so the cheap unscaled convention
 is the default in pipelines while the normalized one makes population
 quantities (degrees ~ density) directly readable.
 
+The affinity is the only n x n matrix of the pipeline: scalings and
+Laplacians (``sinklap.laplacian``) keep it as the kernel A plus a scale
+vector s and reach diag(s) A diag(s) through matvecs with A.
+
 Distances are computed once per unordered pair and mirrored, so the
 matrix is bitwise symmetric; no Gram-matrix expansion is used anywhere.
 """
@@ -35,12 +39,9 @@ class Convention(Enum):
 
 @dataclass
 class Affinity:
-    """A dense affinity matrix with its assembly metadata.
+    """A dense kernel matrix with its assembly metadata.
 
-    ``normalization`` records provenance of derived matrices
-    ("bistochastic" or "dm"); it is None for raw kernel matrices.
-    ``convention`` always refers to the kernel the matrix was built
-    from.  The matrix is marked read-only.
+    The matrix is marked read-only.
     """
 
     matrix: np.ndarray
@@ -48,7 +49,6 @@ class Affinity:
     intrinsic_dim: int
     zero_diag: bool
     convention: Convention
-    normalization: str | None = None
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -84,7 +84,7 @@ def build_affinity(points, epsilon, intrinsic_dim, zero_diag, convention):
     Parameters
     ----------
     points : ndarray, shape (n, m)
-        Ambient coordinates, n >= 2.
+        Finite ambient coordinates, n >= 2.
     epsilon : float
         Kernel bandwidth, > 0.
     intrinsic_dim : int
@@ -104,10 +104,16 @@ def build_affinity(points, epsilon, intrinsic_dim, zero_diag, convention):
     pts = np.ascontiguousarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
         raise ValueError("points must be (n, m) with n >= 2")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    d2 = squareform(pdist(pts, "sqeuclidean"), checks=False)
-    mat = np.exp(-d2 / (4.0 * epsilon))
+    # exp(-d2 / (4 epsilon)) in place: one n x n array instead of two,
+    # with the same bits as the out-of-place expression
+    mat = squareform(pdist(pts, "sqeuclidean"), checks=False)
+    np.negative(mat, out=mat)
+    np.divide(mat, 4.0 * epsilon, out=mat)
+    np.exp(mat, out=mat)
     if convention is Convention.NORMALIZED:
         mat *= normalized_prefactor(pts.shape[0], epsilon, intrinsic_dim)
     if zero_diag:

@@ -1,19 +1,22 @@
-"""Graph Laplacians from scaled affinity matrices.
+"""Graph Laplacians of a Gaussian kernel under a diagonal scaling.
 
-Two normalization pipelines feed the Laplacian constructors:
+Every Laplacian here is one kernel A (an ``Affinity``) and a positive
+scale vector s: the scaled affinity is K = diag(s) A diag(s), with
+degrees deg = s * (A s).  Two scaling families supply s:
 
-* bistochastic: K = D_eta W D_eta with eta from the symmetric scaling,
-* dm: K = W / sqrt(d d^T), the classical alpha = 1/2 density-corrected
-  kernel built from plain degrees d = W 1.
+* bistochastic: s = eta from the symmetric Sinkhorn-Knopp scaling,
+* dm: s = (A 1)^-1/2 (``dm_scale``), the classical alpha = 1/2
+  density-corrected kernel built from plain degrees.
 
 Each then yields an unnormalized Laplacian D(K) - K or a random-walk
 Laplacian I - D(K)^-1 K.  Applying -(1/epsilon) times the operator to a
 function sampled on the points approximates a weighted
 Laplace-Beltrami operator as the bandwidth shrinks.
 
-Symmetric rescalings are computed as A * outer(s, s) so the results
-stay bitwise symmetric; the random-walk eigenproblem is solved through
-the symmetric similarity D^-1/2 K D^-1/2.
+Neither K nor L is ever formed: applying L costs one matvec with A,
+and the random-walk eigenproblem is solved through the symmetric
+similarity I - D^-1/2 K D^-1/2 = I - A * outer(r, r), r = s / sqrt(deg),
+the only n x n array built here.
 """
 
 from dataclasses import dataclass
@@ -23,7 +26,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import DegenerateInputError
-from .kernel import Affinity
+from .kernel import Affinity, degree
 
 
 class LaplacianForm(Enum):
@@ -32,46 +35,41 @@ class LaplacianForm(Enum):
 
 
 class LaplacianKind(Enum):
-    """Pipeline x form tag: scaling family and Laplacian form."""
+    """Scaling family x Laplacian form, read off the value."""
 
     BISTOCH_UN = "bistoch_un"
     BISTOCH_RW = "bistoch_rw"
     DM_UN = "dm_un"
     DM_RW = "dm_rw"
 
+    @property
+    def bistochastic(self):
+        """True for the Sinkhorn-Knopp family, False for the dm family."""
+        return self.value.startswith("bistoch_")
 
-_KIND_TABLE = {
-    ("bistochastic", LaplacianForm.UNNORMALIZED): LaplacianKind.BISTOCH_UN,
-    ("bistochastic", LaplacianForm.RANDOM_WALK): LaplacianKind.BISTOCH_RW,
-    ("dm", LaplacianForm.UNNORMALIZED): LaplacianKind.DM_UN,
-    ("dm", LaplacianForm.RANDOM_WALK): LaplacianKind.DM_RW,
-}
-
-KIND_FORM = {
-    LaplacianKind.BISTOCH_UN: LaplacianForm.UNNORMALIZED,
-    LaplacianKind.BISTOCH_RW: LaplacianForm.RANDOM_WALK,
-    LaplacianKind.DM_UN: LaplacianForm.UNNORMALIZED,
-    LaplacianKind.DM_RW: LaplacianForm.RANDOM_WALK,
-}
-
-SK_KINDS = (LaplacianKind.BISTOCH_UN, LaplacianKind.BISTOCH_RW)
-DM_KINDS = (LaplacianKind.DM_UN, LaplacianKind.DM_RW)
+    @property
+    def form(self):
+        if self.value.endswith("_rw"):
+            return LaplacianForm.RANDOM_WALK
+        return LaplacianForm.UNNORMALIZED
 
 
 @dataclass
 class LaplacianOp:
-    """A dense Laplacian with the affinity it was built from.
+    """The Laplacian of diag(scale) kernel diag(scale) in one form.
 
-    kind is None when the source affinity carries no pipeline tag
-    (hand-built matrices).  The source affinity is retained so the
-    random-walk eigensolve can form the symmetric similarity.
+    degrees = scale * (kernel scale) are the scaled affinity's row sums,
+    computed once at construction; the bandwidth is the kernel's.
     """
 
-    matrix: np.ndarray
+    kernel: Affinity
+    scale: np.ndarray
     form: LaplacianForm
-    epsilon: float
-    kind: LaplacianKind | None = None
-    affinity: Affinity | None = None
+    degrees: np.ndarray
+
+    @property
+    def epsilon(self):
+        return self.kernel.epsilon
 
 
 @dataclass
@@ -82,95 +80,66 @@ class EigenPairs:
     vectors: np.ndarray
 
 
-def _sym_scale(mat, s):
-    # A * outer(s, s): transposed entries stay bitwise identical
-    return mat * np.multiply.outer(s, s)
-
-
-def bistochastic_affinity(a, eta):
-    """Symmetrically scale an affinity by eta: entries eta_i A_ij eta_j."""
-    eta = np.asarray(eta, dtype=float)
-    if eta.shape != (a.n,):
-        raise ValueError("eta must have shape (n,)")
-    if np.any(eta <= 0) or not np.all(np.isfinite(eta)):
-        raise ValueError("eta must be positive and finite")
-    return Affinity(
-        matrix=_sym_scale(a.matrix, eta),
-        epsilon=a.epsilon,
-        intrinsic_dim=a.intrinsic_dim,
-        zero_diag=a.zero_diag,
-        convention=a.convention,
-        normalization="bistochastic",
-    )
-
-
-def dm_affinity(a):
-    """Degree-normalized affinity A_ij / sqrt(d_i d_j) with d = A 1."""
-    deg = a.matrix.sum(axis=1)
+def dm_scale(a):
+    """Scale vector (A 1)^-1/2 of the degree-normalized affinity."""
+    deg = degree(a)
     if np.any(deg <= 0):
         raise DegenerateInputError("affinity matrix has a zero row")
-    return Affinity(
-        matrix=_sym_scale(a.matrix, 1.0 / np.sqrt(deg)),
-        epsilon=a.epsilon,
-        intrinsic_dim=a.intrinsic_dim,
-        zero_diag=a.zero_diag,
-        convention=a.convention,
-        normalization="dm",
-    )
+    return 1.0 / np.sqrt(deg)
 
 
-def laplacian_from_affinity(k, form, epsilon=1.0):
-    """Build a Laplacian from a (scaled) affinity.
+def laplacian_from_affinity(a, form, scale=None):
+    """The Laplacian of the scaled affinity diag(s) A diag(s).
 
     Parameters
     ----------
-    k : Affinity or ndarray
-        Symmetric non-negative matrix; ndarrays are accepted for ad-hoc
-        use, in which case ``epsilon`` supplies the bandwidth metadata
-        (it only matters for ``apply_rescaled``).
+    a : Affinity
+        The kernel A; its epsilon is the bandwidth ``apply_rescaled``
+        divides by.
     form : LaplacianForm
         UNNORMALIZED gives D(K) - K; RANDOM_WALK gives I - D(K)^-1 K
         and requires strictly positive degrees.
+    scale : ndarray, shape (n,), optional
+        Positive finite scale vector s; None means s = 1 (the Laplacian
+        of A itself).
 
     Returns
     -------
     LaplacianOp
-        kind is derived from the affinity's pipeline tag when present.
     """
-    if isinstance(k, Affinity):
-        mat, aff, eps = k.matrix, k, k.epsilon
-        kind = _KIND_TABLE.get((k.normalization, form))
-    else:
-        mat = np.asarray(k, dtype=float)
-        aff, eps, kind = None, float(epsilon), None
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("affinity matrix must be square")
-    deg = mat.sum(axis=1)
-    if form is LaplacianForm.UNNORMALIZED:
-        lap = -mat.copy()
-        idx = np.arange(mat.shape[0])
-        lap[idx, idx] += deg
-    elif form is LaplacianForm.RANDOM_WALK:
-        if np.any(deg <= 0):
-            raise DegenerateInputError("random-walk form needs positive degrees")
-        lap = -mat / deg[:, None]
-        idx = np.arange(mat.shape[0])
-        lap[idx, idx] += 1.0
-    else:
+    if not isinstance(form, LaplacianForm):
         raise ValueError(f"unknown form: {form!r}")
-    return LaplacianOp(matrix=lap, form=form, epsilon=eps, kind=kind, affinity=aff)
+    if scale is None:
+        s = np.ones(a.n)
+    else:
+        s = np.asarray(scale, dtype=float)
+        if s.shape != (a.n,):
+            raise ValueError("scale must have shape (n,)")
+        if np.any(s <= 0) or not np.all(np.isfinite(s)):
+            raise ValueError("scale must be positive and finite")
+    deg = s * (a.matrix @ s)
+    if form is LaplacianForm.RANDOM_WALK and np.any(deg <= 0):
+        raise DegenerateInputError("random-walk form needs positive degrees")
+    return LaplacianOp(kernel=a, scale=s, form=form, degrees=deg)
 
 
 def apply_rescaled(l, f):
-    """Apply -(1/epsilon) L to a sampled function."""
+    """Apply -(1/epsilon) L to a sampled function, shape (n,)."""
     f = np.asarray(f, dtype=float)
-    return -(l.matrix @ f) / l.epsilon
+    if f.shape != l.scale.shape:
+        raise ValueError("f must have shape (n,)")
+    kf = l.scale * (l.kernel.matrix @ (l.scale * f))
+    if l.form is LaplacianForm.UNNORMALIZED:
+        lf = l.degrees * f - kf
+    else:
+        lf = f - kf / l.degrees
+    return -lf / l.epsilon
 
 
 def smallest_eigenpairs(l, k):
     """Lowest k eigenpairs of a random-walk Laplacian.
 
-    Solves the equivalent symmetric problem: with K the source affinity
+    Solves the equivalent symmetric problem: with K the scaled affinity
     and D its degrees, I - D^-1/2 K D^-1/2 has the same eigenvalues as
     I - D^-1 K, and back-mapping psi = D^-1/2 phi gives the random-walk
     eigenvectors.  Eigenvalues come back ascending (the first is ~0 for
@@ -179,18 +148,19 @@ def smallest_eigenpairs(l, k):
     """
     if l.form is not LaplacianForm.RANDOM_WALK:
         raise ValueError("eigensolve is defined for the random-walk form")
-    if l.affinity is None:
-        raise ValueError("eigensolve needs the Laplacian's source affinity")
-    mat = l.affinity.matrix
-    n = mat.shape[0]
+    n = l.kernel.n
     if not 1 <= k <= n:
         raise ValueError("k must lie in [1, n]")
-    deg = mat.sum(axis=1)
-    if np.any(deg <= 0):
-        raise DegenerateInputError("eigensolve needs positive degrees")
-    root = 1.0 / np.sqrt(deg)
-    sym = np.eye(n) - _sym_scale(mat, root)
-    vals, phi = eigh(sym, subset_by_index=[0, k - 1])
+    root = 1.0 / np.sqrt(l.degrees)
+    r = l.scale * root
+    # I - A * outer(r, r), built in one array.  It is bitwise symmetric,
+    # so its transpose is the same matrix in the Fortran order LAPACK
+    # works in, and eigh overwrites it instead of taking a copy.
+    sym = np.multiply.outer(r, r)
+    np.multiply(sym, l.kernel.matrix, out=sym)
+    np.negative(sym, out=sym)
+    sym.flat[:: n + 1] += 1.0
+    vals, phi = eigh(sym.T, subset_by_index=[0, k - 1], overwrite_a=True)
     psi = phi * root[:, None]
     psi /= np.linalg.norm(psi, axis=0)
     for j in range(psi.shape[1]):

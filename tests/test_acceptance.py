@@ -27,7 +27,6 @@ from sinklap import (
     SkConfig,
     add_noise,
     approx_sym_sk,
-    bistochastic_affinity,
     build_affinity,
     cross_term_stats,
     embed_ambient,
@@ -280,9 +279,7 @@ def test_criterion_7_circle_spectrum():
         ds.points, eps, intrinsic_dim=1, zero_diag=True, convention=Convention.UNSCALED
     )
     scaling = approx_sym_sk(aff, SkConfig(c_sk=0.0))
-    lap = laplacian_from_affinity(
-        bistochastic_affinity(aff, scaling.eta), LaplacianForm.RANDOM_WALK, epsilon=eps
-    )
+    lap = laplacian_from_affinity(aff, LaplacianForm.RANDOM_WALK, scaling.eta)
     eig = smallest_eigenpairs(lap, 3)
     rescaled = eig.values[1:3] / eps
     devs = np.abs(rescaled / FOUR_PI_SQ - 1.0)

@@ -85,8 +85,35 @@ class TestAlignPair:
         r = np.zeros((12, 2))
         r[:, 0] = v[:, 0]
         res = align_pair(v, r)
+
+        def mse_at(scale, q):
+            return float(np.sum((scale * (v @ q) - r) ** 2)) / v.size
+
         assert np.isfinite(res.mse) and res.mse >= 0.0
         assert res.scale >= 0.0
+        assert np.allclose(res.rotation @ res.rotation.T, np.eye(2), atol=1e-12)
+        assert np.isclose(res.mse, mse_at(res.scale, res.rotation), rtol=1e-12, atol=0)
+        # tr(Q^T M) peaks at theta = atan2(m10 - m01, m00 + m11) over
+        # rotations and at atan2(m01 + m10, m00 - m11) over reflections
+        m = v.T @ r
+        probes = [(theta, refl) for theta in (0.0, 0.3, 1.0, 2.5, 4.0)
+                  for refl in (1.0, -1.0)]
+        probes += [(np.arctan2(m[1, 0] - m[0, 1], m[0, 0] + m[1, 1]), 1.0),
+                   (np.arctan2(m[0, 1] + m[1, 0], m[0, 0] - m[1, 1]), -1.0)]
+        for theta, refl in probes:
+            q = rot(theta, refl)
+            scale = max(float(np.sum((v @ q) * r)) / float(np.sum(v * v)), 0.0)
+            assert res.mse <= mse_at(scale, q) * (1.0 + 1e-12)
+
+    def test_zero_cross_term(self):
+        # V^T R = 0: the best fit is s = 0, leaving all of ||R||^2
+        v = np.zeros((4, 2))
+        v[0, 0] = v[1, 1] = 1.0
+        r = np.zeros((4, 2))
+        r[2, 0], r[3, 1] = 1.0, 2.0
+        res = align_pair(v, r)
+        assert res.scale == 0.0
+        assert res.mse == 5.0 / 8.0
         assert np.allclose(res.rotation @ res.rotation.T, np.eye(2), atol=1e-12)
 
     def test_validation(self):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from sinklap import (
     Affinity,
@@ -98,6 +99,24 @@ class TestBuildAffinity:
         with pytest.raises(ValueError):
             build_affinity(self.ds.points, -1e-3, 1,
                            convention=Convention.UNSCALED, zero_diag=True)
+
+    def test_bitwise_out_of_place_formula(self):
+        a = build_affinity(self.ds.points, 1e-3, 1,
+                           convention=Convention.UNSCALED, zero_diag=False)
+        d2 = squareform(pdist(self.ds.points, "sqeuclidean"))
+        assert np.array_equal(a.matrix, np.exp(-d2 / (4.0 * 1e-3)))
+
+    def test_rejects_nan_point(self):
+        pts = self.ds.points.copy()
+        pts[5, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            build_affinity(pts, 1e-3, 1, convention=Convention.UNSCALED, zero_diag=True)
+
+    def test_rejects_inf_point(self):
+        pts = self.ds.points.copy()
+        pts[7, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            build_affinity(pts, 1e-3, 1, convention=Convention.UNSCALED, zero_diag=True)
 
     def test_matrix_readonly(self):
         a = build_affinity(self.ds.points, 1e-3, 1,

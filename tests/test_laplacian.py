@@ -1,7 +1,8 @@
-"""Laplacian assembly, scaling pipelines, and the eigensolver."""
+"""Laplacian operators, scaling families, and the eigensolver."""
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from sinklap import (
     Affinity,
@@ -11,16 +12,15 @@ from sinklap import (
     LaplacianForm,
     LaplacianKind,
     SkConfig,
+    align_pair,
     apply_rescaled,
     approx_sym_sk,
-    bistochastic_affinity,
     build_affinity,
-    dm_affinity,
+    dm_scale,
     laplacian_from_affinity,
     sample_dataset,
     smallest_eigenpairs,
 )
-from sinklap.laplacian import DM_KINDS, KIND_FORM, SK_KINDS
 
 
 def circle_affinity(n=200, eps=2e-3, seed=3):
@@ -29,40 +29,83 @@ def circle_affinity(n=200, eps=2e-3, seed=3):
                               convention=Convention.UNSCALED)
 
 
+def kernel(mat, epsilon=1.0):
+    return Affinity(matrix=mat, epsilon=epsilon, intrinsic_dim=1, zero_diag=False,
+                    convention=Convention.UNSCALED)
+
+
+def random_kernel(rng, n, epsilon=1.0):
+    a = rng.uniform(0.1, 1.0, size=(n, n))
+    return kernel((a + a.T) / 2.0, epsilon)
+
+
+def dense_laplacian(lap):
+    """L column by column; exact when epsilon = 1."""
+    n = lap.kernel.n
+    return np.column_stack(
+        [-lap.epsilon * apply_rescaled(lap, e) for e in np.eye(n)]
+    )
+
+
+def dense_reference(a, s, form):
+    """The materialized path: K = A * outer(s, s), then D - K or I - K / deg."""
+    k = a.matrix * np.multiply.outer(s, s)
+    deg = k.sum(axis=1)
+    if form is LaplacianForm.UNNORMALIZED:
+        return k, np.diag(deg) - k
+    return k, np.eye(a.n) - k / deg[:, None]
+
+
+def dense_eigenpairs(k, count):
+    """Random-walk eigenpairs through eigh of I - K * outer(root, root)."""
+    root = 1.0 / np.sqrt(k.sum(axis=1))
+    vals, phi = eigh(np.eye(k.shape[0]) - k * np.multiply.outer(root, root),
+                     subset_by_index=[0, count - 1])
+    psi = phi * root[:, None]
+    return vals, psi / np.linalg.norm(psi, axis=0)
+
+
 class TestForms:
     def test_unnormalized_permutation(self):
-        lap = laplacian_from_affinity(np.array([[0.0, 1.0], [1.0, 0.0]]),
+        lap = laplacian_from_affinity(kernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
                                       LaplacianForm.UNNORMALIZED)
-        assert np.array_equal(lap.matrix, np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        assert np.array_equal(dense_laplacian(lap),
+                              np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
     def test_constant_annihilation(self):
         rng = np.random.default_rng(0)
-        a = rng.uniform(0.1, 1.0, size=(8, 8))
-        a = (a + a.T) / 2.0
+        a = random_kernel(rng, 8)
         ones = np.ones(8)
         for form in LaplacianForm:
-            lap = laplacian_from_affinity(a, form)
-            assert np.abs(lap.matrix @ ones).max() < 1e-12
+            for scale in (None, rng.uniform(0.5, 2.0, size=8)):
+                lap = laplacian_from_affinity(a, form, scale)
+                assert np.abs(apply_rescaled(lap, ones)).max() < 1e-12
 
     def test_unnormalized_symmetric(self):
         rng = np.random.default_rng(1)
-        a = rng.uniform(0.1, 1.0, size=(6, 6))
-        a = (a + a.T) / 2.0
-        lap = laplacian_from_affinity(a, LaplacianForm.UNNORMALIZED)
-        assert np.array_equal(lap.matrix, lap.matrix.T)
+        a = random_kernel(rng, 6)
+        lap = laplacian_from_affinity(a, LaplacianForm.UNNORMALIZED,
+                                      rng.uniform(0.5, 2.0, size=6))
+        mat = dense_laplacian(lap)
+        assert np.allclose(mat, mat.T, rtol=1e-15, atol=1e-15)
 
     def test_random_walk_degenerate(self):
-        a = np.zeros((3, 3))
+        a = kernel(np.zeros((3, 3)))
         with pytest.raises(DegenerateInputError):
             laplacian_from_affinity(a, LaplacianForm.RANDOM_WALK)
 
     def test_apply_rescaled(self):
         rng = np.random.default_rng(2)
-        a = rng.uniform(0.1, 1.0, size=(5, 5))
-        a = (a + a.T) / 2.0
-        lap = laplacian_from_affinity(a, LaplacianForm.UNNORMALIZED, epsilon=2e-3)
+        a = random_kernel(rng, 5, epsilon=2e-3)
+        s = rng.uniform(0.5, 2.0, size=5)
         f = rng.normal(size=5)
-        assert np.array_equal(apply_rescaled(lap, f), -(lap.matrix @ f) / 2e-3)
+        for form in LaplacianForm:
+            lap = laplacian_from_affinity(a, form, s)
+            assert lap.epsilon == 2e-3
+            want = -(dense_reference(a, s, form)[1] @ f) / 2e-3
+            assert np.allclose(apply_rescaled(lap, f), want, rtol=1e-13, atol=0)
+        with pytest.raises(ValueError):
+            apply_rescaled(lap, np.ones((5, 5)))
 
 
 class TestScaledAffinities:
@@ -71,17 +114,17 @@ class TestScaledAffinities:
 
     def test_bistochastic_rows(self):
         res = approx_sym_sk(self.aff, SkConfig(eps_sk=1e-6, max_iter=100))
-        bi = bistochastic_affinity(self.aff, res.eta)
-        assert np.abs(bi.matrix.sum(axis=1) - 1.0).max() < 1e-6
-        assert np.array_equal(bi.matrix, bi.matrix.T)
-        assert not np.diag(bi.matrix).any()
-        assert bi.normalization == "bistochastic"
+        lap = laplacian_from_affinity(self.aff, LaplacianForm.UNNORMALIZED, res.eta)
+        assert np.abs(lap.degrees - 1.0).max() < 1e-6
+        assert lap.kernel is self.aff
 
     def test_bistochastic_validates_eta(self):
+        for eta in (np.ones(3), np.zeros(self.aff.n),
+                    np.full(self.aff.n, np.inf), np.full(self.aff.n, np.nan)):
+            with pytest.raises(ValueError):
+                laplacian_from_affinity(self.aff, LaplacianForm.UNNORMALIZED, eta)
         with pytest.raises(ValueError):
-            bistochastic_affinity(self.aff, np.ones(3))
-        with pytest.raises(ValueError):
-            bistochastic_affinity(self.aff, np.zeros(self.aff.n))
+            laplacian_from_affinity(self.aff, "random_walk")
 
     def test_dm_hand_value(self):
         a = Affinity(matrix=np.array([[0.0, 2.0, 1.0],
@@ -89,56 +132,91 @@ class TestScaledAffinities:
                                       [1.0, 1.0, 0.0]]),
                      epsilon=1.0, intrinsic_dim=1, zero_diag=True,
                      convention=Convention.UNSCALED)
-        dm = dm_affinity(a)
-        assert np.isclose(dm.matrix[0, 1], 2.0 / 3.0, rtol=1e-15)
-        assert np.isclose(dm.matrix[0, 2], 1.0 / np.sqrt(6.0), rtol=1e-15)
-        assert np.array_equal(dm.matrix, dm.matrix.T)
-        assert dm.normalization == "dm"
+        s = dm_scale(a)
+        assert np.array_equal(s, 1.0 / np.sqrt([3.0, 3.0, 2.0]))
+        # K_01 = 2 / sqrt(3 * 3), K_02 = 1 / sqrt(3 * 2)
+        lap = laplacian_from_affinity(a, LaplacianForm.UNNORMALIZED, s)
+        mat = dense_laplacian(lap)
+        assert np.isclose(-mat[0, 1], 2.0 / 3.0, rtol=1e-15)
+        assert np.isclose(-mat[0, 2], 1.0 / np.sqrt(6.0), rtol=1e-15)
 
     def test_dm_degenerate(self):
         a = Affinity(matrix=np.zeros((2, 2)), epsilon=1.0, intrinsic_dim=1,
                      zero_diag=True, convention=Convention.UNSCALED)
         with pytest.raises(DegenerateInputError):
-            dm_affinity(a)
+            dm_scale(a)
 
     def test_kind_derivation(self):
-        res = approx_sym_sk(self.aff)
-        bi = bistochastic_affinity(self.aff, res.eta)
-        dm = dm_affinity(self.aff)
         table = [
-            (bi, LaplacianForm.UNNORMALIZED, LaplacianKind.BISTOCH_UN),
-            (bi, LaplacianForm.RANDOM_WALK, LaplacianKind.BISTOCH_RW),
-            (dm, LaplacianForm.UNNORMALIZED, LaplacianKind.DM_UN),
-            (dm, LaplacianForm.RANDOM_WALK, LaplacianKind.DM_RW),
+            (LaplacianKind.BISTOCH_UN, True, LaplacianForm.UNNORMALIZED),
+            (LaplacianKind.BISTOCH_RW, True, LaplacianForm.RANDOM_WALK),
+            (LaplacianKind.DM_UN, False, LaplacianForm.UNNORMALIZED),
+            (LaplacianKind.DM_RW, False, LaplacianForm.RANDOM_WALK),
         ]
-        for aff, form, kind in table:
-            assert laplacian_from_affinity(aff, form).kind is kind
+        for kind, bistochastic, form in table:
+            assert kind.bistochastic is bistochastic
+            assert kind.form is form
 
     def test_kind_partitions(self):
-        assert set(SK_KINDS) | set(DM_KINDS) == set(LaplacianKind)
-        assert not set(SK_KINDS) & set(DM_KINDS)
-        for kind, form in KIND_FORM.items():
-            assert isinstance(kind, LaplacianKind)
-            assert isinstance(form, LaplacianForm)
+        pairs = {(kind.bistochastic, kind.form) for kind in LaplacianKind}
+        assert pairs == {(b, f) for b in (True, False) for f in LaplacianForm}
+
+
+class TestDenseEquivalence:
+    """The operator against the materialized K and L, for all four kinds."""
+
+    def setup_method(self):
+        self.ds, self.aff = circle_affinity()
+        self.eta = approx_sym_sk(self.aff).eta
+
+    def scale(self, kind):
+        if kind.bistochastic:
+            return self.eta
+        s = dm_scale(self.aff)
+        assert np.array_equal(s, 1.0 / np.sqrt(self.aff.matrix.sum(axis=1)))
+        return s
+
+    @pytest.mark.parametrize("kind", list(LaplacianKind))
+    def test_apply(self, kind):
+        s = self.scale(kind)
+        lap = laplacian_from_affinity(self.aff, kind.form, s)
+        f = np.cos(2.0 * np.pi * self.ds.t) + 0.5 * np.sin(6.0 * np.pi * self.ds.t)
+        want = -(dense_reference(self.aff, s, kind.form)[1] @ f) / self.aff.epsilon
+        got = apply_rescaled(lap, f)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("kind", [k for k in LaplacianKind
+                                      if k.form is LaplacianForm.RANDOM_WALK])
+    def test_eigenpairs(self, kind):
+        s = self.scale(kind)
+        lap = laplacian_from_affinity(self.aff, kind.form, s)
+        eig = smallest_eigenpairs(lap, 5)
+        k = dense_reference(self.aff, s, kind.form)[0]
+        vals, vecs = dense_eigenpairs(k, 5)
+        assert np.abs(eig.values - vals).max() < 1e-12
+        for lo, h in ((1, 1), (3, 2)):
+            ref = np.stack([np.sin(2.0 * np.pi * h * self.ds.t),
+                            np.cos(2.0 * np.pi * h * self.ds.t)], axis=-1)
+            got = align_pair(eig.vectors[:, lo:lo + 2], ref).mse
+            want = align_pair(vecs[:, lo:lo + 2], ref).mse
+            assert abs(got - want) <= 1e-10 * want
 
 
 class TestEigensolve:
     def setup_method(self):
         self.ds, self.aff = circle_affinity()
         res = approx_sym_sk(self.aff, SkConfig(c_sk=0.0))
-        self.bi = bistochastic_affinity(self.aff, res.eta)
-        self.lap = laplacian_from_affinity(self.bi, LaplacianForm.RANDOM_WALK,
-                                           epsilon=2e-3)
+        self.eta = res.eta
+        self.lap = laplacian_from_affinity(self.aff, LaplacianForm.RANDOM_WALK, res.eta)
 
     def test_requires_random_walk_and_source(self):
-        un = laplacian_from_affinity(self.bi, LaplacianForm.UNNORMALIZED)
+        un = laplacian_from_affinity(self.aff, LaplacianForm.UNNORMALIZED, self.eta)
         with pytest.raises(ValueError):
             smallest_eigenpairs(un, 3)
-        bare = laplacian_from_affinity(self.bi.matrix, LaplacianForm.RANDOM_WALK)
-        with pytest.raises(ValueError):
-            smallest_eigenpairs(bare, 3)
         with pytest.raises(ValueError):
             smallest_eigenpairs(self.lap, 0)
+        with pytest.raises(ValueError):
+            smallest_eigenpairs(self.lap, self.aff.n + 1)
 
     def test_circle_spectrum(self):
         eig = smallest_eigenpairs(self.lap, 5)
@@ -150,8 +228,9 @@ class TestEigensolve:
 
     def test_eigen_equation(self):
         eig = smallest_eigenpairs(self.lap, 4)
-        resid = self.lap.matrix @ eig.vectors - eig.vectors * eig.values
-        assert np.abs(resid).max() < 1e-10
+        for value, vec in zip(eig.values, eig.vectors.T):
+            lv = -self.lap.epsilon * apply_rescaled(self.lap, vec)
+            assert np.abs(lv - value * vec).max() < 1e-10
 
     def test_vector_conventions(self):
         eig = smallest_eigenpairs(self.lap, 4)
