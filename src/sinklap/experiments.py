@@ -67,7 +67,9 @@ class PointwiseResult:
     sk_iters and projection_hits are 0 for the dm pipeline;
     min_inlier_eta is the smallest normalized-convention scaling entry
     over non-outlier samples (all samples when the data is clean), or
-    None for the dm pipeline.
+    None for the dm pipeline.  sk_converged and sk_residual are the
+    scaling's ``converged`` flag and last tested residual (True and
+    None for the dm pipeline).
     """
 
     relerr2: float
@@ -75,6 +77,8 @@ class PointwiseResult:
     sk_iters: int
     projection_hits: int = 0
     min_inlier_eta: float | None = None
+    sk_converged: bool = True
+    sk_residual: float | None = None
 
 
 @dataclass
@@ -193,9 +197,12 @@ def pointwise_experiment(
             ~ds.outlier_flags if ds.outlier_flags is not None else np.ones(n, bool)
         )
         min_eta = float(np.min(eta_norm[inliers]))
+        converged = scaling.converged
+        residual = float(scaling.residual_history[-1])
     else:
         scale = dm_scale(aff)
         sk_iters, hits, min_eta = 0, 0, None
+        converged, residual = True, None
     lap = laplacian_from_affinity(aff, kind.form, scale)
     est = apply_rescaled(lap, test_function(ds.t))
     relerr2, relerrinf = rel_errors(est, delta_p_f(ds.t, spec))
@@ -205,6 +212,8 @@ def pointwise_experiment(
         sk_iters=sk_iters,
         projection_hits=hits,
         min_inlier_eta=min_eta,
+        sk_converged=converged,
+        sk_residual=residual,
     )
 
 

@@ -17,8 +17,12 @@ The affinity is the only n x n matrix of the pipeline: scalings and
 Laplacians (``sinklap.laplacian``) keep it as the kernel A plus a scale
 vector s and reach diag(s) A diag(s) through matvecs with A.
 
-Distances are computed once per unordered pair and mirrored, so the
-matrix is bitwise symmetric; no Gram-matrix expansion is used anywhere.
+Distances are scipy's "sqeuclidean" sums of (x_k - y_k)^2 in column
+order; no Gram-matrix expansion is used anywhere.  (x_k - y_k)^2 equals
+(y_k - x_k)^2 bitwise, so the matrix is bitwise symmetric.  Columns past
+both rows' last nonzero entry add exact zeros, so each pair is summed
+over a column prefix covering both rows' support and keeps the bits of
+a full-width ``pdist``: zero-padded inliers cost a few columns, not m.
 """
 
 from dataclasses import dataclass
@@ -26,8 +30,12 @@ from enum import Enum
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 from scipy.special import gamma
+
+
+# rows per block in ``_sq_distances``, which bounds its temporaries
+_BLOCK = 128
 
 
 class Convention(Enum):
@@ -78,6 +86,34 @@ def normalized_prefactor(n, epsilon, d):
     return (4.0 * np.pi * epsilon) ** (-d / 2.0) / n
 
 
+def _sq_distances(pts):
+    """Squared distances of the rows of pts, bitwise equal to pdist's.
+
+    A row's width is 1 + the index of its last nonzero column.  Rows
+    narrower than the widest meet each other over the widest narrow
+    prefix and the widest rows meet all rows over theirs, block pair by
+    block pair; with one width it is one pdist over that prefix.
+    """
+    n, m = pts.shape
+    width = np.where(pts.any(axis=1), m - np.argmax(pts[:, ::-1] != 0, axis=1), 0)
+    wmax = int(width.max())
+    if width.min() == wmax:
+        return squareform(pdist(pts[:, :wmax], "sqeuclidean"), checks=False)
+    narrow = np.flatnonzero(width < wmax)
+    wide = np.flatnonzero(width == wmax)
+    wnarrow = int(width[narrow].max())
+    blocks = [(narrow[i : i + _BLOCK], wnarrow) for i in range(0, narrow.size, _BLOCK)]
+    blocks += [(wide[i : i + _BLOCK], wmax) for i in range(0, wide.size, _BLOCK)]
+    d2 = np.empty((n, n))
+    for a, (rows, w_rows) in enumerate(blocks):
+        for cols, w_cols in blocks[a:]:
+            w = max(w_rows, w_cols)
+            block = cdist(pts[rows, :w], pts[cols, :w], "sqeuclidean")
+            d2[np.ix_(rows, cols)] = block
+            d2[np.ix_(cols, rows)] = block.T
+    return d2
+
+
 def build_affinity(points, epsilon, intrinsic_dim, zero_diag, convention):
     """Assemble the dense Gaussian affinity matrix of a point cloud.
 
@@ -99,7 +135,8 @@ def build_affinity(points, epsilon, intrinsic_dim, zero_diag, convention):
     Returns
     -------
     Affinity
-        Bitwise-symmetric non-negative matrix with metadata.
+        Bitwise-symmetric non-negative matrix with metadata, entry by
+        entry bitwise equal to the kernel of ``pdist`` distances.
     """
     pts = np.ascontiguousarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
@@ -110,7 +147,7 @@ def build_affinity(points, epsilon, intrinsic_dim, zero_diag, convention):
         raise ValueError("epsilon must be positive")
     # exp(-d2 / (4 epsilon)) in place: one n x n array instead of two,
     # with the same bits as the out-of-place expression
-    mat = squareform(pdist(pts, "sqeuclidean"), checks=False)
+    mat = _sq_distances(pts)
     np.negative(mat, out=mat)
     np.divide(mat, 4.0 * epsilon, out=mat)
     np.exp(mat, out=mat)

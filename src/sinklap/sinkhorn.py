@@ -93,6 +93,18 @@ def scaling_residual(a, eta):
     return eta * (mat @ eta) - 1.0
 
 
+def _is_symmetric(mat):
+    """np.array_equal(mat, mat.T) over cache-sized tiles (NaN is never equal)."""
+    n, block = mat.shape[0], 256
+    return all(
+        np.array_equal(
+            mat[i : i + block, j : j + block], mat[j : j + block, i : i + block].T
+        )
+        for i in range(0, n, block)
+        for j in range(i, n, block)
+    )
+
+
 def _checked_reciprocal(x, what, k):
     if np.any(x <= 0) or not np.all(np.isfinite(x)):
         raise NumericalFailureError(
@@ -126,7 +138,7 @@ def approx_sym_sk(a, config=None):
     cfg = config if config is not None else SkConfig()
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.array_equal(mat, mat.T):
+    if not _is_symmetric(mat):
         raise ValueError("matrix must be symmetric")
     if np.any(mat < 0):
         raise ValueError("matrix must be non-negative")

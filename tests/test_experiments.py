@@ -133,6 +133,7 @@ class TestPointwise:
         assert res.sk_iters == 0
         assert res.projection_hits == 0
         assert res.min_inlier_eta is None
+        assert res.sk_converged and res.sk_residual is None
         assert 0.0 < res.relerr2 < 10.0
         assert res.relerr2 <= res.relerrinf
 
@@ -142,6 +143,16 @@ class TestPointwise:
         )
         assert res.sk_iters >= 1
         assert res.min_inlier_eta is not None and res.min_inlier_eta > 0.0
+        assert res.sk_converged and 0.0 <= res.sk_residual < SkConfig().eps_sk
+
+    def test_sk_outcome_when_budget_runs_out(self):
+        res = pointwise_experiment(
+            100, DensitySpec.SINUSOIDAL_1D, 2e-3, LaplacianKind.BISTOCH_UN,
+            sk_config=SkConfig(eps_sk=1e-300, max_iter=2),
+        )
+        assert res.sk_iters == 2
+        assert not res.sk_converged
+        assert res.sk_residual > 0.0
 
     def test_noisy_min_eta_over_inliers(self):
         model = NoiseModel(NoiseKind.SIMPLE, 8, 0.1, 0.2)

@@ -2,19 +2,58 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist, squareform
 
 from sinklap import (
     Affinity,
     Convention,
     DensitySpec,
+    NoiseKind,
+    NoiseModel,
     build_affinity,
     degree,
     gaussian_kernel,
     kernel_moments,
+    noisy_dataset,
     normalized_prefactor,
     sample_dataset,
 )
+
+
+def pdist_kernel(pts, eps):
+    """The reference: the kernel over scipy's full-width pdist distances."""
+    d2 = squareform(pdist(pts, "sqeuclidean"))
+    return np.exp(-d2 / (4.0 * eps))
+
+
+@st.composite
+def padded_clouds(draw):
+    """Point clouds whose rows are zero (or -0.0) past a per-row width.
+
+    Up to 600 rows, so the distance blocks of both narrow and wide rows
+    can number more than one; widths follow one of four patterns.
+    """
+    n = draw(st.integers(2, 600))
+    m = draw(st.integers(1, 13))
+    pattern = draw(st.sampled_from(["random", "equal", "one_wide", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pts = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3.0, 3.0)
+    if pattern == "random":
+        widths = rng.integers(0, m + 1, size=n)
+    elif pattern == "equal":
+        widths = np.full(n, rng.integers(0, m + 1))
+    elif pattern == "one_wide":
+        widths = rng.integers(0, m, size=n)
+        widths[rng.integers(n)] = m
+    else:
+        widths = np.zeros(n, dtype=int)
+    pad = np.arange(m) >= widths[:, None]
+    pts[pad] = 0.0
+    pts[pad & (rng.random((n, m)) < 0.5)] = -0.0
+    pts[~pad & (rng.random((n, m)) < 0.05)] = -0.0
+    return pts
 
 
 class TestGaussianKernel:
@@ -103,8 +142,7 @@ class TestBuildAffinity:
     def test_bitwise_out_of_place_formula(self):
         a = build_affinity(self.ds.points, 1e-3, 1,
                            convention=Convention.UNSCALED, zero_diag=False)
-        d2 = squareform(pdist(self.ds.points, "sqeuclidean"))
-        assert np.array_equal(a.matrix, np.exp(-d2 / (4.0 * 1e-3)))
+        assert np.array_equal(a.matrix, pdist_kernel(self.ds.points, 1e-3))
 
     def test_rejects_nan_point(self):
         pts = self.ds.points.copy()
@@ -123,6 +161,30 @@ class TestBuildAffinity:
                            convention=Convention.UNSCALED, zero_diag=True)
         with pytest.raises(ValueError):
             a.matrix[0, 0] = 1.0
+
+
+class TestRowSupport:
+    """Distances over row-support prefixes are pdist's, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(padded_clouds(), st.sampled_from([1e-3, 0.3, 10.0]))
+    def test_bitwise_pdist_reference(self, pts, eps):
+        a = build_affinity(pts, eps, 1, convention=Convention.UNSCALED, zero_diag=False)
+        assert np.array_equal(a.matrix, pdist_kernel(pts, eps))
+
+    @pytest.mark.parametrize(
+        "spec, kind",
+        [
+            (DensitySpec.SINUSOIDAL_1D, NoiseKind.SIMPLE),
+            (DensitySpec.UNIFORM_CIRCLE, NoiseKind.HETEROSKEDASTIC),
+        ],
+    )
+    def test_bitwise_on_noisy_dataset(self, spec, kind):
+        ds = noisy_dataset(300, spec, NoiseModel(kind, m=200), 11)
+        assert 0 < ds.outlier_flags.sum() < 300
+        a = build_affinity(ds.points, 5e-4, 1, convention=Convention.UNSCALED,
+                           zero_diag=False)
+        assert np.array_equal(a.matrix, pdist_kernel(ds.points, 5e-4))
 
 
 class TestDegree:

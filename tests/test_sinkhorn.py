@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sinklap import (
     Convention,
@@ -111,6 +113,18 @@ class TestProperties:
             e2 = approx_sym_sk(a, cfg).eta / np.sqrt(c)
             assert np.max(np.abs(e1 - e2) / e2) < 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.booleans())
+    def test_permutation_equivariance(self, n, seed, project):
+        rng = np.random.default_rng(seed)
+        a = random_spd_affinity(rng, n) * 10.0 ** rng.uniform(-3.0, 3.0, size=(n, 1))
+        a = np.sqrt(a * a.T)
+        perm = rng.permutation(n)
+        cfg = SkConfig(c_sk=0.5 if project else 0.0, eps_sk=1e-300, max_iter=12)
+        e1 = approx_sym_sk(a[np.ix_(perm, perm)], cfg).eta
+        e2 = approx_sym_sk(a, cfg).eta[perm]
+        assert np.max(np.abs(e1 - e2) / e2) < 1e-12
+
     def test_history_decreases_on_kernel(self):
         ds = sample_dataset(200, DensitySpec.SINUSOIDAL_1D, 6)
         a = build_affinity(ds.points, 1e-3, 1, zero_diag=True,
@@ -154,6 +168,18 @@ class TestValidation:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             approx_sym_sk(np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+    def test_one_asymmetric_entry_rejected(self):
+        a = random_spd_affinity(np.random.default_rng(8), 600)
+        a[599, 3] = np.nextafter(a[599, 3], 3.0)
+        with pytest.raises(ValueError, match="symmetric"):
+            approx_sym_sk(a)
+
+    def test_nan_entry_rejected(self):
+        a = random_spd_affinity(np.random.default_rng(9), 600)
+        a[10, 400] = a[400, 10] = np.nan
+        with pytest.raises(ValueError, match="symmetric"):
+            approx_sym_sk(a)
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
