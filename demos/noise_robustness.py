@@ -21,7 +21,6 @@ Run:  python3 demos/noise_robustness.py   (about 15 s)
 import numpy as np
 
 from sinklap import (
-    Dataset,
     DensitySpec,
     LaplacianKind,
     NoiseKind,
@@ -29,7 +28,6 @@ from sinklap import (
     add_noise,
     attenuation,
     cross_term_stats,
-    embed_ambient,
     pointwise_experiment,
     sample_dataset,
 )
@@ -39,8 +37,7 @@ def main():
     n, m, eps = 1000, 2000, 5e-4
     model = NoiseModel(NoiseKind.SIMPLE, m=m, sigma_out=0.1, p_out=0.1)
     ds = sample_dataset(n, DensitySpec.SINUSOIDAL_1D, seed=0)
-    embedded = Dataset(t=ds.t, clean_points=embed_ambient(ds.points, m), seed=0)
-    noisy = add_noise(embedded, model, seed=1)
+    noisy = add_noise(ds, model, seed=1)
     att = attenuation(noisy, eps)
     max_r, frac_in = cross_term_stats(noisy)
     flags = noisy.outlier_flags

@@ -28,7 +28,6 @@ from .experiments import (
 )
 from .kernel import (
     Affinity,
-    Convention,
     build_affinity,
     degree,
     gaussian_kernel,
@@ -65,10 +64,8 @@ from .sinkhorn import (
     ScalingResult,
     SkConfig,
     approx_sym_sk,
-    convert_c_sk,
     population_reference,
     scaling_residual,
-    to_normalized_convention,
 )
 
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ from .experiments import (
     write_embedding_csv,
     write_sweep_csv,
 )
-from .kernel import Convention, build_affinity, kernel_moments
+from .kernel import build_affinity, kernel_moments
 from .laplacian import LaplacianKind
 from .manifold import DensitySpec, write_dataset_csv
 from .noise import NoiseKind, NoiseModel
@@ -91,7 +91,6 @@ _SK_OPTS = [
     ("eps_sk", float, 1e-3),
     ("c_sk", float, 0.01),
     ("max_iter", int, 50),
-    ("sk_init", str, "rowsum"),
 ]
 _NOISE_OPTS = [
     ("noise", _noise, "none"),
@@ -242,7 +241,6 @@ def _sk_config(params):
         c_sk=params["c_sk"],
         eps_sk=params["eps_sk"],
         max_iter=params["max_iter"],
-        init=params["sk_init"],
     )
 
 
@@ -346,13 +344,7 @@ def _cmd_skdiag(p):
         ds = noisy_dataset(
             p["n"], _DENSITIES[p["density"]], _noise_model(p), p["seed"]
         )
-        target = build_affinity(
-            ds.points,
-            p["epsilon"],
-            intrinsic_dim=1,
-            zero_diag=True,
-            convention=Convention.UNSCALED,
-        )
+        target = build_affinity(ds.points, p["epsilon"])
     res = approx_sym_sk(target, _sk_config(p))
     write_residual_history(p["out"], res.residual_history)
     print(f"iterations = {res.iterations}")

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import svd
 
 from .csvio import fmt, write_rows
-from .kernel import Convention, build_affinity
+from .kernel import build_affinity, normalized_prefactor
 from .laplacian import (
     LaplacianForm,
     LaplacianKind,
@@ -34,16 +34,9 @@ from .laplacian import (
     laplacian_from_affinity,
     smallest_eigenpairs,
 )
-from .manifold import (
-    Dataset,
-    DensitySpec,
-    delta_p_f,
-    embed_ambient,
-    sample_dataset,
-    test_function,
-)
+from .manifold import DensitySpec, delta_p_f, sample_dataset, test_function
 from .noise import add_noise
-from .sinkhorn import SkConfig, approx_sym_sk, to_normalized_convention
+from .sinkhorn import approx_sym_sk
 
 NOISE_SEED_OFFSET = 2**32
 
@@ -65,9 +58,9 @@ class PointwiseResult:
     """Relative errors of one pipeline run plus scaling diagnostics.
 
     sk_iters and projection_hits are 0 for the dm pipeline;
-    min_inlier_eta is the smallest normalized-convention scaling entry
-    over non-outlier samples (all samples when the data is clean), or
-    None for the dm pipeline.  sk_converged and sk_residual are the
+    min_inlier_eta is the smallest entry of the normalized kernel's
+    scaling eta / sqrt(kappa) over non-outlier samples (all samples
+    when the data is clean), or None for the dm pipeline.  sk_converged and sk_residual are the
     scaling's ``converged`` flag and last tested residual (True and
     None for the dm pipeline).
     """
@@ -83,6 +76,8 @@ class PointwiseResult:
 
 @dataclass
 class SweepRecord:
+    """sk_unconverged counts the replicas whose scaling ran out of max_iter."""
+
     epsilon: float
     relerr2_mean: float
     relerr2_std: float
@@ -90,6 +85,7 @@ class SweepRecord:
     relerrinf_std: float
     mean_sk_iters: float
     replicas: int
+    sk_unconverged: int
 
 
 @dataclass
@@ -120,23 +116,38 @@ class EmbeddingResult:
     """Summary records plus per-replica mse arrays keyed by (method, pair).
 
     first_eigenpairs holds replica 0's EigenPairs per method, for
-    inspection and serialization.
+    inspection and serialization; sk_unconverged counts the replicas
+    whose scaling ran out of max_iter.
     """
 
     records: list
     mse: dict
     first_eigenpairs: dict
+    sk_unconverged: int
 
 
 def worker_count():
     """Thread count for replica loops: BISTOCH_THREADS or the CPU count."""
     env = os.environ.get("BISTOCH_THREADS")
     if env is not None:
-        count = int(env)
+        try:
+            count = int(env)
+        except ValueError:
+            msg = f"BISTOCH_THREADS must be an integer, got {env!r}"
+            raise ValueError(msg) from None
         if count < 1:
             raise ValueError("BISTOCH_THREADS must be >= 1")
         return count
     return os.cpu_count() or 1
+
+
+def _workers(threads):
+    """An explicit replica thread count, or ``worker_count()`` for None."""
+    if threads is None:
+        return worker_count()
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
+    return threads
 
 
 def rel_errors(est, ref):
@@ -154,20 +165,16 @@ def rel_errors(est, ref):
 
 
 def noisy_dataset(n, spec, noise_model, seed):
-    """Sample a dataset and, given a noise model, pad it to R^m and add noise.
+    """Sample a dataset and, given a noise model, add noise in R^m.
 
     The noise stream uses seed + NOISE_SEED_OFFSET; without a noise
-    model the clean dataset is returned.
+    model the clean dataset is returned.  The clean points keep their
+    native width; only the noisy points are m wide.
     """
     ds = sample_dataset(n, spec, seed)
     if noise_model is None:
         return ds
-    embedded = Dataset(
-        t=ds.t,
-        clean_points=embed_ambient(ds.clean_points, noise_model.m),
-        seed=ds.seed,
-    )
-    return add_noise(embedded, noise_model, seed + NOISE_SEED_OFFSET)
+    return add_noise(ds, noise_model, seed + NOISE_SEED_OFFSET)
 
 
 def pointwise_experiment(
@@ -184,15 +191,13 @@ def pointwise_experiment(
     if not isinstance(kind, LaplacianKind):
         raise ValueError(f"unknown laplacian kind: {kind!r}")
     ds = noisy_dataset(n, spec, noise_model, seed)
-    aff = build_affinity(
-        ds.points, epsilon, intrinsic_dim=1, zero_diag=True, convention=Convention.UNSCALED
-    )
+    aff = build_affinity(ds.points, epsilon)
     if kind.bistochastic:
         scaling = approx_sym_sk(aff, sk_config)
         scale = scaling.eta
         sk_iters = scaling.iterations
         hits = scaling.projection_hits
-        eta_norm = to_normalized_convention(scaling.eta, aff)
+        eta_norm = scaling.eta / np.sqrt(normalized_prefactor(n, aff.epsilon, 1))
         inliers = (
             ~ds.outlier_flags if ds.outlier_flags is not None else np.ones(n, bool)
         )
@@ -233,8 +238,8 @@ def epsilon_sweep(
     epsilons must be positive and non-decreasing.  Replica r reuses
     dataset seed base_seed + r at every grid point, so per-epsilon
     aggregates are over the same family of datasets.  Means and
-    standard deviations are population-style (ddof=0); mean_sk_iters is
-    0.0 for the dm kinds.
+    standard deviations are population-style (ddof=0); mean_sk_iters and
+    sk_unconverged are 0 for the dm kinds.
     """
     epsilons = [float(e) for e in epsilons]
     if len(epsilons) == 0:
@@ -245,7 +250,7 @@ def epsilon_sweep(
         raise ValueError("epsilons must be non-decreasing")
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    workers = threads if threads is not None else worker_count()
+    workers = _workers(threads)
 
     records = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -267,6 +272,7 @@ def epsilon_sweep(
             err2 = np.array([res.relerr2 for res in results])
             errinf = np.array([res.relerrinf for res in results])
             iters = np.array([res.sk_iters for res in results], dtype=float)
+            unconverged = sum(not res.sk_converged for res in results)
             records.append(
                 SweepRecord(
                     epsilon=eps,
@@ -276,6 +282,7 @@ def epsilon_sweep(
                     relerrinf_std=float(errinf.std()),
                     mean_sk_iters=float(iters.mean()),
                     replicas=replicas,
+                    sk_unconverged=unconverged,
                 )
             )
     return records
@@ -323,9 +330,7 @@ def align_pair(v, r):
 
 def _embed_one(n, noise_model, epsilon, sk_config, seed):
     ds = noisy_dataset(n, DensitySpec.UNIFORM_CIRCLE, noise_model, seed)
-    aff = build_affinity(
-        ds.points, epsilon, intrinsic_dim=1, zero_diag=True, convention=Convention.UNSCALED
-    )
+    aff = build_affinity(ds.points, epsilon)
     scaling = approx_sym_sk(aff, sk_config)
     mse = {}
     eigs = {}
@@ -342,7 +347,7 @@ def _embed_one(n, noise_model, epsilon, sk_config, seed):
                 axis=-1,
             )
             mse[(method, pair)] = align_pair(eig.vectors[:, lo : lo + 2], ref).mse
-    return mse, eigs
+    return mse, eigs, scaling.converged
 
 
 def embedding_experiment(
@@ -359,7 +364,7 @@ def embedding_experiment(
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    workers = threads if threads is not None else worker_count()
+    workers = _workers(threads)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         per_rep = list(
             pool.map(
@@ -384,7 +389,12 @@ def embedding_experiment(
                     replicas=replicas,
                 )
             )
-    return EmbeddingResult(records=records, mse=mse, first_eigenpairs=per_rep[0][1])
+    return EmbeddingResult(
+        records=records,
+        mse=mse,
+        first_eigenpairs=per_rep[0][1],
+        sk_unconverged=sum(not rep[2] for rep in per_rep),
+    )
 
 
 def write_sweep_csv(records, path):

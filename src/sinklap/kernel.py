@@ -1,17 +1,16 @@
 """Gaussian kernel affinity matrices.
 
 The kernel is g(xi) = (4 pi)^(-d/2) exp(-xi/4) applied to squared
-distances scaled by the bandwidth: entries are functions of
-||x_i - x_j||^2 / epsilon.  Two entry conventions are supported:
+distances scaled by the bandwidth.  The pipeline's one kernel is the
+unscaled, zero-diagonal
 
-* ``UNSCALED``   : G_ij = exp(-||x_i - x_j||^2 / (4 epsilon)),
-* ``NORMALIZED`` : W_ij = n^-1 epsilon^(-d/2) g(||x_i - x_j||^2 / epsilon),
+    A_ij = exp(-||x_i - x_j||^2 / (4 epsilon)),  A_ii = 0.
 
-which differ by the constant kappa = n^-1 (4 pi epsilon)^(-d/2).  All
-downstream scalings are either exactly invariant to that constant or
-equivariant with a known conversion, so the cheap unscaled convention
-is the default in pipelines while the normalized one makes population
-quantities (degrees ~ density) directly readable.
+The population-normalized kernel n^-1 epsilon^(-d/2) g(...) is kappa A
+off the diagonal, with kappa = n^-1 (4 pi epsilon)^(-d/2) from
+``normalized_prefactor``.  Sinkhorn-Knopp scaling is equivariant to
+that constant, eta(kappa A) = eta(A) / sqrt(kappa), so normalized
+quantities are one division away and need no second kernel.
 
 The affinity is the only n x n matrix of the pipeline: scalings and
 Laplacians (``sinklap.laplacian``) keep it as the kernel A plus a scale
@@ -26,7 +25,6 @@ a full-width ``pdist``: zero-padded inliers cost a few columns, not m.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.integrate import quad
@@ -38,25 +36,15 @@ from scipy.special import gamma
 _BLOCK = 128
 
 
-class Convention(Enum):
-    """Entry scale convention of an affinity matrix."""
-
-    NORMALIZED = "normalized"
-    UNSCALED = "unscaled"
-
-
 @dataclass
 class Affinity:
-    """A dense kernel matrix with its assembly metadata.
+    """A dense kernel matrix with its bandwidth.
 
     The matrix is marked read-only.
     """
 
     matrix: np.ndarray
     epsilon: float
-    intrinsic_dim: int
-    zero_diag: bool
-    convention: Convention
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)
@@ -64,8 +52,6 @@ class Affinity:
             raise ValueError("affinity matrix must be square")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.intrinsic_dim < 1:
-            raise ValueError("intrinsic_dim must be >= 1")
         self.matrix.setflags(write=False)
 
     @property
@@ -82,7 +68,7 @@ def gaussian_kernel(xi, d):
 
 
 def normalized_prefactor(n, epsilon, d):
-    """kappa = n^-1 (4 pi epsilon)^(-d/2), the normalized/unscaled entry ratio."""
+    """kappa = n^-1 (4 pi epsilon)^(-d/2), the normalized/unscaled kernel ratio."""
     return (4.0 * np.pi * epsilon) ** (-d / 2.0) / n
 
 
@@ -114,8 +100,8 @@ def _sq_distances(pts):
     return d2
 
 
-def build_affinity(points, epsilon, intrinsic_dim, zero_diag, convention):
-    """Assemble the dense Gaussian affinity matrix of a point cloud.
+def build_affinity(points, epsilon):
+    """Assemble the zero-diagonal Gaussian kernel of a point cloud.
 
     Parameters
     ----------
@@ -123,20 +109,13 @@ def build_affinity(points, epsilon, intrinsic_dim, zero_diag, convention):
         Finite ambient coordinates, n >= 2.
     epsilon : float
         Kernel bandwidth, > 0.
-    intrinsic_dim : int
-        Manifold dimension d entering the normalized prefactor.
-    zero_diag : bool
-        If True the diagonal is zeroed; otherwise it carries the
-        distance-zero kernel value (1 for UNSCALED, kappa for
-        NORMALIZED).
-    convention : Convention
-        Entry scale convention.
 
     Returns
     -------
     Affinity
-        Bitwise-symmetric non-negative matrix with metadata, entry by
-        entry bitwise equal to the kernel of ``pdist`` distances.
+        Bitwise-symmetric non-negative matrix exp(-d2 / (4 epsilon))
+        with a zero diagonal; off the diagonal, entry by entry bitwise
+        equal to the kernel of ``pdist`` distances.
     """
     pts = np.ascontiguousarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
@@ -151,17 +130,8 @@ def build_affinity(points, epsilon, intrinsic_dim, zero_diag, convention):
     np.negative(mat, out=mat)
     np.divide(mat, 4.0 * epsilon, out=mat)
     np.exp(mat, out=mat)
-    if convention is Convention.NORMALIZED:
-        mat *= normalized_prefactor(pts.shape[0], epsilon, intrinsic_dim)
-    if zero_diag:
-        np.fill_diagonal(mat, 0.0)
-    return Affinity(
-        matrix=mat,
-        epsilon=float(epsilon),
-        intrinsic_dim=int(intrinsic_dim),
-        zero_diag=bool(zero_diag),
-        convention=convention,
-    )
+    np.fill_diagonal(mat, 0.0)
+    return Affinity(matrix=mat, epsilon=float(epsilon))
 
 
 def degree(a):

@@ -42,10 +42,11 @@ class Dataset:
     ----------
     t : ndarray, shape (n,)
         Intrinsic coordinates in [0, 1).
-    clean_points : ndarray, shape (n, m)
+    clean_points : ndarray, shape (n, k)
         On-manifold coordinates.
-    noisy_points : ndarray or None
-        Observed coordinates after noise; None for clean datasets.
+    noisy_points : ndarray, shape (n, m) with m >= k, or None
+        Observed coordinates after noise; None for clean datasets.  The
+        clean points sit in its first k columns (zero-padded to R^m).
     outlier_flags : ndarray or None
         Boolean per sample; paired with ``noisy_points``.
     seed : int
@@ -75,8 +76,12 @@ class Dataset:
         if self.noisy_points is not None:
             self.noisy_points = np.asarray(self.noisy_points, dtype=float)
             self.outlier_flags = np.asarray(self.outlier_flags, dtype=bool)
-            if self.noisy_points.shape != self.clean_points.shape:
-                raise ValueError("noisy_points shape mismatch")
+            if (
+                self.noisy_points.ndim != 2
+                or self.noisy_points.shape[0] != n
+                or self.noisy_points.shape[1] < self.clean_points.shape[1]
+            ):
+                raise ValueError("noisy_points must be (n, m) with m >= clean width")
             if self.outlier_flags.shape != (n,):
                 raise ValueError("outlier_flags must be (n,)")
         for arr in (self.t, self.clean_points, self.noisy_points, self.outlier_flags):

@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from ._rng import make_rng, standard_normal
-from .manifold import Dataset
+from .manifold import Dataset, embed_ambient
 
 
 class NoiseKind(Enum):
@@ -40,8 +40,9 @@ class NoiseKind(Enum):
 class NoiseModel:
     """Noise regime plus ambient dimension and scale knobs.
 
-    p_out is only read by the SIMPLE regime.  m must be at least the
-    clean embedding's width (>= 4).
+    p_out is only read by the SIMPLE regime.  m is the ambient
+    dimension of the noisy points: at least 4 and at least the clean
+    points' width.
     """
 
     kind: NoiseKind
@@ -63,11 +64,12 @@ def _gamma1(t):
 
 
 def add_noise(ds, model, seed):
-    """Return a noisy copy of a clean dataset.
+    """Return a noisy copy of a clean dataset, observed in R^m.
 
-    The dataset's clean points must already live in R^m with
-    m = model.m (see ``manifold.embed_ambient``).  Inlier rows of the
-    result are bitwise equal to the clean rows.
+    The clean points may be k <= m = model.m columns wide; the noisy
+    points are them zero-padded to R^m (``manifold.embed_ambient``) plus
+    the outlier displacements, and the clean points are kept as given.
+    Inlier rows of the result are bitwise equal to the padded clean rows.
 
     Draw order is part of the contract: for the heteroskedastic kind
     one phase u ~ Unif(0,1) is drawn first, making the outlier
@@ -80,11 +82,12 @@ def add_noise(ds, model, seed):
     if ds.noisy_points is not None:
         raise ValueError("dataset already carries noise")
     clean = ds.clean_points
-    n, m = clean.shape
-    if m != model.m:
-        raise ValueError(f"dataset is {m}-dimensional but the model wants m={model.m}")
+    n, k = clean.shape
+    m = model.m
+    if k > m:
+        raise ValueError(f"dataset is {k}-dimensional, wider than the model's m={m}")
     rng = make_rng(seed)
-    noisy = clean.copy()
+    noisy = embed_ambient(clean, m)
     flags = np.zeros(n, dtype=bool)
     root_m = np.sqrt(m)
     u = rng.random() if model.kind is NoiseKind.HETEROSKEDASTIC else 0.0
@@ -116,6 +119,14 @@ def add_noise(ds, model, seed):
     )
 
 
+def _clean_and_offsets(ds):
+    """Clean points padded to the noisy width, and the displacements xi."""
+    if ds.noisy_points is None:
+        raise ValueError("needs a noisy dataset")
+    xc = embed_ambient(ds.clean_points, ds.noisy_points.shape[1])
+    return xc, ds.noisy_points - xc
+
+
 def attenuation(ds, epsilon):
     """Per-sample kernel attenuation exp(-||xi_i||^2 / (4 epsilon)).
 
@@ -123,9 +134,7 @@ def attenuation(ds, epsilon):
     how much every affinity touching i shrinks relative to the clean
     kernel (up to cross terms).
     """
-    if ds.noisy_points is None:
-        raise ValueError("needs a noisy dataset")
-    xi = ds.noisy_points - ds.clean_points
+    _, xi = _clean_and_offsets(ds)
     return np.exp(-np.einsum("ij,ij->i", xi, xi) / (4.0 * epsilon))
 
 
@@ -144,10 +153,7 @@ def cross_term_stats(ds):
     off-diagonal pairs (the empirical cross-term bound) and the
     fraction of inlier samples.
     """
-    if ds.noisy_points is None:
-        raise ValueError("needs a noisy dataset")
-    xc = ds.clean_points
-    xi = ds.noisy_points - ds.clean_points
+    xc, xi = _clean_and_offsets(ds)
     cross = xc @ xi.T
     diag = np.einsum("ij,ij->i", xc, xi)
     gram = xi @ xi.T

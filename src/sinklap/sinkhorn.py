@@ -11,9 +11,9 @@ and takes their entrywise geometric mean eta = sqrt(u * v), which
 converges markedly faster than plain alternation on kernel matrices.
 The iteration is wrapped with
 
-* a degree-based initial guess eta_i = 1 / sqrt((A 1)_i),
+* the degree-based start eta_i = 1 / sqrt((A 1)_i),
 * an optional lower-bound projection eta = max(eta, c_sk) applied after
-  the init and after every update, guarding against rows dominated by
+  the start and after every update, guarding against rows dominated by
   numerically vanishing affinities (far outliers), and
 * early termination when the row-sum residual
   ||D_eta A D_eta 1 - 1||_inf drops below eps_sk.
@@ -23,8 +23,10 @@ history contains only tested residuals and a fixed point terminates
 after a single iteration.
 
 Scaling is equivariant under a global matrix rescale: eta(c A) =
-eta(A) / sqrt(c).  Helpers below convert solutions and projection
-bounds between the two kernel entry conventions.
+eta(A) / sqrt(c), and so is the degree-based start.  The scaling of
+the normalized kernel kappa A is therefore eta(A) / sqrt(kappa), and a
+projection bound b stated for kappa A is b sqrt(kappa) for A, with
+kappa = ``normalized_prefactor(n, epsilon, 1)``.
 """
 
 from dataclasses import dataclass, field
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, NumericalFailureError
-from .kernel import Affinity, Convention, normalized_prefactor
+from .kernel import Affinity
 from .manifold import density
 
 
@@ -40,16 +42,16 @@ from .manifold import density
 class SkConfig:
     """Scaling solver knobs.
 
-    c_sk is interpreted in the same entry convention as the matrix the
-    solver is given (see ``convert_c_sk``); c_sk = 0 disables the
-    projection.  init selects the starting vector: "rowsum" for
-    1/sqrt(A 1) or "ones" for the all-ones vector.
+    c_sk is the projection's lower bound in the units of the matrix the
+    solver is given (a bound b in normalized-kernel units is
+    b * sqrt(kappa) for the unscaled kernel); c_sk = 0 disables the
+    projection.  eps_sk is the residual tolerance and max_iter the
+    iteration budget.
     """
 
     c_sk: float = 0.01
     eps_sk: float = 1e-3
     max_iter: int = 50
-    init: str = "rowsum"
 
     def __post_init__(self):
         if self.c_sk < 0:
@@ -58,8 +60,6 @@ class SkConfig:
             raise ValueError("eps_sk must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.init not in ("rowsum", "ones"):
-            raise ValueError("init must be 'rowsum' or 'ones'")
 
 
 @dataclass
@@ -147,10 +147,7 @@ def approx_sym_sk(a, config=None):
     if np.any(d_a <= 0):
         raise DegenerateInputError("affinity matrix has a zero row")
 
-    if cfg.init == "ones":
-        eta = np.ones(mat.shape[0])
-    else:
-        eta = 1.0 / np.sqrt(d_a)
+    eta = 1.0 / np.sqrt(d_a)
 
     hits = 0
     if cfg.c_sk > 0:
@@ -191,27 +188,6 @@ def approx_sym_sk(a, config=None):
 
 
 def population_reference(ds, spec):
-    """Large-sample limit of the normalized-convention scaling: p(t)^(-1/2)."""
+    """Large-sample limit of the normalized kernel's scaling: p(t)^(-1/2)."""
     return density(ds.t, spec) ** -0.5
 
-
-def to_normalized_convention(eta, affinity):
-    """Convert a scaling of ``affinity`` into normalized-convention units.
-
-    With kappa the normalized/unscaled entry ratio, eta(kappa G) =
-    eta(G) / sqrt(kappa); solutions of normalized-convention matrices
-    are returned unchanged.
-    """
-    eta = np.asarray(eta, dtype=float)
-    if affinity.convention is Convention.NORMALIZED:
-        return eta.copy()
-    kappa = normalized_prefactor(affinity.n, affinity.epsilon, affinity.intrinsic_dim)
-    return eta / np.sqrt(kappa)
-
-
-def convert_c_sk(c_sk_normalized, affinity):
-    """Projection bound stated in normalized units, for ``affinity``'s convention."""
-    if affinity.convention is Convention.NORMALIZED:
-        return float(c_sk_normalized)
-    kappa = normalized_prefactor(affinity.n, affinity.epsilon, affinity.intrinsic_dim)
-    return float(c_sk_normalized) * np.sqrt(kappa)

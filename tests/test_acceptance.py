@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from sinklap import (
-    Convention,
     Dataset,
     DensitySpec,
     LaplacianForm,
@@ -275,9 +274,7 @@ def test_criterion_6_embedding_ranking(embedding_runs):
 def test_criterion_7_circle_spectrum():
     ds = sample_dataset(1000, DensitySpec.UNIFORM_CIRCLE, seed=0)
     eps = 5e-4
-    aff = build_affinity(
-        ds.points, eps, intrinsic_dim=1, zero_diag=True, convention=Convention.UNSCALED
-    )
+    aff = build_affinity(ds.points, eps)
     scaling = approx_sym_sk(aff, SkConfig(c_sk=0.0))
     lap = laplacian_from_affinity(aff, LaplacianForm.RANDOM_WALK, scaling.eta)
     eig = smallest_eigenpairs(lap, 3)

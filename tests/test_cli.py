@@ -78,6 +78,16 @@ class TestExitCodes:
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_thread_count_errors_name_the_cause(self, tmp_path, capsys, monkeypatch):
+        sweep = ["sweep", "--n", "20", "--eps-grid", "1e-3:2e-3:2log",
+                 "--replicas", "1", "--out", str(tmp_path / "s.csv")]
+        assert main(sweep + ["--threads", "0"]) == 1
+        assert "threads must be >= 1" in capsys.readouterr().err
+        monkeypatch.setenv("BISTOCH_THREADS", "abc")
+        assert main(sweep) == 1
+        err = capsys.readouterr().err
+        assert "BISTOCH_THREADS must be an integer, got 'abc'" in err
+
     def test_success_is_0(self, capsys):
         assert main(["moments", "--d", "2"]) == 0
         captured = capsys.readouterr()

@@ -183,6 +183,15 @@ class TestSweep:
         rec = recs[0]
         assert rec.epsilon == 2e-3 and rec.replicas == 2
         assert rec.relerr2_std >= 0.0 and rec.mean_sk_iters >= 1.0
+        assert rec.sk_unconverged == 0
+
+    def test_unconverged_replicas_counted(self):
+        args = (60, DensitySpec.UNIFORM_CIRCLE, [2e-3], 3)
+        starved = SkConfig(max_iter=1, eps_sk=1e-12)
+        (rec,) = epsilon_sweep(*args, LaplacianKind.BISTOCH_RW, sk_config=starved)
+        assert rec.sk_unconverged == 3
+        (rec,) = epsilon_sweep(*args, LaplacianKind.DM_RW, sk_config=starved)
+        assert rec.sk_unconverged == 0
 
     def test_validation(self):
         good = [1e-3, 2e-3]
@@ -199,6 +208,11 @@ class TestSweep:
             epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, good, 0,
                           LaplacianKind.BISTOCH_RW)
 
+    def test_threads_must_be_positive(self):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, [1e-3], 1,
+                          LaplacianKind.BISTOCH_RW, threads=0)
+
     def test_worker_count_env(self, monkeypatch):
         monkeypatch.setenv("BISTOCH_THREADS", "3")
         assert worker_count() == 3
@@ -207,6 +221,11 @@ class TestSweep:
             worker_count()
         monkeypatch.delenv("BISTOCH_THREADS")
         assert worker_count() >= 1
+
+    def test_worker_count_env_not_integer(self, monkeypatch):
+        monkeypatch.setenv("BISTOCH_THREADS", "abc")
+        with pytest.raises(ValueError, match="BISTOCH_THREADS must be an integer"):
+            worker_count()
 
 
 class TestEmbedding:
@@ -223,6 +242,13 @@ class TestEmbedding:
         assert set(res.first_eigenpairs) == {"sk", "dm"}
         eig = res.first_eigenpairs["sk"]
         assert eig.values.shape == (5,) and eig.vectors.shape == (80, 5)
+        assert res.sk_unconverged == 0
+
+    def test_unconverged_replicas_counted(self):
+        model = NoiseModel(NoiseKind.SIMPLE, 8, 0.05, 0.1)
+        res = embedding_experiment(60, model, 2e-3, replicas=2,
+                                   sk_config=SkConfig(max_iter=1, eps_sk=1e-12))
+        assert res.sk_unconverged == 2
 
     def test_deterministic(self):
         model = NoiseModel(NoiseKind.IID, 8, 0.05)
@@ -233,6 +259,8 @@ class TestEmbedding:
     def test_validation(self):
         with pytest.raises(ValueError):
             embedding_experiment(50, None, 1e-3, replicas=0)
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            embedding_experiment(50, None, 1e-3, threads=0)
 
 
 class TestCsvWriters:

@@ -6,7 +6,6 @@ from scipy.linalg import eigh
 
 from sinklap import (
     Affinity,
-    Convention,
     DegenerateInputError,
     DensitySpec,
     LaplacianForm,
@@ -25,13 +24,11 @@ from sinklap import (
 
 def circle_affinity(n=200, eps=2e-3, seed=3):
     ds = sample_dataset(n, DensitySpec.UNIFORM_CIRCLE, seed)
-    return ds, build_affinity(ds.points, eps, 1, zero_diag=True,
-                              convention=Convention.UNSCALED)
+    return ds, build_affinity(ds.points, eps)
 
 
 def kernel(mat, epsilon=1.0):
-    return Affinity(matrix=mat, epsilon=epsilon, intrinsic_dim=1, zero_diag=False,
-                    convention=Convention.UNSCALED)
+    return Affinity(matrix=mat, epsilon=epsilon)
 
 
 def random_kernel(rng, n, epsilon=1.0):
@@ -130,8 +127,7 @@ class TestScaledAffinities:
         a = Affinity(matrix=np.array([[0.0, 2.0, 1.0],
                                       [2.0, 0.0, 1.0],
                                       [1.0, 1.0, 0.0]]),
-                     epsilon=1.0, intrinsic_dim=1, zero_diag=True,
-                     convention=Convention.UNSCALED)
+                     epsilon=1.0)
         s = dm_scale(a)
         assert np.array_equal(s, 1.0 / np.sqrt([3.0, 3.0, 2.0]))
         # K_01 = 2 / sqrt(3 * 3), K_02 = 1 / sqrt(3 * 2)
@@ -141,8 +137,7 @@ class TestScaledAffinities:
         assert np.isclose(-mat[0, 2], 1.0 / np.sqrt(6.0), rtol=1e-15)
 
     def test_dm_degenerate(self):
-        a = Affinity(matrix=np.zeros((2, 2)), epsilon=1.0, intrinsic_dim=1,
-                     zero_diag=True, convention=Convention.UNSCALED)
+        a = Affinity(matrix=np.zeros((2, 2)), epsilon=1.0)
         with pytest.raises(DegenerateInputError):
             dm_scale(a)
 

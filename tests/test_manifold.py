@@ -186,6 +186,14 @@ class TestDataset:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             Dataset(t=np.zeros(3), clean_points=np.zeros((4, 2)))
+        flags = np.zeros(3, dtype=bool)
+        wide = Dataset(t=np.zeros(3), clean_points=np.zeros((3, 2)),
+                       noisy_points=np.zeros((3, 5)), outlier_flags=flags)
+        assert wide.points.shape == (3, 5)
+        for bad in (np.zeros((3, 1)), np.zeros((4, 5)), np.zeros(3)):
+            with pytest.raises(ValueError):
+                Dataset(t=np.zeros(3), clean_points=np.zeros((3, 2)),
+                        noisy_points=bad, outlier_flags=flags)
 
     def test_embed_ambient(self):
         ds = sample_dataset(12, SIN, 3)

@@ -79,11 +79,26 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             NoiseModel(NoiseKind.SIMPLE, 8, sigma_out=-0.1)
         ds = embedded_dataset(50, 8)
-        with pytest.raises(ValueError):
-            add_noise(ds, NoiseModel(NoiseKind.SIMPLE, 16), seed=0)
+        with pytest.raises(ValueError, match="wider"):
+            add_noise(ds, NoiseModel(NoiseKind.SIMPLE, 4), seed=0)
         noisy = add_noise(ds, NoiseModel(NoiseKind.SIMPLE, 8), seed=0)
         with pytest.raises(ValueError):
             add_noise(noisy, NoiseModel(NoiseKind.SIMPLE, 8), seed=0)
+
+
+    def test_narrow_clean_points_padded(self):
+        # clean points narrower than m give the noise of their padded copy,
+        # bit for bit, and are kept at their own width
+        ds = sample_dataset(300, DensitySpec.SINUSOIDAL_1D, 0)
+        model = NoiseModel(NoiseKind.HETEROSKEDASTIC, 40, sigma_out=0.2)
+        narrow = add_noise(ds, model, seed=3)
+        padded = add_noise(embedded_dataset(300, 40), model, seed=3)
+        assert narrow.clean_points.shape == (300, 4)
+        assert narrow.noisy_points.shape == (300, 40)
+        assert np.array_equal(narrow.noisy_points, padded.noisy_points)
+        assert np.array_equal(narrow.outlier_flags, padded.outlier_flags)
+        assert np.array_equal(attenuation(narrow, 5e-4), attenuation(padded, 5e-4))
+        assert cross_term_stats(narrow) == cross_term_stats(padded)
 
 
 class TestDiagnostics:

@@ -6,19 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinklap import (
-    Convention,
     DegenerateInputError,
     DensitySpec,
     NumericalFailureError,
     SkConfig,
     approx_sym_sk,
     build_affinity,
-    convert_c_sk,
     normalized_prefactor,
     population_reference,
     sample_dataset,
     scaling_residual,
-    to_normalized_convention,
 )
 
 PERM2 = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -54,11 +51,12 @@ class TestFixture:
         assert np.array_equal(res.residual_history, np.array([0.0]))
         assert np.array_equal(res.eta, np.ones(2))
 
-    def test_ones_init_first_residual(self):
+    def test_rowsum_start_first_residual(self):
         rng = np.random.default_rng(3)
         a = random_spd_affinity(rng, 6)
-        res = approx_sym_sk(a, SkConfig(init="ones", eps_sk=1e-10, max_iter=80))
-        want = np.max(np.abs(a.sum(axis=1) - 1.0))
+        res = approx_sym_sk(a, SkConfig(c_sk=0.0, eps_sk=1e-10, max_iter=80))
+        eta0 = 1.0 / np.sqrt(a.sum(axis=1))
+        want = np.max(np.abs(eta0 * (a @ eta0) - 1.0))
         assert res.residual_history[0] == want
 
     def test_residual_helper(self):
@@ -79,15 +77,6 @@ class TestOracle:
             assert res.converged
             rel = np.max(np.abs(res.eta - ref) / ref)
             assert rel < 1e-8
-
-    def test_init_choices_agree(self):
-        rng = np.random.default_rng(1)
-        a = random_spd_affinity(rng, 7)
-        cfg_r = SkConfig(c_sk=0.0, eps_sk=1e-13, max_iter=300, init="rowsum")
-        cfg_o = SkConfig(c_sk=0.0, eps_sk=1e-13, max_iter=300, init="ones")
-        er = approx_sym_sk(a, cfg_r).eta
-        eo = approx_sym_sk(a, cfg_o).eta
-        assert np.max(np.abs(er - eo) / er) < 1e-9
 
 
 class TestProperties:
@@ -127,8 +116,7 @@ class TestProperties:
 
     def test_history_decreases_on_kernel(self):
         ds = sample_dataset(200, DensitySpec.SINUSOIDAL_1D, 6)
-        a = build_affinity(ds.points, 1e-3, 1, zero_diag=True,
-                           convention=Convention.UNSCALED)
+        a = build_affinity(ds.points, 1e-3)
         res = approx_sym_sk(a)
         assert res.converged
         assert res.iterations <= 10
@@ -136,8 +124,7 @@ class TestProperties:
 
     def test_converged_matches_last_residual(self):
         ds = sample_dataset(100, DensitySpec.SINUSOIDAL_1D, 7)
-        a = build_affinity(ds.points, 1e-3, 1, zero_diag=True,
-                           convention=Convention.UNSCALED)
+        a = build_affinity(ds.points, 1e-3)
         good = approx_sym_sk(a, SkConfig(eps_sk=1e-6, max_iter=50))
         assert good.converged == (good.residual_history[-1] < 1e-6)
         starved = approx_sym_sk(a, SkConfig(eps_sk=1e-300, max_iter=4))
@@ -201,47 +188,31 @@ class TestValidation:
             dict(c_sk=-0.1),
             dict(eps_sk=0.0),
             dict(max_iter=0),
-            dict(init="zeros"),
         ):
             with pytest.raises(ValueError):
                 SkConfig(**bad)
 
 
 class TestConventions:
-    def setup_method(self):
-        self.ds = sample_dataset(50, DensitySpec.SINUSOIDAL_1D, 8)
-        self.eps = 1e-3
-        self.unsc = build_affinity(self.ds.points, self.eps, 1, zero_diag=True,
-                                   convention=Convention.UNSCALED)
-        self.norm = build_affinity(self.ds.points, self.eps, 1, zero_diag=True,
-                                   convention=Convention.NORMALIZED)
-
     def test_solutions_related_by_prefactor(self):
+        # the normalized kernel kappa A needs no kernel of its own: its
+        # scaling is the unscaled one over sqrt(kappa)
+        ds = sample_dataset(50, DensitySpec.SINUSOIDAL_1D, 8)
+        a = build_affinity(ds.points, 1e-3)
+        kappa = normalized_prefactor(50, 1e-3, 1)
         cfg = SkConfig(c_sk=0.0, eps_sk=1e-10, max_iter=200)
-        eu = approx_sym_sk(self.unsc, cfg).eta
-        en = approx_sym_sk(self.norm, cfg).eta
-        converted = to_normalized_convention(eu, self.unsc)
+        eu = approx_sym_sk(a, cfg).eta
+        en = approx_sym_sk(kappa * a.matrix, cfg).eta
+        converted = eu / np.sqrt(kappa)
         assert np.max(np.abs(converted - en) / en) < 1e-12
-
-    def test_normalized_passthrough(self):
-        eta = np.ones(50)
-        out = to_normalized_convention(eta, self.norm)
-        assert np.array_equal(out, eta)
-        assert out is not eta
-
-    def test_c_sk_conversion(self):
-        kappa = normalized_prefactor(50, self.eps, 1)
-        assert convert_c_sk(0.5, self.unsc) == 0.5 * np.sqrt(kappa)
-        assert convert_c_sk(0.5, self.norm) == 0.5
 
 
 class TestPopulationLimit:
     def test_eta_tracks_inverse_root_density(self):
         ds = sample_dataset(1000, DensitySpec.SINUSOIDAL_1D, 7)
-        a = build_affinity(ds.points, 1e-3, 1, zero_diag=True,
-                           convention=Convention.UNSCALED)
+        a = build_affinity(ds.points, 1e-3)
         res = approx_sym_sk(a, SkConfig(eps_sk=1e-6, max_iter=200))
-        eta_n = to_normalized_convention(res.eta, a)
+        eta_n = res.eta / np.sqrt(normalized_prefactor(a.n, a.epsilon, 1))
         ref = population_reference(ds, DensitySpec.SINUSOIDAL_1D)
         rel = np.abs(eta_n - ref) / ref
         assert np.median(rel) < 0.05
