@@ -12,7 +12,9 @@ Subcommands::
 Every option can also be supplied through ``--config FILE``, a flat
 ``key = value`` text file whose keys are the option names with
 underscores; explicit flags win over file values.  Exit codes: 0 on
-success, 1 on usage errors, 2 on numerical failure.  All floats in
+success, 1 on usage errors, 2 on numerical failure; a pointwise, sweep
+or embed run whose scalings ran out of ``max_iter`` exits 0 and says so
+in one ``warning:`` line on stderr.  All floats in
 output files use 17 significant digits, so identical invocations
 produce byte-identical artifacts.
 """
@@ -244,6 +246,16 @@ def _sk_config(params):
     )
 
 
+def _warn_unconverged(p, unconverged, total):
+    """One stderr line when any scaling ran out of max_iter."""
+    if unconverged:
+        print(
+            f"warning: {unconverged} of {total} scalings did not converge "
+            f"within max_iter={p['max_iter']} (eps_sk={p['eps_sk']:g})",
+            file=sys.stderr,
+        )
+
+
 def _cmd_generate(p):
     ds = noisy_dataset(p["n"], _DENSITIES[p["density"]], _noise_model(p), p["seed"])
     write_dataset_csv(ds, p["out"])
@@ -276,6 +288,7 @@ def _cmd_pointwise(p):
                 )
             ],
         )
+    _warn_unconverged(p, int(not res.sk_converged), 1)
 
 
 def _cmd_sweep(p):
@@ -313,6 +326,9 @@ def _cmd_sweep(p):
             ),
         ]
         write_slopes_json(p["slopes_out"], slopes)
+    _warn_unconverged(
+        p, sum(r.sk_unconverged for r in records), sum(r.replicas for r in records)
+    )
 
 
 def _cmd_embed(p):
@@ -331,6 +347,7 @@ def _cmd_embed(p):
     if p["eigen_out"]:
         for method, eig in result.first_eigenpairs.items():
             write_eigenpairs(f"{p['eigen_out']}_{method}.csv", eig.values, eig.vectors)
+    _warn_unconverged(p, result.sk_unconverged, p["replicas"])
 
 
 def _cmd_skdiag(p):

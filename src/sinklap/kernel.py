@@ -12,7 +12,9 @@ off the diagonal, with kappa = n^-1 (4 pi epsilon)^(-d/2) from
 that constant, eta(kappa A) = eta(A) / sqrt(kappa), so normalized
 quantities are one division away and need no second kernel.
 
-The affinity is the only n x n matrix of the pipeline: scalings and
+The affinity is the only n x n matrix of the pipeline, built by one
+loop over upper pairs of row blocks: each pair is one ``cdist`` turned
+into kernel values in place and written with its mirror.  Scalings and
 Laplacians (``sinklap.laplacian``) keep it as the kernel A plus a scale
 vector s and reach diag(s) A diag(s) through matvecs with A.
 
@@ -28,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.spatial.distance import cdist, pdist, squareform
+from scipy.spatial.distance import cdist
 from scipy.special import gamma
 
 
-# rows per block in ``_sq_distances``, which bounds its temporaries
+# rows per block in ``build_affinity``, which bounds its temporaries
 _BLOCK = 128
 
 
@@ -72,36 +74,14 @@ def normalized_prefactor(n, epsilon, d):
     return (4.0 * np.pi * epsilon) ** (-d / 2.0) / n
 
 
-def _sq_distances(pts):
-    """Squared distances of the rows of pts, bitwise equal to pdist's.
+def build_affinity(points, epsilon):
+    """Assemble the zero-diagonal Gaussian kernel of a point cloud.
 
     A row's width is 1 + the index of its last nonzero column.  Rows
     narrower than the widest meet each other over the widest narrow
-    prefix and the widest rows meet all rows over theirs, block pair by
-    block pair; with one width it is one pdist over that prefix.
-    """
-    n, m = pts.shape
-    width = np.where(pts.any(axis=1), m - np.argmax(pts[:, ::-1] != 0, axis=1), 0)
-    wmax = int(width.max())
-    if width.min() == wmax:
-        return squareform(pdist(pts[:, :wmax], "sqeuclidean"), checks=False)
-    narrow = np.flatnonzero(width < wmax)
-    wide = np.flatnonzero(width == wmax)
-    wnarrow = int(width[narrow].max())
-    blocks = [(narrow[i : i + _BLOCK], wnarrow) for i in range(0, narrow.size, _BLOCK)]
-    blocks += [(wide[i : i + _BLOCK], wmax) for i in range(0, wide.size, _BLOCK)]
-    d2 = np.empty((n, n))
-    for a, (rows, w_rows) in enumerate(blocks):
-        for cols, w_cols in blocks[a:]:
-            w = max(w_rows, w_cols)
-            block = cdist(pts[rows, :w], pts[cols, :w], "sqeuclidean")
-            d2[np.ix_(rows, cols)] = block
-            d2[np.ix_(cols, rows)] = block.T
-    return d2
-
-
-def build_affinity(points, epsilon):
-    """Assemble the zero-diagonal Gaussian kernel of a point cloud.
+    prefix and the widest rows meet all rows over theirs; with one width
+    all rows form one group.  Each upper pair of row blocks is one
+    ``cdist``, turned into kernel values and written with its mirror.
 
     Parameters
     ----------
@@ -115,7 +95,7 @@ def build_affinity(points, epsilon):
     Affinity
         Bitwise-symmetric non-negative matrix exp(-d2 / (4 epsilon))
         with a zero diagonal; off the diagonal, entry by entry bitwise
-        equal to the kernel of ``pdist`` distances.
+        equal to the kernel of full-width ``pdist`` distances.
     """
     pts = np.ascontiguousarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
@@ -124,12 +104,30 @@ def build_affinity(points, epsilon):
         raise ValueError("points must be finite")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    # exp(-d2 / (4 epsilon)) in place: one n x n array instead of two,
-    # with the same bits as the out-of-place expression
-    mat = _sq_distances(pts)
-    np.negative(mat, out=mat)
-    np.divide(mat, 4.0 * epsilon, out=mat)
-    np.exp(mat, out=mat)
+    n, m = pts.shape
+    width = np.where(pts.any(axis=1), m - np.argmax(pts[:, ::-1] != 0, axis=1), 0)
+    wmax = int(width.max())
+    blocks = []
+    for group in (np.flatnonzero(width < wmax), np.flatnonzero(width == wmax)):
+        w = int(width[group].max(initial=0))
+        for rows in (group[i : i + _BLOCK] for i in range(0, group.size, _BLOCK)):
+            run = rows[-1] - rows[0] + 1 == rows.size
+            blocks.append((slice(rows[0], rows[-1] + 1) if run else rows, w))
+    mat = np.empty((n, n))
+    for a, (rows, w_rows) in enumerate(blocks):
+        for cols, w_cols in blocks[a:]:
+            w = max(w_rows, w_cols)
+            block = cdist(pts[rows, :w], pts[cols, :w], "sqeuclidean")
+            # exp(-d2 / (4 epsilon)) in place, bitwise equal to the
+            # out-of-place expression
+            np.negative(block, out=block)
+            np.divide(block, 4.0 * epsilon, out=block)
+            np.exp(block, out=block)
+            # runs of rows are written through slices: np.ix_ writes take
+            # twice as long on one-width data
+            fancy = not (isinstance(rows, slice) or isinstance(cols, slice))
+            mat[np.ix_(rows, cols) if fancy else (rows, cols)] = block
+            mat[np.ix_(cols, rows) if fancy else (cols, rows)] = block.T
     np.fill_diagonal(mat, 0.0)
     return Affinity(matrix=mat, epsilon=float(epsilon))
 

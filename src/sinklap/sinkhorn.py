@@ -93,16 +93,23 @@ def scaling_residual(a, eta):
     return eta * (mat @ eta) - 1.0
 
 
-def _is_symmetric(mat):
-    """np.array_equal(mat, mat.T) over cache-sized tiles (NaN is never equal)."""
+def _check_symmetric_nonnegative(mat):
+    """Raise unless mat equals mat.T (NaN never does) and has no negative entry.
+
+    Compares the upper cache-sized tiles with the transposed lower ones;
+    once symmetry holds the upper tiles hold every entry, so they alone
+    are checked for sign, and an asymmetric matrix reports asymmetry.
+    """
     n, block = mat.shape[0], 256
-    return all(
-        np.array_equal(
-            mat[i : i + block, j : j + block], mat[j : j + block, i : i + block].T
-        )
-        for i in range(0, n, block)
-        for j in range(i, n, block)
-    )
+    negative = False
+    for i in range(0, n, block):
+        for j in range(i, n, block):
+            upper = mat[i : i + block, j : j + block]
+            if not np.array_equal(upper, mat[j : j + block, i : i + block].T):
+                raise ValueError("matrix must be symmetric")
+            negative = negative or upper.min() < 0
+    if negative:
+        raise ValueError("matrix must be non-negative")
 
 
 def _checked_reciprocal(x, what, k):
@@ -138,10 +145,7 @@ def approx_sym_sk(a, config=None):
     cfg = config if config is not None else SkConfig()
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
-    if not _is_symmetric(mat):
-        raise ValueError("matrix must be symmetric")
-    if np.any(mat < 0):
-        raise ValueError("matrix must be non-negative")
+    _check_symmetric_nonnegative(mat)
 
     d_a = mat.sum(axis=1)
     if np.any(d_a <= 0):

@@ -169,6 +169,48 @@ class TestArtifacts:
             assert len(path.read_text().splitlines()) == 6
 
 
+class TestUnconvergedWarning:
+    """One stderr warning line counts the scalings that ran out of max_iter."""
+
+    STARVED = ["--max-iter", "1", "--eps-sk", "1e-12"]
+
+    @staticmethod
+    def warnings(err):
+        return [line for line in err.splitlines() if line.startswith("warning:")]
+
+    def test_pointwise(self, tmp_path, capsys):
+        args = ["pointwise", "--n", "60", "--density", "uniform_circle",
+                "--epsilon", "2e-3", "--out", str(tmp_path / "pw.csv")]
+        assert main(args + self.STARVED) == 0
+        captured = capsys.readouterr()
+        assert self.warnings(captured.err) == [
+            "warning: 1 of 1 scalings did not converge within max_iter=1 (eps_sk=1e-12)"
+        ]
+        assert "sk_iters = 1" in captured.out
+
+    def test_sweep(self, tmp_path, capsys):
+        args = ["sweep", "--n", "60", "--eps-grid", "1e-3:2e-3:2log",
+                "--replicas", "2", "--out", str(tmp_path / "s.csv")]
+        assert main(args + self.STARVED) == 0
+        [line] = self.warnings(capsys.readouterr().err)
+        assert line.startswith("warning: 4 of 4 scalings did not converge")
+
+    def test_embed(self, tmp_path, capsys):
+        args = ["embed", "--n", "60", "--epsilon", "2e-3", "--replicas", "1",
+                "--m", "8", "--sigma-out", "0.05", "--out", str(tmp_path / "e.csv")]
+        assert main(args + self.STARVED) == 0
+        [line] = self.warnings(capsys.readouterr().err)
+        assert line.startswith("warning: 1 of 1 scalings did not converge")
+
+    def test_converged_run_is_quiet(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        args = ["sweep", "--n", "60", "--eps-grid", "1e-3:2e-3:2log",
+                "--replicas", "2", "--out", str(out)]
+        assert main(args) == 0
+        assert self.warnings(capsys.readouterr().err) == []
+        assert len(out.read_text().splitlines()) == 3
+
+
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "sinklap.cli", "moments", "--d", "3"],

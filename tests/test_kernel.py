@@ -1,5 +1,7 @@
 """Affinity construction and kernel moment checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from sinklap import (
     normalized_prefactor,
     sample_dataset,
 )
+from sinklap.kernel import _BLOCK
 
 
 def pdist_kernel(pts, eps):
@@ -35,11 +38,13 @@ def padded_clouds(draw):
     """Point clouds whose rows are zero (or -0.0) past a per-row width.
 
     Up to 600 rows, so the distance blocks of both narrow and wide rows
-    can number more than one; widths follow one of four patterns.
+    can number more than one; widths follow one of five patterns.
+    "sorted" widths are non-decreasing, so the narrow and the wide rows
+    are both runs of consecutive rows.
     """
     n = draw(st.integers(2, 600))
     m = draw(st.integers(1, 13))
-    pattern = draw(st.sampled_from(["random", "equal", "one_wide", "zero"]))
+    pattern = draw(st.sampled_from(["random", "equal", "one_wide", "zero", "sorted"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pts = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3.0, 3.0)
     if pattern == "random":
@@ -49,8 +54,10 @@ def padded_clouds(draw):
     elif pattern == "one_wide":
         widths = rng.integers(0, m, size=n)
         widths[rng.integers(n)] = m
-    else:
+    elif pattern == "zero":
         widths = np.zeros(n, dtype=int)
+    else:
+        widths = np.sort(rng.integers(0, m + 1, size=n))
     pad = np.arange(m) >= widths[:, None]
     pts[pad] = 0.0
     pts[pad & (rng.random((n, m)) < 0.5)] = -0.0
@@ -163,6 +170,35 @@ class TestRowSupport:
         assert 0 < ds.outlier_flags.sum() < 300
         a = build_affinity(ds.points, 5e-4)
         assert np.array_equal(a.matrix, pdist_kernel(ds.points, 5e-4))
+
+
+class TestMemory:
+    """build_affinity allocates the n x n result and block temporaries only."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sample_dataset(1000, DensitySpec.SINUSOIDAL_1D, 5),
+            lambda: noisy_dataset(
+                1000,
+                DensitySpec.UNIFORM_CIRCLE,
+                NoiseModel(NoiseKind.HETEROSKEDASTIC, m=2000),
+                5,
+            ),
+        ],
+        ids=["clean", "heteroskedastic"],
+    )
+    def test_peak_is_one_matrix(self, make):
+        pts = make().points
+        n, m = pts.shape
+        bound = 8 * n * n + 8 * 2 * _BLOCK * (m + _BLOCK) + 2**20
+        tracemalloc.start()
+        try:
+            build_affinity(pts, 5e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
 
 
 class TestDegree:

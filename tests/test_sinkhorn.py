@@ -172,6 +172,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             approx_sym_sk(np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
+    def test_negative_pair_rejected(self):
+        # past the first 256-row tile, so the sign check must reach it
+        a = random_spd_affinity(np.random.default_rng(10), 600)
+        a[300, 580] = a[580, 300] = -1e-3
+        with pytest.raises(ValueError, match="non-negative"):
+            approx_sym_sk(a)
+
+    def test_asymmetry_reported_before_sign(self):
+        # a negative pair in an early tile, the asymmetry in a later one
+        a = random_spd_affinity(np.random.default_rng(11), 600)
+        a[5, 300] = a[300, 5] = -1e-3
+        a[599, 400] = -1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            approx_sym_sk(a)
+
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             approx_sym_sk(np.ones((2, 3)))
