@@ -13,19 +13,18 @@ Laplacian I - D(K)^-1 K.  Applying -(1/epsilon) times the operator to a
 function sampled on the points approximates a weighted
 Laplace-Beltrami operator as the bandwidth shrinks.
 
-Neither K nor L is ever formed: applying L costs one matvec with A,
-and the random-walk eigenproblem is solved through the symmetric
-similarity I - D^-1/2 K D^-1/2 = I - A * outer(r, r), r = s / sqrt(deg),
-the only n x n array built here.
+Neither K nor L is ever formed, so A is the only n x n array: applying
+L costs one matvec with A, and the random-walk eigenproblem is solved
+by Lanczos on the same matvec.
 """
 
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, NumericalFailureError
 from .kernel import Affinity, degree
 
 
@@ -137,30 +136,33 @@ def apply_rescaled(l, f):
 
 
 def smallest_eigenpairs(l, k):
-    """Lowest k eigenpairs of a random-walk Laplacian.
+    """Lowest k eigenpairs of a random-walk Laplacian, 1 <= k <= n - 1.
 
-    Solves the equivalent symmetric problem: with K the scaled affinity
-    and D its degrees, I - D^-1/2 K D^-1/2 has the same eigenvalues as
-    I - D^-1 K, and back-mapping psi = D^-1/2 phi gives the random-walk
-    eigenvectors.  Eigenvalues come back ascending (the first is ~0 for
-    connected graphs); vectors have unit 2-norm with the
-    largest-magnitude entry made positive.
+    With K the scaled affinity and D its degrees, the symmetric
+    I - D^-1/2 K D^-1/2 : x -> x - r * (A (r * x)), r = s / sqrt(deg),
+    has the eigenvalues of I - D^-1 K, and psi = D^-1/2 phi maps its
+    eigenvectors back.  Implicitly restarted Lanczos (ARPACK) solves it
+    through that matvec from the start 1 / sqrt(n), with restart vectors
+    from a fixed seed, so the result does not depend on the run; it
+    raises NumericalFailureError if Lanczos does not converge.
+    Eigenvalues come back ascending (the first is ~0 for connected
+    graphs); vectors have unit 2-norm with the largest-magnitude entry
+    made positive.
     """
     if l.form is not LaplacianForm.RANDOM_WALK:
         raise ValueError("eigensolve is defined for the random-walk form")
     n = l.kernel.n
-    if not 1 <= k <= n:
-        raise ValueError("k must lie in [1, n]")
+    if not 1 <= k <= n - 1:
+        raise ValueError("k must lie in [1, n - 1]")
     root = 1.0 / np.sqrt(l.degrees)
     r = l.scale * root
-    # I - A * outer(r, r), built in one array.  It is bitwise symmetric,
-    # so its transpose is the same matrix in the Fortran order LAPACK
-    # works in, and eigh overwrites it instead of taking a copy.
-    sym = np.multiply.outer(r, r)
-    np.multiply(sym, l.kernel.matrix, out=sym)
-    np.negative(sym, out=sym)
-    sym.flat[:: n + 1] += 1.0
-    vals, phi = eigh(sym.T, subset_by_index=[0, k - 1], overwrite_a=True)
+    a = l.kernel.matrix
+    op = LinearOperator((n, n), matvec=lambda x: x - r * (a @ (r * x)), dtype=float)
+    v0 = np.full(n, 1.0 / np.sqrt(n))
+    try:
+        vals, phi = eigsh(op, k, which="SA", v0=v0, tol=0, rng=0)
+    except ArpackNoConvergence as exc:
+        raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
     psi = phi * root[:, None]
     psi /= np.linalg.norm(psi, axis=0)
     for j in range(psi.shape[1]):

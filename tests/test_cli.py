@@ -4,8 +4,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import sinklap.laplacian
 from sinklap.cli import main, parse_config, parse_grid
 from sinklap.errors import UsageError
 
@@ -77,6 +80,17 @@ class TestExitCodes:
                      "--epsilon", "1e-9", "--seed", "0", "--out", str(out)])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_eigensolver_failure_is_2(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(sinklap.laplacian, "eigsh", fail)
+        code = main(["embed", "--n", "60", "--epsilon", "2e-3", "--replicas", "1",
+                     "--m", "8", "--out", str(tmp_path / "e.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "numerical failure: eigensolver did not converge" in err
 
     def test_thread_count_errors_name_the_cause(self, tmp_path, capsys, monkeypatch):
         sweep = ["sweep", "--n", "20", "--eps-grid", "1e-3:2e-3:2log",

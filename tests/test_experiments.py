@@ -255,12 +255,41 @@ class TestEmbedding:
         a = embedding_experiment(60, model, 2e-3, replicas=2, threads=1)
         b = embedding_experiment(60, model, 2e-3, replicas=2, threads=2)
         assert a.records == b.records
+        for method in ("sk", "dm"):
+            ea, eb = a.first_eigenpairs[method], b.first_eigenpairs[method]
+            assert np.array_equal(ea.values, eb.values)
+            assert np.array_equal(ea.vectors, eb.vectors)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             embedding_experiment(50, None, 1e-3, replicas=0)
         with pytest.raises(ValueError, match="threads must be >= 1"):
             embedding_experiment(50, None, 1e-3, threads=0)
+
+
+class TestApproximateScaling:
+    """With no projection and a start already within eps_sk, SK stops at
+    its start 1/sqrt(A 1), which is dm_scale: the bistochastic pipeline
+    then is the degree pipeline bit for bit."""
+
+    config = SkConfig(c_sk=0.0, eps_sk=0.5)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pointwise_equals_dm(self, seed):
+        sk, dm = (
+            pointwise_experiment(300, DensitySpec.SINUSOIDAL_1D, 1e-3, kind,
+                                 sk_config=self.config, seed=seed)
+            for kind in (LaplacianKind.BISTOCH_UN, LaplacianKind.DM_UN)
+        )
+        assert sk.sk_iters == 1 and sk.projection_hits == 0 and sk.sk_converged
+        assert (sk.relerr2, sk.relerrinf) == (dm.relerr2, dm.relerrinf)
+
+    def test_embedding_equals_dm(self):
+        res = embedding_experiment(300, None, 2e-3, sk_config=self.config,
+                                   replicas=2)
+        assert res.sk_unconverged == 0
+        for pair in (1, 2):
+            assert np.array_equal(res.mse[("sk", pair)], res.mse[("dm", pair)])
 
 
 class TestCsvWriters:

@@ -1,15 +1,20 @@
 """Laplacian operators, scaling families, and the eigensolver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.sparse.linalg import ArpackNoConvergence
 
+import sinklap.laplacian
 from sinklap import (
     Affinity,
     DegenerateInputError,
     DensitySpec,
     LaplacianForm,
     LaplacianKind,
+    NumericalFailureError,
     SkConfig,
     align_pair,
     apply_rescaled,
@@ -180,13 +185,10 @@ class TestDenseEquivalence:
         got = apply_rescaled(lap, f)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
-    @pytest.mark.parametrize("kind", [k for k in LaplacianKind
-                                      if k.form is LaplacianForm.RANDOM_WALK])
-    def test_eigenpairs(self, kind):
-        s = self.scale(kind)
-        lap = laplacian_from_affinity(self.aff, kind.form, s)
+    def assert_eigenpairs_match(self, s):
+        lap = laplacian_from_affinity(self.aff, LaplacianForm.RANDOM_WALK, s)
         eig = smallest_eigenpairs(lap, 5)
-        k = dense_reference(self.aff, s, kind.form)[0]
+        k = dense_reference(self.aff, s, LaplacianForm.RANDOM_WALK)[0]
         vals, vecs = dense_eigenpairs(k, 5)
         assert np.abs(eig.values - vals).max() < 1e-12
         for lo, h in ((1, 1), (3, 2)):
@@ -195,6 +197,18 @@ class TestDenseEquivalence:
             got = align_pair(eig.vectors[:, lo:lo + 2], ref).mse
             want = align_pair(vecs[:, lo:lo + 2], ref).mse
             assert abs(got - want) <= 1e-10 * want
+
+    @pytest.mark.parametrize("kind", [k for k in LaplacianKind
+                                      if k.form is LaplacianForm.RANDOM_WALK])
+    def test_eigenpairs(self, kind):
+        self.assert_eigenpairs_match(self.scale(kind))
+
+    def test_eigenpairs_tight_scaling(self):
+        # degrees are 1 to ~1e-13, so the constant Lanczos start is almost
+        # exactly the trivial eigenvector: the hard case for a fixed start
+        res = approx_sym_sk(self.aff, SkConfig(eps_sk=1e-13, c_sk=0.0))
+        assert res.converged
+        self.assert_eigenpairs_match(res.eta)
 
 
 class TestEigensolve:
@@ -210,8 +224,27 @@ class TestEigensolve:
             smallest_eigenpairs(un, 3)
         with pytest.raises(ValueError):
             smallest_eigenpairs(self.lap, 0)
+        with pytest.raises(ValueError, match=r"\[1, n - 1\]"):
+            smallest_eigenpairs(self.lap, self.aff.n)
         with pytest.raises(ValueError):
             smallest_eigenpairs(self.lap, self.aff.n + 1)
+
+    def test_invariant_start_deterministic(self):
+        # a complete graph has two distinct eigenvalues, so every Krylov
+        # space turns invariant and Lanczos draws a restart vector, which
+        # must come from a fixed seed
+        a = kernel(np.ones((50, 50)) - np.eye(50))
+        lap = laplacian_from_affinity(a, LaplacianForm.RANDOM_WALK)
+        first, second = smallest_eigenpairs(lap, 3), smallest_eigenpairs(lap, 3)
+        assert np.array_equal(first.vectors, second.vectors)
+
+    def test_nonconvergence_named(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(sinklap.laplacian, "eigsh", fail)
+        with pytest.raises(NumericalFailureError, match="eigensolver did not converge"):
+            smallest_eigenpairs(self.lap, 3)
 
     def test_circle_spectrum(self):
         eig = smallest_eigenpairs(self.lap, 5)
@@ -236,3 +269,15 @@ class TestEigensolve:
         # the trivial mode of a connected graph is constant
         c0 = eig.vectors[:, 0]
         assert c0.max() / c0.min() - 1.0 < 1e-6
+
+    def test_peak_memory_matrix_free(self):
+        # a quarter of one n x n array: only O(n k) vectors may be allocated
+        _, aff = circle_affinity(n=1000, eps=5e-4, seed=0)
+        lap = laplacian_from_affinity(aff, LaplacianForm.RANDOM_WALK, dm_scale(aff))
+        tracemalloc.start()
+        try:
+            smallest_eigenpairs(lap, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
