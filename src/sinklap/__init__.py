@@ -54,7 +54,6 @@ from .manifold import (
     density_cdf,
     density_cdf_inverse,
     embed_ambient,
-    read_dataset_csv,
     sample_dataset,
     test_function,
     write_dataset_csv,

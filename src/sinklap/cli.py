@@ -90,15 +90,15 @@ def parse_grid(s):
 
 
 _SK_OPTS = [
-    ("eps_sk", float, 1e-3),
-    ("c_sk", float, 0.01),
-    ("max_iter", int, 50),
+    ("eps_sk", float, SkConfig.eps_sk),
+    ("c_sk", float, SkConfig.c_sk),
+    ("max_iter", int, SkConfig.max_iter),
 ]
 _NOISE_OPTS = [
     ("noise", _noise, "none"),
     ("m", int, 2000),
-    ("sigma_out", float, 0.1),
-    ("p_out", float, 0.1),
+    ("sigma_out", float, NoiseModel.sigma_out),
+    ("p_out", float, NoiseModel.p_out),
 ]
 
 _SCHEMAS = {

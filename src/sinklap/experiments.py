@@ -11,10 +11,11 @@ Three experiments built from the library pieces:
   random-walk Laplacians vs. the circle harmonics, scored after an
   optimal orthogonal alignment.
 
-Replica r always uses dataset seed base_seed + r (shared across grid
-points, so sweep curves see the same datasets) and noise seed
-base_seed + r + NOISE_SEED_OFFSET, which keeps the two streams
-disjoint for any desk-scale seed range.
+The replicated drivers run one job per replica on one thread pool.
+Replica r draws its dataset once, with dataset seed base_seed + r and
+noise seed base_seed + r + NOISE_SEED_OFFSET (disjoint streams for any
+desk-scale seed range); a sweep replica walks the whole grid on that
+one dataset, so sweep curves see the same datasets.
 """
 
 import os
@@ -141,13 +142,19 @@ def worker_count():
     return os.cpu_count() or 1
 
 
-def _workers(threads):
-    """An explicit replica thread count, or ``worker_count()`` for None."""
+def _replicate(job, replicas, threads):
+    """[job(r) for r in range(replicas)], run on one pool of replica threads.
+
+    threads=None means ``worker_count()``.
+    """
+    if replicas < 1:
+        raise ValueError("replicas must be >= 1")
     if threads is None:
-        return worker_count()
-    if threads < 1:
+        threads = worker_count()
+    elif threads < 1:
         raise ValueError("threads must be >= 1")
-    return threads
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(job, range(replicas)))
 
 
 def rel_errors(est, ref):
@@ -191,6 +198,12 @@ def pointwise_experiment(
     if not isinstance(kind, LaplacianKind):
         raise ValueError(f"unknown laplacian kind: {kind!r}")
     ds = noisy_dataset(n, spec, noise_model, seed)
+    return _pointwise_on(ds, spec, epsilon, kind, sk_config)
+
+
+def _pointwise_on(ds, spec, epsilon, kind, sk_config):
+    """The pipeline of ``pointwise_experiment`` on a sampled dataset."""
+    n = ds.n
     aff = build_affinity(ds.points, epsilon)
     if kind.bistochastic:
         scaling = approx_sym_sk(aff, sk_config)
@@ -235,10 +248,11 @@ def epsilon_sweep(
 ):
     """Replicated pointwise runs over a bandwidth grid.
 
-    epsilons must be positive and non-decreasing.  Replica r reuses
-    dataset seed base_seed + r at every grid point, so per-epsilon
-    aggregates are over the same family of datasets.  Means and
-    standard deviations are population-style (ddof=0); mean_sk_iters and
+    epsilons must be positive and non-decreasing.  Replica r draws its
+    dataset once, with seed base_seed + r (as ``pointwise_experiment``
+    would), and walks the whole grid on it, so per-epsilon aggregates
+    are over the same family of datasets.  Means and standard
+    deviations are population-style (ddof=0); mean_sk_iters and
     sk_unconverged are 0 for the dm kinds.
     """
     epsilons = [float(e) for e in epsilons]
@@ -248,43 +262,31 @@ def epsilon_sweep(
         raise ValueError("epsilons must be positive")
     if any(b < a for a, b in zip(epsilons, epsilons[1:])):
         raise ValueError("epsilons must be non-decreasing")
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
-    workers = _workers(threads)
+    if not isinstance(kind, LaplacianKind):
+        raise ValueError(f"unknown laplacian kind: {kind!r}")
 
+    def job(r):
+        ds = noisy_dataset(n, spec, noise_model, base_seed + r)
+        return [_pointwise_on(ds, spec, eps, kind, sk_config) for eps in epsilons]
+
+    per_replica = _replicate(job, replicas, threads)
     records = []
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for eps in epsilons:
-            results = list(
-                pool.map(
-                    lambda r: pointwise_experiment(
-                        n,
-                        spec,
-                        eps,
-                        kind,
-                        sk_config=sk_config,
-                        noise_model=noise_model,
-                        seed=base_seed + r,
-                    ),
-                    range(replicas),
-                )
+    for eps, results in zip(epsilons, zip(*per_replica)):
+        err2 = np.array([res.relerr2 for res in results])
+        errinf = np.array([res.relerrinf for res in results])
+        iters = np.array([res.sk_iters for res in results], dtype=float)
+        records.append(
+            SweepRecord(
+                epsilon=eps,
+                relerr2_mean=float(err2.mean()),
+                relerr2_std=float(err2.std()),
+                relerrinf_mean=float(errinf.mean()),
+                relerrinf_std=float(errinf.std()),
+                mean_sk_iters=float(iters.mean()),
+                replicas=replicas,
+                sk_unconverged=sum(not res.sk_converged for res in results),
             )
-            err2 = np.array([res.relerr2 for res in results])
-            errinf = np.array([res.relerrinf for res in results])
-            iters = np.array([res.sk_iters for res in results], dtype=float)
-            unconverged = sum(not res.sk_converged for res in results)
-            records.append(
-                SweepRecord(
-                    epsilon=eps,
-                    relerr2_mean=float(err2.mean()),
-                    relerr2_std=float(err2.std()),
-                    relerrinf_mean=float(errinf.mean()),
-                    relerrinf_std=float(errinf.std()),
-                    mean_sk_iters=float(iters.mean()),
-                    replicas=replicas,
-                    sk_unconverged=unconverged,
-                )
-            )
+        )
     return records
 
 
@@ -362,18 +364,11 @@ def embedding_experiment(
     intrinsic coordinates.  Returns per-(method, pair) mse summaries
     plus the per-replica arrays.
     """
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
-    workers = _workers(threads)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        per_rep = list(
-            pool.map(
-                lambda r: _embed_one(
-                    n, noise_model, epsilon, sk_config, base_seed + r
-                ),
-                range(replicas),
-            )
-        )
+    per_rep = _replicate(
+        lambda r: _embed_one(n, noise_model, epsilon, sk_config, base_seed + r),
+        replicas,
+        threads,
+    )
     mse = {}
     records = []
     for method in ("sk", "dm"):

@@ -50,8 +50,7 @@ class Dataset:
     outlier_flags : ndarray or None
         Boolean per sample; paired with ``noisy_points``.
     seed : int
-        Seed the dataset was drawn with (-1 when unknown, e.g. after a
-        CSV import).
+        Seed the dataset was drawn with.
 
     Arrays are marked read-only on construction; treat instances as
     immutable values.
@@ -250,30 +249,3 @@ def write_dataset_csv(ds, path):
             w.writerow(
                 [fmt(ds.t[i])] + [fmt(v) for v in pts[i]] + [str(int(flags[i]))]
             )
-
-
-def read_dataset_csv(path):
-    """Read a dataset written by ``write_dataset_csv``.
-
-    The file stores observed coordinates only, so the result carries
-    them as the clean view too; if any outlier flag is set the noisy
-    view is populated with the same coordinates.
-    """
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r)
-        if header[0] != "t" or header[-1] != "outlier":
-            raise ValueError("not a dataset CSV (header must be t,x1..xm,outlier)")
-        t, rows, flags = [], [], []
-        for row in r:
-            t.append(float(row[0]))
-            rows.append([float(v) for v in row[1:-1]])
-            flags.append(bool(int(row[-1])))
-    t = np.asarray(t)
-    pts = np.asarray(rows)
-    flags = np.asarray(flags)
-    if flags.any():
-        return Dataset(
-            t=t, clean_points=pts, noisy_points=pts, outlier_flags=flags, seed=-1
-        )
-    return Dataset(t=t, clean_points=pts, seed=-1)

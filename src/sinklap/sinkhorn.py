@@ -33,8 +33,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, NumericalFailureError
+from .errors import NumericalFailureError
 from .kernel import Affinity
+from .laplacian import dm_scale
 from .manifold import density
 
 
@@ -147,11 +148,7 @@ def approx_sym_sk(a, config=None):
         raise ValueError("matrix must be square")
     _check_symmetric_nonnegative(mat)
 
-    d_a = mat.sum(axis=1)
-    if np.any(d_a <= 0):
-        raise DegenerateInputError("affinity matrix has a zero row")
-
-    eta = 1.0 / np.sqrt(d_a)
+    eta = dm_scale(mat)
 
     hits = 0
     if cfg.c_sk > 0:

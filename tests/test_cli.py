@@ -9,6 +9,7 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import sinklap.laplacian
+from sinklap import NoiseKind, NoiseModel, SkConfig
 from sinklap.cli import main, parse_config, parse_grid
 from sinklap.errors import UsageError
 
@@ -29,6 +30,11 @@ class TestParsing:
         assert cfg.params["n"] == 3000
         assert cfg.params["epsilon"] == 1e-3
         assert cfg.params["lap"] == "bistoch_un"
+        p = cfg.params
+        assert (
+            SkConfig(p["c_sk"], p["eps_sk"], p["max_iter"]),
+            NoiseModel(NoiseKind.SIMPLE, p["m"], p["sigma_out"], p["p_out"]),
+        ) == (SkConfig(), NoiseModel(NoiseKind.SIMPLE, p["m"]))
         with pytest.raises(UsageError):
             parse_config(["pointwise"])
         with pytest.raises(UsageError):

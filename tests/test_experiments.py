@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import sinklap.experiments
 from sinklap import (
     DensitySpec,
     LaplacianKind,
@@ -12,6 +13,7 @@ from sinklap import (
     align_pair,
     embedding_experiment,
     epsilon_sweep,
+    normalized_prefactor,
     pointwise_experiment,
     rel_errors,
     slope_fit,
@@ -19,7 +21,21 @@ from sinklap import (
     write_embedding_csv,
     write_sweep_csv,
 )
-from sinklap.experiments import NOISE_SEED_OFFSET
+from sinklap.experiments import NOISE_SEED_OFFSET, SweepRecord
+
+
+@pytest.fixture
+def sample_calls(monkeypatch):
+    """The seeds of the dataset draws the experiment drivers make."""
+    calls = []
+    real = sinklap.experiments.sample_dataset
+
+    def counting(n, spec, seed):
+        calls.append(seed)
+        return real(n, spec, seed)
+
+    monkeypatch.setattr(sinklap.experiments, "sample_dataset", counting)
+    return calls
 
 
 def rot(theta, refl=1.0):
@@ -193,7 +209,40 @@ class TestSweep:
         (rec,) = epsilon_sweep(*args, LaplacianKind.DM_RW, sk_config=starved)
         assert rec.sk_unconverged == 0
 
-    def test_validation(self):
+    def test_samples_once_per_replica(self, sample_calls):
+        epsilon_sweep(60, DensitySpec.UNIFORM_CIRCLE, [1e-3, 2e-3, 4e-3], 2,
+                      LaplacianKind.BISTOCH_RW, base_seed=7)
+        assert sorted(sample_calls) == [7, 8]
+
+    @pytest.mark.parametrize("kind", [LaplacianKind.BISTOCH_UN, LaplacianKind.DM_RW])
+    def test_matches_pointwise_runs(self, kind):
+        model = NoiseModel(NoiseKind.HETEROSKEDASTIC, 16)
+        grid, replicas, base_seed = [2e-3, 4e-3], 3, 5
+        recs = epsilon_sweep(120, DensitySpec.SINUSOIDAL_1D, grid, replicas, kind,
+                             noise_model=model, base_seed=base_seed, threads=2)
+        want = []
+        for eps in grid:
+            runs = [
+                pointwise_experiment(120, DensitySpec.SINUSOIDAL_1D, eps, kind,
+                                     noise_model=model, seed=base_seed + r)
+                for r in range(replicas)
+            ]
+            err2 = np.array([res.relerr2 for res in runs])
+            errinf = np.array([res.relerrinf for res in runs])
+            iters = np.array([res.sk_iters for res in runs], dtype=float)
+            want.append(SweepRecord(
+                epsilon=eps,
+                relerr2_mean=float(err2.mean()),
+                relerr2_std=float(err2.std()),
+                relerrinf_mean=float(errinf.mean()),
+                relerrinf_std=float(errinf.std()),
+                mean_sk_iters=float(iters.mean()),
+                replicas=replicas,
+                sk_unconverged=sum(not res.sk_converged for res in runs),
+            ))
+        assert recs == want
+
+    def test_validation(self, sample_calls):
         good = [1e-3, 2e-3]
         with pytest.raises(ValueError):
             epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, [], 1,
@@ -207,6 +256,9 @@ class TestSweep:
         with pytest.raises(ValueError):
             epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, good, 0,
                           LaplacianKind.BISTOCH_RW)
+        with pytest.raises(ValueError, match="unknown laplacian kind"):
+            epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, good, 1, "sk")
+        assert sample_calls == []
 
     def test_threads_must_be_positive(self):
         with pytest.raises(ValueError, match="threads must be >= 1"):
@@ -283,6 +335,30 @@ class TestApproximateScaling:
         )
         assert sk.sk_iters == 1 and sk.projection_hits == 0 and sk.sk_converged
         assert (sk.relerr2, sk.relerrinf) == (dm.relerr2, dm.relerrinf)
+
+    def test_eps_sk_curve(self):
+        # the paper's claim: early-terminated SK keeps the exact scaling's
+        # accuracy, and every tolerance beats the degree pipeline on noisy data
+        n, eps = 1000, 5e-4
+        model = NoiseModel(NoiseKind.SIMPLE, 2000)
+        c_sk = 0.1 * np.sqrt(normalized_prefactor(n, eps, 1))
+
+        def mean_relerr2(kind, config=None):
+            runs = [
+                pointwise_experiment(n, DensitySpec.SINUSOIDAL_1D, eps, kind,
+                                     sk_config=config, noise_model=model, seed=seed)
+                for seed in range(4)
+            ]
+            assert all(res.projection_hits == 0 for res in runs)
+            return np.mean([res.relerr2 for res in runs])
+
+        dm = mean_relerr2(LaplacianKind.DM_UN)
+        curve = [
+            mean_relerr2(LaplacianKind.BISTOCH_UN, SkConfig(c_sk=c_sk, eps_sk=tol))
+            for tol in (0.5, 1e-3, 1e-6)
+        ]
+        assert max(curve) - min(curve) <= 0.01
+        assert max(curve) <= 0.85 * dm
 
     def test_embedding_equals_dm(self):
         res = embedding_experiment(300, None, 2e-3, sk_config=self.config,

@@ -1,5 +1,7 @@
 """Geometry, density, and sampling checks against independent oracles."""
 
+import csv
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
@@ -13,8 +15,10 @@ from sinklap import (
     density,
     density_cdf,
     density_cdf_inverse,
+    NoiseKind,
+    NoiseModel,
     embed_ambient,
-    read_dataset_csv,
+    noisy_dataset,
     sample_dataset,
     write_dataset_csv,
 )
@@ -205,15 +209,33 @@ class TestDataset:
             embed_ambient(ds.clean_points, 3)
 
 
+def assert_csv_holds(ds, path):
+    """The file is t, x1..xm, outlier; parsed back, every value is bitwise ds's."""
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    m = ds.points.shape[1]
+    assert header == ["t"] + [f"x{j + 1}" for j in range(m)] + ["outlier"]
+    assert all(len(row) == m + 2 for row in rows) and len(rows) == ds.n
+    assert np.array_equal([float(row[0]) for row in rows], ds.t)
+    assert np.array_equal([[float(v) for v in row[1:-1]] for row in rows], ds.points)
+    flags = ds.outlier_flags if ds.outlier_flags is not None else np.zeros(ds.n)
+    assert [row[-1] for row in rows] == [str(int(f)) for f in flags]
+
+
 class TestCsv:
     def test_roundtrip_clean(self, tmp_path):
         ds = sample_dataset(25, SIN, 9)
         path = tmp_path / "d.csv"
         write_dataset_csv(ds, path)
-        back = read_dataset_csv(path)
-        assert np.array_equal(back.t, ds.t)
-        assert np.array_equal(back.points, ds.clean_points)
-        assert back.outlier_flags is None
+        assert_csv_holds(ds, path)
+
+    def test_roundtrip_noisy(self, tmp_path):
+        model = NoiseModel(NoiseKind.SIMPLE, 6, p_out=0.3)
+        ds = noisy_dataset(25, SIN, model, 9)
+        assert 0 < ds.outlier_flags.sum() < ds.n
+        path = tmp_path / "d.csv"
+        write_dataset_csv(ds, path)
+        assert_csv_holds(ds, path)
 
     def test_rewrite_identical(self, tmp_path):
         ds = sample_dataset(25, SIN, 9)
