@@ -14,7 +14,8 @@ Every option can also be supplied through ``--config FILE``, a flat
 underscores; explicit flags win over file values.  Exit codes: 0 on
 success, 1 on usage errors, 2 on numerical failure; a pointwise, sweep
 or embed run whose scalings ran out of ``max_iter`` exits 0 and says so
-in one ``warning:`` line on stderr.  All floats in
+in one ``warning:`` line on stderr (pointwise also names the last
+tested residual).  All floats in
 output files use 17 significant digits, so identical invocations
 produce byte-identical artifacts.
 """
@@ -246,12 +247,14 @@ def _sk_config(params):
     )
 
 
-def _warn_unconverged(p, unconverged, total):
-    """One stderr line when any scaling ran out of max_iter."""
+def _warn_unconverged(p, unconverged, total, residual=None):
+    """One stderr line when any scaling ran out of max_iter, naming the
+    last tested residual when one is given."""
     if unconverged:
+        last = "" if residual is None else f", last residual {residual:.3e}"
         print(
             f"warning: {unconverged} of {total} scalings did not converge "
-            f"within max_iter={p['max_iter']} (eps_sk={p['eps_sk']:g})",
+            f"within max_iter={p['max_iter']} (eps_sk={p['eps_sk']:g}){last}",
             file=sys.stderr,
         )
 
@@ -288,7 +291,7 @@ def _cmd_pointwise(p):
                 )
             ],
         )
-    _warn_unconverged(p, int(not res.sk_converged), 1)
+    _warn_unconverged(p, int(not res.sk_converged), 1, res.sk_residual)
 
 
 def _cmd_sweep(p):

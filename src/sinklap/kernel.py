@@ -20,10 +20,26 @@ vector s and reach diag(s) A diag(s) through matvecs with A.
 
 Distances are scipy's "sqeuclidean" sums of (x_k - y_k)^2 in column
 order; no Gram-matrix expansion is used anywhere.  (x_k - y_k)^2 equals
-(y_k - x_k)^2 bitwise, so the matrix is bitwise symmetric.  Columns past
-both rows' last nonzero entry add exact zeros, so each pair is summed
-over a column prefix covering both rows' support and keeps the bits of
-a full-width ``pdist``: zero-padded inliers cost a few columns, not m.
+(y_k - x_k)^2 bitwise, so the matrix is bitwise symmetric.  A row's
+width is 1 + the index of its last nonzero column.  Rows narrower than
+the widest form the narrow group, of width w; the widest rows form the
+wide group.  Columns past both rows' width add exact zeros, so a pair
+within one group is summed over its group's column prefix and keeps the
+bits of a full-width ``pdist``: zero-padded inliers cost a few columns,
+not m.  One-width (clean) data is one group.
+
+A narrow row j and a wide row i meet through the tail-norm identity
+
+    ||x_i - x_j||^2 = sum_{k<w} (x_ik - x_jk)^2 + tail_i,
+    tail_i = sum_{k>=w} x_ik^2,
+
+a w-column ``cdist`` plus one number per wide row: the column-support
+form of the clean/offset split that ``noise.cross_term_stats`` writes
+out, where inliers span a few columns and outlier noise fills R^m.
+Summing the tail on its own reorders a sum of non-negative terms, so
+these cross-group entries are not ``pdist``'s bits: their d^2 is within
+about 2 (m - 1) u relative of it (u the unit roundoff; 4.4e-13 at
+m = 2000).
 """
 
 from dataclasses import dataclass
@@ -78,10 +94,12 @@ def build_affinity(points, epsilon):
     """Assemble the zero-diagonal Gaussian kernel of a point cloud.
 
     A row's width is 1 + the index of its last nonzero column.  Rows
-    narrower than the widest meet each other over the widest narrow
-    prefix and the widest rows meet all rows over theirs; with one width
-    all rows form one group.  Each upper pair of row blocks is one
-    ``cdist``, turned into kernel values and written with its mirror.
+    narrower than the widest (the narrow group, of width w) meet each
+    other over w columns, the widest rows meet each other over theirs,
+    and a narrow row meets a wide row over w columns plus the wide
+    row's tail norm, its squares past column w; with one width all rows
+    form one group.  Each upper pair of row blocks is one ``cdist``,
+    turned into kernel values and written with its mirror.
 
     Parameters
     ----------
@@ -94,8 +112,12 @@ def build_affinity(points, epsilon):
     -------
     Affinity
         Bitwise-symmetric non-negative matrix exp(-d2 / (4 epsilon))
-        with a zero diagonal; off the diagonal, entry by entry bitwise
-        equal to the kernel of full-width ``pdist`` distances.
+        with a zero diagonal.  Entries whose two rows share a width
+        group, and all entries of one-width data, are bitwise equal to
+        the kernel of full-width ``pdist`` distances.  Narrow-wide
+        entries take d2 as the w-column distance plus the tail norm,
+        within about 2 (m - 1) u relative of ``pdist``'s d2 (see the
+        module docstring).
     """
     pts = np.ascontiguousarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
@@ -107,8 +129,13 @@ def build_affinity(points, epsilon):
     n, m = pts.shape
     width = np.where(pts.any(axis=1), m - np.argmax(pts[:, ::-1] != 0, axis=1), 0)
     wmax = int(width.max())
+    narrow = np.flatnonzero(width < wmax)
+    w_narrow = int(width[narrow].max(initial=0))
+    # squares past the narrow width: n doubles from a view, no n x m copy;
+    # exact zeros on narrow rows
+    tail = np.einsum("ij,ij->i", pts[:, w_narrow:], pts[:, w_narrow:])
     blocks = []
-    for group in (np.flatnonzero(width < wmax), np.flatnonzero(width == wmax)):
+    for group in (narrow, np.flatnonzero(width == wmax)):
         w = int(width[group].max(initial=0))
         for rows in (group[i : i + _BLOCK] for i in range(0, group.size, _BLOCK)):
             run = rows[-1] - rows[0] + 1 == rows.size
@@ -116,8 +143,10 @@ def build_affinity(points, epsilon):
     mat = np.empty((n, n))
     for a, (rows, w_rows) in enumerate(blocks):
         for cols, w_cols in blocks[a:]:
-            w = max(w_rows, w_cols)
-            block = cdist(pts[rows, :w], pts[cols, :w], "sqeuclidean")
+            block = cdist(pts[rows, :w_rows], pts[cols, :w_rows], "sqeuclidean")
+            if w_cols > w_rows:
+                # narrow rows against wide columns (narrow blocks come first)
+                block += tail[cols]
             # exp(-d2 / (4 epsilon)) in place, bitwise equal to the
             # out-of-place expression
             np.negative(block, out=block)

@@ -9,8 +9,16 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 import sinklap.laplacian
-from sinklap import NoiseKind, NoiseModel, SkConfig
+from sinklap import (
+    DensitySpec,
+    LaplacianKind,
+    NoiseKind,
+    NoiseModel,
+    SkConfig,
+    pointwise_experiment,
+)
 from sinklap.cli import main, parse_config, parse_grid
+from sinklap.csvio import fmt
 from sinklap.errors import UsageError
 
 
@@ -198,15 +206,43 @@ class TestUnconvergedWarning:
     def warnings(err):
         return [line for line in err.splitlines() if line.startswith("warning:")]
 
+    @staticmethod
+    def starved_pointwise(n, spec, epsilon, noise_model=None):
+        return pointwise_experiment(
+            n, spec, epsilon, LaplacianKind.BISTOCH_UN,
+            sk_config=SkConfig(eps_sk=1e-12, max_iter=1), noise_model=noise_model,
+        )
+
     def test_pointwise(self, tmp_path, capsys):
         args = ["pointwise", "--n", "60", "--density", "uniform_circle",
                 "--epsilon", "2e-3", "--out", str(tmp_path / "pw.csv")]
         assert main(args + self.STARVED) == 0
         captured = capsys.readouterr()
+        res = self.starved_pointwise(60, DensitySpec.UNIFORM_CIRCLE, 2e-3)
         assert self.warnings(captured.err) == [
-            "warning: 1 of 1 scalings did not converge within max_iter=1 (eps_sk=1e-12)"
+            "warning: 1 of 1 scalings did not converge within max_iter=1 "
+            f"(eps_sk=1e-12), last residual {res.sk_residual:.3e}"
         ]
         assert "sk_iters = 1" in captured.out
+
+    def test_pointwise_residual_leaves_artifacts(self, tmp_path, capsys):
+        # the residual goes to stderr only; stdout and the CSV are unchanged
+        out = tmp_path / "pw.csv"
+        args = ["pointwise", "--n", "80", "--epsilon", "2e-3", "--noise", "simple",
+                "--m", "16", "--out", str(out)]
+        assert main(args + self.STARVED) == 0
+        captured = capsys.readouterr()
+        res = self.starved_pointwise(
+            80, DensitySpec.SINUSOIDAL_1D, 2e-3, NoiseModel(NoiseKind.SIMPLE, 16)
+        )
+        [line] = self.warnings(captured.err)
+        assert line.endswith(f", last residual {res.sk_residual:.3e}")
+        assert res.sk_residual > 1e-12
+        keys = ("relerr2", "relerrinf", "sk_iters", "projection_hits")
+        values = (fmt(res.relerr2), fmt(res.relerrinf), "1", str(res.projection_hits))
+        assert captured.out.splitlines() == [f"{k} = {v}" for k, v in zip(keys, values)]
+        rows = (",".join(keys), ",".join(values))
+        assert out.read_bytes() == "".join(row + "\r\n" for row in rows).encode()
 
     def test_sweep(self, tmp_path, capsys):
         args = ["sweep", "--n", "60", "--eps-grid", "1e-3:2e-3:2log",

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 import sinklap.experiments
 from sinklap import (
+    Affinity,
     DensitySpec,
     LaplacianKind,
     NoiseKind,
@@ -181,6 +183,37 @@ class TestPointwise:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             pointwise_experiment(50, DensitySpec.UNIFORM_CIRCLE, 1e-3, "sk")
+
+
+class TestPdistEquivalence:
+    """The pipeline on build_affinity's kernel against the pipeline on the
+    full-width pdist kernel, whose narrow-wide entries differ in the last
+    bits (see ``sinklap.kernel``)."""
+
+    @staticmethod
+    def pdist_affinity(points, epsilon):
+        mat = np.exp(-squareform(pdist(points, "sqeuclidean")) / (4.0 * epsilon))
+        np.fill_diagonal(mat, 0.0)
+        return Affinity(mat, epsilon)
+
+    @pytest.mark.parametrize("noise", [NoiseKind.SIMPLE, NoiseKind.HETEROSKEDASTIC])
+    @pytest.mark.parametrize("kind", [LaplacianKind.BISTOCH_UN, LaplacianKind.DM_UN])
+    def test_pointwise_matches_pdist_pipeline(self, monkeypatch, noise, kind):
+        n, eps = 600, 1e-3
+        cfg = SkConfig(c_sk=0.1 * np.sqrt(normalized_prefactor(n, eps, 1)))
+
+        def run():
+            return pointwise_experiment(
+                n, DensitySpec.SINUSOIDAL_1D, eps, kind, sk_config=cfg,
+                noise_model=NoiseModel(noise, m=500), seed=7,
+            )
+
+        res = run()
+        monkeypatch.setattr(sinklap.experiments, "build_affinity", self.pdist_affinity)
+        ref = run()
+        assert (res.sk_iters, res.projection_hits) == (ref.sk_iters, ref.projection_hits)
+        assert res.relerr2 == pytest.approx(ref.relerr2, rel=1e-9, abs=0)
+        assert res.relerrinf == pytest.approx(ref.relerrinf, rel=1e-9, abs=0)
 
 
 class TestSweep:
