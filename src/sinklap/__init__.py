@@ -22,9 +22,6 @@ from .experiments import (
     pointwise_experiment,
     rel_errors,
     slope_fit,
-    worker_count,
-    write_embedding_csv,
-    write_sweep_csv,
 )
 from .kernel import (
     Affinity,
@@ -56,7 +53,6 @@ from .manifold import (
     embed_ambient,
     sample_dataset,
     test_function,
-    write_dataset_csv,
 )
 from .noise import NoiseKind, NoiseModel, add_noise, attenuation, cross_term_stats
 from .sinkhorn import (

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import fmt, write_eigenpairs, write_residual_history, write_rows, write_slopes_json
+from .csvio import fmt, write_slopes_json, write_table
 from .errors import DegenerateInputError, NumericalFailureError, UsageError
 from .experiments import (
     embedding_experiment,
@@ -36,41 +36,51 @@ from .experiments import (
     noisy_dataset,
     pointwise_experiment,
     slope_fit,
-    write_embedding_csv,
-    write_sweep_csv,
 )
 from .kernel import build_affinity, kernel_moments
 from .laplacian import LaplacianKind
-from .manifold import DensitySpec, write_dataset_csv
+from .manifold import DensitySpec
 from .noise import NoiseKind, NoiseModel
 from .sinkhorn import SkConfig, approx_sym_sk
 
 _REQUIRED = object()
 
-_DENSITIES = {
-    "sinusoidal1d": DensitySpec.SINUSOIDAL_1D,
-    "uniform_circle": DensitySpec.UNIFORM_CIRCLE,
-}
-_NOISES = ("none", "simple", "heteroskedastic", "iid")
-_LAPS = {k.value: k for k in LaplacianKind}
+# CSV columns, each named after the record attribute it holds
+_POINTWISE_COLUMNS = ("relerr2", "relerrinf", "sk_iters", "projection_hits")
+_SWEEP_COLUMNS = (
+    "epsilon",
+    "relerr2_mean",
+    "relerr2_std",
+    "relerrinf_mean",
+    "relerrinf_std",
+    "mean_sk_iters",
+    "replicas",
+)
+_EMBEDDING_COLUMNS = ("method", "pair", "mse_mean", "mse_std", "replicas")
 
 
-def _density(s):
-    if s not in _DENSITIES:
-        raise ValueError(f"density must be one of {sorted(_DENSITIES)}")
-    return s
+def _one_of(enum, none=None):
+    """Converter from an option's text to the ``enum`` member with that
+    value; ``none``, when given, is one more spelling, parsed to None."""
+    table = {member.value: member for member in enum}
+    if none is not None:
+        table[none] = None
+
+    def convert(s):
+        if s not in table:
+            raise ValueError(f"must be one of {sorted(table)}")
+        return table[s]
+
+    return convert
 
 
-def _noise(s):
-    if s not in _NOISES:
-        raise ValueError(f"noise must be one of {_NOISES}")
-    return s
+_density = _one_of(DensitySpec)
+_noise = _one_of(NoiseKind, none="none")
+_lap = _one_of(LaplacianKind)
 
 
-def _lap(s):
-    if s not in _LAPS:
-        raise ValueError(f"lap must be one of {sorted(_LAPS)}")
-    return s
+def _write_records(path, columns, records):
+    write_table(path, columns, ([getattr(r, c) for c in columns] for r in records))
 
 
 def parse_grid(s):
@@ -96,7 +106,7 @@ _SK_OPTS = [
     ("max_iter", int, SkConfig.max_iter),
 ]
 _NOISE_OPTS = [
-    ("noise", _noise, "none"),
+    ("noise", _noise, None),
     ("m", int, 2000),
     ("sigma_out", float, NoiseModel.sigma_out),
     ("p_out", float, NoiseModel.p_out),
@@ -105,16 +115,16 @@ _NOISE_OPTS = [
 _SCHEMAS = {
     "generate": [
         ("n", int, 3000),
-        ("density", _density, "sinusoidal1d"),
+        ("density", _density, DensitySpec.SINUSOIDAL_1D),
         ("seed", int, 0),
         ("out", str, _REQUIRED),
     ]
     + _NOISE_OPTS,
     "pointwise": [
         ("n", int, 3000),
-        ("density", _density, "sinusoidal1d"),
+        ("density", _density, DensitySpec.SINUSOIDAL_1D),
         ("epsilon", float, _REQUIRED),
-        ("lap", _lap, "bistoch_un"),
+        ("lap", _lap, LaplacianKind.BISTOCH_UN),
         ("seed", int, 0),
         ("out", str, None),
     ]
@@ -122,10 +132,10 @@ _SCHEMAS = {
     + _NOISE_OPTS,
     "sweep": [
         ("n", int, 3000),
-        ("density", _density, "sinusoidal1d"),
+        ("density", _density, DensitySpec.SINUSOIDAL_1D),
         ("eps_grid", str, _REQUIRED),
         ("replicas", int, 20),
-        ("lap", _lap, "bistoch_un"),
+        ("lap", _lap, LaplacianKind.BISTOCH_UN),
         ("seed", int, 0),
         ("threads", int, None),
         ("out", str, _REQUIRED),
@@ -144,12 +154,12 @@ _SCHEMAS = {
         ("eigen_out", str, None),
     ]
     + _SK_OPTS
-    + [("noise", _noise, "simple")]
+    + [("noise", _noise, NoiseKind.SIMPLE)]
     + _NOISE_OPTS[1:],
     "skdiag": [
         ("fixture", str, None),
         ("n", int, 3000),
-        ("density", _density, "sinusoidal1d"),
+        ("density", _density, DensitySpec.SINUSOIDAL_1D),
         ("epsilon", float, None),
         ("seed", int, 0),
         ("out", str, _REQUIRED),
@@ -229,10 +239,10 @@ def parse_config(argv=None):
 
 
 def _noise_model(params):
-    if params["noise"] == "none":
+    if params["noise"] is None:
         return None
     return NoiseModel(
-        kind=NoiseKind(params["noise"]),
+        kind=params["noise"],
         m=params["m"],
         sigma_out=params["sigma_out"],
         p_out=params["p_out"],
@@ -260,16 +270,22 @@ def _warn_unconverged(p, unconverged, total, residual=None):
 
 
 def _cmd_generate(p):
-    ds = noisy_dataset(p["n"], _DENSITIES[p["density"]], _noise_model(p), p["seed"])
-    write_dataset_csv(ds, p["out"])
+    ds = noisy_dataset(p["n"], p["density"], _noise_model(p), p["seed"])
+    flags = ds.outlier_flags if ds.outlier_flags is not None else np.zeros(ds.n, bool)
+    m = ds.points.shape[1]
+    write_table(
+        p["out"],
+        ("t",) + tuple(f"x{j + 1}" for j in range(m)) + ("outlier",),
+        ([t, *x, int(f)] for t, x, f in zip(ds.t, ds.points, flags)),
+    )
 
 
 def _cmd_pointwise(p):
     res = pointwise_experiment(
         p["n"],
-        _DENSITIES[p["density"]],
+        p["density"],
         p["epsilon"],
-        _LAPS[p["lap"]],
+        p["lap"],
         sk_config=_sk_config(p),
         noise_model=_noise_model(p),
         seed=p["seed"],
@@ -279,39 +295,28 @@ def _cmd_pointwise(p):
     print(f"sk_iters = {res.sk_iters}")
     print(f"projection_hits = {res.projection_hits}")
     if p["out"]:
-        write_rows(
-            p["out"],
-            ("relerr2", "relerrinf", "sk_iters", "projection_hits"),
-            [
-                (
-                    fmt(res.relerr2),
-                    fmt(res.relerrinf),
-                    str(res.sk_iters),
-                    str(res.projection_hits),
-                )
-            ],
-        )
+        _write_records(p["out"], _POINTWISE_COLUMNS, [res])
     _warn_unconverged(p, int(not res.sk_converged), 1, res.sk_residual)
 
 
 def _cmd_sweep(p):
     grid = parse_grid(p["eps_grid"])
+    k = p["slope_points"]
+    if p["slopes_out"] and not 2 <= k <= len(grid):
+        raise UsageError("slope_points must lie in [2, grid size]")
     records = epsilon_sweep(
         p["n"],
-        _DENSITIES[p["density"]],
+        p["density"],
         grid,
         p["replicas"],
-        _LAPS[p["lap"]],
+        p["lap"],
         sk_config=_sk_config(p),
         noise_model=_noise_model(p),
         base_seed=p["seed"],
         threads=p["threads"],
     )
-    write_sweep_csv(records, p["out"])
+    _write_records(p["out"], _SWEEP_COLUMNS, records)
     if p["slopes_out"]:
-        k = p["slope_points"]
-        if not 2 <= k <= len(records):
-            raise UsageError("slope_points must lie in [2, grid size]")
         log_eps = np.log([r.epsilon for r in records])
         errinf = [r.relerrinf_mean for r in records]
         # the sup-norm bias branch starts where the U-shaped curve turns,
@@ -335,7 +340,7 @@ def _cmd_sweep(p):
 
 
 def _cmd_embed(p):
-    if p["noise"] == "none":
+    if p["noise"] is None:
         raise UsageError("embed needs a noise model (use --noise simple|heteroskedastic|iid)")
     result = embedding_experiment(
         p["n"],
@@ -346,10 +351,15 @@ def _cmd_embed(p):
         base_seed=p["seed"],
         threads=p["threads"],
     )
-    write_embedding_csv(result.records, p["out"])
+    _write_records(p["out"], _EMBEDDING_COLUMNS, result.records)
     if p["eigen_out"]:
         for method, eig in result.first_eigenpairs.items():
-            write_eigenpairs(f"{p['eigen_out']}_{method}.csv", eig.values, eig.vectors)
+            n = eig.vectors.shape[0]
+            write_table(
+                f"{p['eigen_out']}_{method}.csv",
+                ("mode", "eigenvalue") + tuple(f"v{i + 1}" for i in range(n)),
+                ([k, val, *eig.vectors[:, k]] for k, val in enumerate(eig.values)),
+            )
     _warn_unconverged(p, result.sk_unconverged, p["replicas"])
 
 
@@ -362,11 +372,13 @@ def _cmd_skdiag(p):
         if p["epsilon"] is None:
             raise UsageError("--epsilon is required without --fixture")
         ds = noisy_dataset(
-            p["n"], _DENSITIES[p["density"]], _noise_model(p), p["seed"]
+            p["n"], p["density"], _noise_model(p), p["seed"]
         )
         target = build_affinity(ds.points, p["epsilon"])
     res = approx_sym_sk(target, _sk_config(p))
-    write_residual_history(p["out"], res.residual_history)
+    write_table(
+        p["out"], ("iter", "residual_inf"), enumerate(res.residual_history, 1)
+    )
     print(f"iterations = {res.iterations}")
     print(f"converged = {str(res.converged).lower()}")
     print(f"projection_hits = {res.projection_hits}")

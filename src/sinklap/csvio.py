@@ -1,12 +1,17 @@
-"""CSV/JSON serialization helpers.
+"""The artifact format: every file the CLI writes is made here.
 
-All floating-point values are written with 17 significant digits so
-that round-tripping through text preserves the exact double, and two
-runs with the same seed produce byte-identical files.
+CSV tables go through ``write_table``, which writes floats with 17
+significant digits (``fmt``) so that round-tripping through text
+preserves the exact double and two runs with the same seed produce
+byte-identical files; every other cell is written as ``str``.  The
+numeric modules return arrays and records and know nothing of this
+format.
 """
 
 import csv
 import json
+
+import numpy as np
 
 
 def fmt(x):
@@ -14,29 +19,19 @@ def fmt(x):
     return format(float(x), ".17g")
 
 
-def write_rows(path, header, rows):
-    """Write a CSV file with ``header`` and an iterable of string rows."""
+def write_table(path, header, rows):
+    """Write a CSV file: ``header``, then one line per row of cells.
+
+    A float cell (``float`` or ``np.floating``) is written as ``fmt``;
+    any other cell as ``str``.
+    """
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            w.writerow(row)
-
-
-def write_residual_history(path, history):
-    """Write a scaling residual trace as ``iter,residual_inf`` rows."""
-    rows = [(str(k + 1), fmt(r)) for k, r in enumerate(history)]
-    write_rows(path, ("iter", "residual_inf"), rows)
-
-
-def write_eigenpairs(path, values, vectors):
-    """Write eigenpairs as ``mode,eigenvalue,v1..vn`` rows (one mode per row)."""
-    n = vectors.shape[0]
-    header = ("mode", "eigenvalue") + tuple(f"v{i + 1}" for i in range(n))
-    rows = []
-    for k in range(len(values)):
-        rows.append((str(k), fmt(values[k])) + tuple(fmt(v) for v in vectors[:, k]))
-    write_rows(path, header, rows)
+            w.writerow(
+                [fmt(v) if isinstance(v, (float, np.floating)) else str(v) for v in row]
+            )
 
 
 def write_slopes_json(path, slopes):

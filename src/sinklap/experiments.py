@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import svd
 
-from .csvio import fmt, write_rows
 from .kernel import build_affinity, normalized_prefactor
 from .laplacian import (
     LaplacianForm,
@@ -40,18 +39,6 @@ from .noise import add_noise
 from .sinkhorn import approx_sym_sk
 
 NOISE_SEED_OFFSET = 2**32
-
-SWEEP_HEADER = (
-    "epsilon",
-    "relerr2_mean",
-    "relerr2_std",
-    "relerrinf_mean",
-    "relerrinf_std",
-    "mean_sk_iters",
-    "replicas",
-)
-
-EMBEDDING_HEADER = ("method", "pair", "mse_mean", "mse_std", "replicas")
 
 
 @dataclass
@@ -127,30 +114,15 @@ class EmbeddingResult:
     sk_unconverged: int
 
 
-def worker_count():
-    """Thread count for replica loops: BISTOCH_THREADS or the CPU count."""
-    env = os.environ.get("BISTOCH_THREADS")
-    if env is not None:
-        try:
-            count = int(env)
-        except ValueError:
-            msg = f"BISTOCH_THREADS must be an integer, got {env!r}"
-            raise ValueError(msg) from None
-        if count < 1:
-            raise ValueError("BISTOCH_THREADS must be >= 1")
-        return count
-    return os.cpu_count() or 1
-
-
 def _replicate(job, replicas, threads):
     """[job(r) for r in range(replicas)], run on one pool of replica threads.
 
-    threads=None means ``worker_count()``.
+    threads=None means one thread per CPU.
     """
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
     if threads is None:
-        threads = worker_count()
+        threads = os.cpu_count() or 1
     elif threads < 1:
         raise ValueError("threads must be >= 1")
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -390,35 +362,3 @@ def embedding_experiment(
         first_eigenpairs=per_rep[0][1],
         sk_unconverged=sum(not rep[2] for rep in per_rep),
     )
-
-
-def write_sweep_csv(records, path):
-    """Write sweep records with the documented 7-column header."""
-    rows = [
-        (
-            fmt(rec.epsilon),
-            fmt(rec.relerr2_mean),
-            fmt(rec.relerr2_std),
-            fmt(rec.relerrinf_mean),
-            fmt(rec.relerrinf_std),
-            fmt(rec.mean_sk_iters),
-            str(rec.replicas),
-        )
-        for rec in records
-    ]
-    write_rows(path, SWEEP_HEADER, rows)
-
-
-def write_embedding_csv(records, path):
-    """Write embedding records with the documented 5-column header."""
-    rows = [
-        (
-            rec.method,
-            str(rec.pair),
-            fmt(rec.mse_mean),
-            fmt(rec.mse_std),
-            str(rec.replicas),
-        )
-        for rec in records
-    ]
-    write_rows(path, EMBEDDING_HEADER, rows)

@@ -13,14 +13,12 @@ weighted Laplacian Delta_p f = f'' + (p'/p) f' has a closed form for the
 bundled test function f(t) = sin(2 pi (t + 0.05)).
 """
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from ._rng import make_rng
-from .csvio import fmt
 
 _OMEGA = 2.0
 _CURVE_SCALE = 1.0 / (2.0 * np.pi * np.sqrt(5.0))
@@ -193,7 +191,7 @@ def delta_p_f(t, spec):
     if spec is DensitySpec.UNIFORM_CIRCLE:
         return fpp
     fp = 2.0 * np.pi * np.cos(phase)
-    p = 1.0 - 0.6 * np.sin(6.0 * np.pi * t)
+    p = density(t, spec)
     pp = -3.6 * np.pi * np.cos(6.0 * np.pi * t)
     return fpp + (pp / p) * fp
 
@@ -227,25 +225,3 @@ def sample_dataset(n, spec, seed):
         pts = curve_point(t)
     return Dataset(t=t, clean_points=pts, seed=seed)
 
-
-def write_dataset_csv(ds, path):
-    """Write observed coordinates as ``t,x1..xm,outlier`` rows.
-
-    Only the observed view is stored; clean coordinates of outliers are
-    not recoverable from the file.
-    """
-    pts = ds.points
-    m = pts.shape[1]
-    flags = (
-        ds.outlier_flags
-        if ds.outlier_flags is not None
-        else np.zeros(ds.n, dtype=bool)
-    )
-    header = ("t",) + tuple(f"x{j + 1}" for j in range(m)) + ("outlier",)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(ds.n):
-            w.writerow(
-                [fmt(ds.t[i])] + [fmt(v) for v in pts[i]] + [str(int(flags[i]))]
-            )

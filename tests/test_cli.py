@@ -1,6 +1,9 @@
 """Command line interface: parsing, config files, exit codes, artifacts."""
 
+import csv
+import io
 import json
+import re
 import subprocess
 import sys
 
@@ -15,6 +18,11 @@ from sinklap import (
     NoiseKind,
     NoiseModel,
     SkConfig,
+    approx_sym_sk,
+    build_affinity,
+    embedding_experiment,
+    epsilon_sweep,
+    noisy_dataset,
     pointwise_experiment,
 )
 from sinklap.cli import main, parse_config, parse_grid
@@ -37,7 +45,9 @@ class TestParsing:
         assert cfg.command == "pointwise"
         assert cfg.params["n"] == 3000
         assert cfg.params["epsilon"] == 1e-3
-        assert cfg.params["lap"] == "bistoch_un"
+        assert cfg.params["lap"] == LaplacianKind.BISTOCH_UN
+        assert cfg.params["density"] == DensitySpec.SINUSOIDAL_1D
+        assert cfg.params["noise"] is None
         p = cfg.params
         assert (
             SkConfig(p["c_sk"], p["eps_sk"], p["max_iter"]),
@@ -51,10 +61,24 @@ class TestParsing:
     def test_bad_values(self):
         with pytest.raises(UsageError):
             parse_config(["pointwise", "--epsilon", "abc"])
-        with pytest.raises(UsageError):
-            parse_config(["pointwise", "--epsilon", "1e-3", "--density", "torus"])
-        with pytest.raises(UsageError):
-            parse_config(["pointwise", "--epsilon", "1e-3", "--lap", "foo"])
+        for option, value, spellings in (
+            ("density", "torus", ["sinusoidal1d", "uniform_circle"]),
+            ("lap", "foo", ["bistoch_rw", "bistoch_un", "dm_rw", "dm_un"]),
+            ("noise", "gauss", ["heteroskedastic", "iid", "none", "simple"]),
+        ):
+            msg = f"bad value for --{option}: must be one of {spellings}"
+            with pytest.raises(UsageError, match=re.escape(msg)):
+                parse_config(["pointwise", "--epsilon", "1e-3", f"--{option}", value])
+
+    def test_choices_parse_to_enum_members(self):
+        cfg = parse_config(["embed", "--noise", "none", "--out", "e.csv"])
+        assert cfg.params["noise"] is None
+        cfg = parse_config(["pointwise", "--epsilon", "1e-3", "--noise", "iid",
+                            "--density", "uniform_circle", "--lap", "dm_rw"])
+        p = cfg.params
+        assert (p["noise"], p["density"], p["lap"]) == (
+            NoiseKind.IID, DensitySpec.UNIFORM_CIRCLE, LaplacianKind.DM_RW
+        )
 
     def test_config_file(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -106,15 +130,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure: eigensolver did not converge" in err
 
-    def test_thread_count_errors_name_the_cause(self, tmp_path, capsys, monkeypatch):
+    def test_thread_count_errors_name_the_cause(self, tmp_path, capsys):
         sweep = ["sweep", "--n", "20", "--eps-grid", "1e-3:2e-3:2log",
                  "--replicas", "1", "--out", str(tmp_path / "s.csv")]
         assert main(sweep + ["--threads", "0"]) == 1
         assert "threads must be >= 1" in capsys.readouterr().err
-        monkeypatch.setenv("BISTOCH_THREADS", "abc")
-        assert main(sweep) == 1
-        err = capsys.readouterr().err
-        assert "BISTOCH_THREADS must be an integer, got 'abc'" in err
 
     def test_success_is_0(self, capsys):
         assert main(["moments", "--d", "2"]) == 0
@@ -134,6 +154,20 @@ class TestArtifacts:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert len(a.read_text().splitlines()) == 51
+
+    def test_generate_roundtrip_clean(self, tmp_path):
+        path = tmp_path / "d.csv"
+        assert main(["generate", "--n", "25", "--seed", "9", "--out", str(path)]) == 0
+        assert_csv_holds(noisy_dataset(25, DensitySpec.SINUSOIDAL_1D, None, 9), path)
+
+    def test_generate_roundtrip_noisy(self, tmp_path):
+        path = tmp_path / "d.csv"
+        assert main(["generate", "--n", "25", "--seed", "9", "--noise", "simple",
+                     "--m", "6", "--p-out", "0.3", "--out", str(path)]) == 0
+        model = NoiseModel(NoiseKind.SIMPLE, 6, p_out=0.3)
+        ds = noisy_dataset(25, DensitySpec.SINUSOIDAL_1D, model, 9)
+        assert 0 < ds.outlier_flags.sum() < ds.n
+        assert_csv_holds(ds, path)
 
     def test_pointwise_out(self, tmp_path, capsys):
         out = tmp_path / "pw.csv"
@@ -167,6 +201,9 @@ class TestArtifacts:
                      "--out", str(tmp_path / "s.csv"),
                      "--slopes-out", str(tmp_path / "s.json")])
         assert code == 1
+        assert "slope_points must lie in [2, grid size]" in capsys.readouterr().err
+        # rejected before the sweep runs, so no artifact is left behind
+        assert not (tmp_path / "s.csv").exists()
 
     def test_skdiag_fixture(self, tmp_path, capsys):
         out = tmp_path / "hist.csv"
@@ -195,6 +232,82 @@ class TestArtifacts:
             path = tmp_path / f"eig_{method}.csv"
             assert path.exists()
             assert len(path.read_text().splitlines()) == 6
+
+
+    def test_bytes_rebuilt_from_library(self, tmp_path):
+        """sweep, embed --eigen-out and skdiag files equal csv.writer's bytes
+        for the library's own records, floats written as %.17g."""
+        sk = SkConfig()
+        circle = DensitySpec.UNIFORM_CIRCLE
+
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--n", "60", "--density", "uniform_circle",
+                     "--eps-grid", "1e-3:2e-3:2log", "--replicas", "2",
+                     "--lap", "bistoch_rw", "--threads", "2", "--out", str(out)]) == 0
+        recs = epsilon_sweep(60, circle, parse_grid("1e-3:2e-3:2log"), 2,
+                             LaplacianKind.BISTOCH_RW, sk_config=sk, threads=1)
+        assert out.read_bytes() == csv_bytes(
+            ["epsilon", "relerr2_mean", "relerr2_std", "relerrinf_mean",
+             "relerrinf_std", "mean_sk_iters", "replicas"],
+            [[g17(r.epsilon), g17(r.relerr2_mean), g17(r.relerr2_std),
+              g17(r.relerrinf_mean), g17(r.relerrinf_std), g17(r.mean_sk_iters),
+              str(r.replicas)] for r in recs],
+        )
+
+        out, eigen = tmp_path / "embed.csv", tmp_path / "eig"
+        assert main(["embed", "--n", "60", "--epsilon", "2e-3", "--replicas", "1",
+                     "--m", "8", "--sigma-out", "0.05",
+                     "--out", str(out), "--eigen-out", str(eigen)]) == 0
+        model = NoiseModel(NoiseKind.SIMPLE, 8, sigma_out=0.05)
+        res = embedding_experiment(60, model, 2e-3, sk_config=sk, replicas=1)
+        assert out.read_bytes() == csv_bytes(
+            ["method", "pair", "mse_mean", "mse_std", "replicas"],
+            [[r.method, str(r.pair), g17(r.mse_mean), g17(r.mse_std),
+              str(r.replicas)] for r in res.records],
+        )
+        assert res.records[0].method == "sk" and res.records[0].pair == 1
+        for method, eig in res.first_eigenpairs.items():
+            assert (tmp_path / f"eig_{method}.csv").read_bytes() == csv_bytes(
+                ["mode", "eigenvalue"] + [f"v{i + 1}" for i in range(60)],
+                [[str(k), g17(eig.values[k])] + [g17(v) for v in eig.vectors[:, k]]
+                 for k in range(5)],
+            )
+
+        out = tmp_path / "hist.csv"
+        assert main(["skdiag", "--n", "60", "--density", "uniform_circle",
+                     "--epsilon", "2e-3", "--out", str(out)]) == 0
+        ds = noisy_dataset(60, circle, None, 0)
+        hist = approx_sym_sk(build_affinity(ds.points, 2e-3), sk).residual_history
+        assert out.read_bytes() == csv_bytes(
+            ["iter", "residual_inf"],
+            [[str(k), g17(r)] for k, r in enumerate(hist, 1)],
+        )
+
+
+def g17(x):
+    return format(x, ".17g")
+
+
+def csv_bytes(header, rows):
+    """The bytes csv.writer makes of a header and rows of text cells."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def assert_csv_holds(ds, path):
+    """The file is t, x1..xm, outlier; parsed back, every value is bitwise ds's."""
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    m = ds.points.shape[1]
+    assert header == ["t"] + [f"x{j + 1}" for j in range(m)] + ["outlier"]
+    assert all(len(row) == m + 2 for row in rows) and len(rows) == ds.n
+    assert np.array_equal([float(row[0]) for row in rows], ds.t)
+    assert np.array_equal([[float(v) for v in row[1:-1]] for row in rows], ds.points)
+    flags = ds.outlier_flags if ds.outlier_flags is not None else np.zeros(ds.n)
+    assert [row[-1] for row in rows] == [str(int(f)) for f in flags]
 
 
 class TestUnconvergedWarning:

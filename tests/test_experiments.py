@@ -19,9 +19,6 @@ from sinklap import (
     pointwise_experiment,
     rel_errors,
     slope_fit,
-    worker_count,
-    write_embedding_csv,
-    write_sweep_csv,
 )
 from sinklap.experiments import NOISE_SEED_OFFSET, SweepRecord
 
@@ -298,20 +295,6 @@ class TestSweep:
             epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, [1e-3], 1,
                           LaplacianKind.BISTOCH_RW, threads=0)
 
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("BISTOCH_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("BISTOCH_THREADS", "0")
-        with pytest.raises(ValueError):
-            worker_count()
-        monkeypatch.delenv("BISTOCH_THREADS")
-        assert worker_count() >= 1
-
-    def test_worker_count_env_not_integer(self, monkeypatch):
-        monkeypatch.setenv("BISTOCH_THREADS", "abc")
-        with pytest.raises(ValueError, match="BISTOCH_THREADS must be an integer"):
-            worker_count()
-
 
 class TestEmbedding:
     def test_structure(self):
@@ -399,29 +382,3 @@ class TestApproximateScaling:
         assert res.sk_unconverged == 0
         for pair in (1, 2):
             assert np.array_equal(res.mse[("sk", pair)], res.mse[("dm", pair)])
-
-
-class TestCsvWriters:
-    def test_sweep_roundtrip(self, tmp_path):
-        recs = epsilon_sweep(
-            50, DensitySpec.UNIFORM_CIRCLE, [1e-3, 2e-3], 1,
-            LaplacianKind.BISTOCH_RW,
-        )
-        path = tmp_path / "sweep.csv"
-        write_sweep_csv(recs, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 3
-        assert lines[0].count(",") == 6
-        first = path.read_bytes()
-        write_sweep_csv(recs, path)
-        assert path.read_bytes() == first
-
-    def test_embedding_roundtrip(self, tmp_path):
-        model = NoiseModel(NoiseKind.SIMPLE, 8, 0.05, 0.1)
-        res = embedding_experiment(50, model, 2e-3)
-        path = tmp_path / "embed.csv"
-        write_embedding_csv(res.records, path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 5
-        assert lines[0].count(",") == 4
-        assert lines[1].startswith("sk,1,")
