@@ -20,6 +20,7 @@ from sinklap import (
     rel_errors,
     slope_fit,
 )
+from sinklap.cli import main
 from sinklap.experiments import NOISE_SEED_OFFSET, SweepRecord
 
 
@@ -382,3 +383,30 @@ class TestApproximateScaling:
         assert res.sk_unconverged == 0
         for pair in (1, 2):
             assert np.array_equal(res.mse[("sk", pair)], res.mse[("dm", pair)])
+
+
+class TestCsvWriters:
+    """The sweep and embed records as the CLI writes them through csvio."""
+
+    def test_sweep_roundtrip(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        args = ["sweep", "--n", "50", "--density", "uniform_circle",
+                "--eps-grid", "1e-3:2e-3:2log", "--replicas", "1",
+                "--lap", "bistoch_rw", "--threads", "1", "--out", str(path)]
+        assert main(args) == 0
+        lines = path.read_text().splitlines()
+        assert len(lines) == 3
+        assert lines[0].count(",") == 6
+        first = path.read_bytes()
+        assert main(args) == 0
+        assert path.read_bytes() == first
+
+    def test_embedding_roundtrip(self, tmp_path):
+        path = tmp_path / "embed.csv"
+        assert main(["embed", "--n", "50", "--epsilon", "2e-3", "--replicas", "1",
+                     "--m", "8", "--sigma-out", "0.05", "--p-out", "0.1",
+                     "--threads", "1", "--out", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        assert len(lines) == 5
+        assert lines[0].count(",") == 4
+        assert lines[1].startswith("sk,1,")

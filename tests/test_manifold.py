@@ -17,6 +17,7 @@ from sinklap import (
     sample_dataset,
 )
 from sinklap import test_function as f_obs
+from sinklap.cli import main
 
 SIN = DensitySpec.SINUSOIDAL_1D
 CIR = DensitySpec.UNIFORM_CIRCLE
@@ -201,3 +202,15 @@ class TestDataset:
         assert not wide[:, 4:].any()
         with pytest.raises(ValueError):
             embed_ambient(ds.clean_points, 3)
+
+
+class TestCsv:
+    def test_rewrite_identical(self, tmp_path):
+        """Two runs of sinklap generate on the same clean sample write the same bytes."""
+        p1 = tmp_path / "a.csv"
+        p2 = tmp_path / "b.csv"
+        args = ["generate", "--n", "25", "--seed", "9"]
+        assert main(args + ["--out", str(p1)]) == 0
+        assert main(args + ["--out", str(p2)]) == 0
+        assert p1.read_bytes() == p2.read_bytes()
+        assert len(p1.read_text().splitlines()) == 26
