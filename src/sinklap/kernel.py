@@ -13,33 +13,35 @@ that constant, eta(kappa A) = eta(A) / sqrt(kappa), so normalized
 quantities are one division away and need no second kernel.
 
 The affinity is the only n x n matrix of the pipeline, built by one
-loop over upper pairs of row blocks: each pair is one ``cdist`` turned
-into kernel values in place and written with its mirror.  Scalings and
-Laplacians (``sinklap.laplacian``) keep it as the kernel A plus a scale
-vector s and reach diag(s) A diag(s) through matvecs with A.
+loop over upper pairs of contiguous row blocks, each turned into kernel
+values in place and written with its mirror.  Scalings and Laplacians
+(``sinklap.laplacian``) keep it as the kernel A plus a scale vector s
+and reach diag(s) A diag(s) through matvecs with A.
 
-Distances are scipy's "sqeuclidean" sums of (x_k - y_k)^2 in column
-order; no Gram-matrix expansion is used anywhere.  (x_k - y_k)^2 equals
-(y_k - x_k)^2 bitwise, so the matrix is bitwise symmetric.  A row's
-width is 1 + the index of its last nonzero column.  Rows narrower than
-the widest form the narrow group, of width w; the widest rows form the
-wide group.  Columns past both rows' width add exact zeros, so a pair
-within one group is summed over its group's column prefix and keeps the
-bits of a full-width ``pdist``: zero-padded inliers cost a few columns,
-not m.  One-width (clean) data is one group.
+A row's width is 1 + the index of its last nonzero column.  Rows
+narrower than the widest are narrow, w is their largest width, and the
+widest rows are wide (none on one-width, clean data).  Every squared
+distance is
 
-A narrow row j and a wide row i meet through the tail-norm identity
+    ||x_i - x_j||^2 = c_ij + (t_i + t_j) - 2 g_ij,  clamped at 0,
 
-    ||x_i - x_j||^2 = sum_{k<w} (x_ik - x_jk)^2 + tail_i,
-    tail_i = sum_{k>=w} x_ik^2,
+with c_ij scipy's "sqeuclidean" ``cdist`` over the first w columns, t_i
+the squares of row i past column w and g_ij the dot product of the two
+tails, one BLAS product over a block's wide rows.  Inliers span a few
+columns and outlier noise fills R^m, so g holds the noise inner products
+that the paper's outlier term bounds (``noise.cross_term_stats``).
+Inlier coordinates stay in ``cdist``: on-manifold distances are the
+small ones, where a Gram form cancels.
 
-a w-column ``cdist`` plus one number per wide row: the column-support
-form of the clean/offset split that ``noise.cross_term_stats`` writes
-out, where inliers span a few columns and outlier noise fills R^m.
-Summing the tail on its own reorders a sum of non-negative terms, so
-these cross-group entries are not ``pdist``'s bits: their d^2 is within
-about 2 (m - 1) u relative of it (u the unit roundoff; 4.4e-13 at
-m = 2000).
+Narrow rows have t = g = 0 exactly and columns past both rows' width add
+exact zeros, so narrow-narrow entries, and all of one-width data, keep
+the bits of a full-width ``pdist``.  Narrow-wide d^2 reorders a sum of
+non-negative terms, within about 2 (m - 1) u relative of ``pdist``'s (u
+the unit roundoff; 4.4e-13 at m = 2000).  Wide rows a, b are within
+about 2 (m + 1) u (||a||^2 + ||b||^2) + 2 (m + 3) u d^2 of it; the
+first term matters only for near-coincident outliers.  (x_k - y_k)^2
+equals (y_k - x_k)^2 bitwise, t_i + t_j is one sum and g is symmetrized
+on diagonal blocks, so the matrix is bitwise symmetric.
 """
 
 from dataclasses import dataclass
@@ -93,13 +95,9 @@ def normalized_prefactor(n, epsilon, d):
 def build_affinity(points, epsilon):
     """Assemble the zero-diagonal Gaussian kernel of a point cloud.
 
-    A row's width is 1 + the index of its last nonzero column.  Rows
-    narrower than the widest (the narrow group, of width w) meet each
-    other over w columns, the widest rows meet each other over theirs,
-    and a narrow row meets a wide row over w columns plus the wide
-    row's tail norm, its squares past column w; with one width all rows
-    form one group.  Each upper pair of row blocks is one ``cdist``,
-    turned into kernel values and written with its mirror.
+    Each upper pair of contiguous row blocks is a w-column ``cdist``,
+    plus t_i + t_j on a block with a wide row, minus 2 g_ij between its
+    wide rows; it is turned into kernel values and written with its mirror.
 
     Parameters
     ----------
@@ -112,12 +110,11 @@ def build_affinity(points, epsilon):
     -------
     Affinity
         Bitwise-symmetric non-negative matrix exp(-d2 / (4 epsilon))
-        with a zero diagonal.  Entries whose two rows share a width
-        group, and all entries of one-width data, are bitwise equal to
-        the kernel of full-width ``pdist`` distances.  Narrow-wide
-        entries take d2 as the w-column distance plus the tail norm,
-        within about 2 (m - 1) u relative of ``pdist``'s d2 (see the
-        module docstring).
+        with a zero diagonal.  Entries between narrow rows, and all
+        entries of one-width data, are bitwise equal to the kernel of
+        full-width ``pdist`` distances.  Entries with a wide row take d2
+        from the tail norms and the tail Gram product, within the
+        bounds of the module docstring.
     """
     pts = np.ascontiguousarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2:
@@ -128,35 +125,37 @@ def build_affinity(points, epsilon):
         raise ValueError("epsilon must be positive")
     n, m = pts.shape
     width = np.where(pts.any(axis=1), m - np.argmax(pts[:, ::-1] != 0, axis=1), 0)
-    wmax = int(width.max())
-    narrow = np.flatnonzero(width < wmax)
-    w_narrow = int(width[narrow].max(initial=0))
-    # squares past the narrow width: n doubles from a view, no n x m copy;
-    # exact zeros on narrow rows
-    tail = np.einsum("ij,ij->i", pts[:, w_narrow:], pts[:, w_narrow:])
-    blocks = []
-    for group in (narrow, np.flatnonzero(width == wmax)):
-        w = int(width[group].max(initial=0))
-        for rows in (group[i : i + _BLOCK] for i in range(0, group.size, _BLOCK)):
-            run = rows[-1] - rows[0] + 1 == rows.size
-            blocks.append((slice(rows[0], rows[-1] + 1) if run else rows, w))
+    # the narrow width: the second-largest row width, or the only one
+    w = int(np.unique(width)[-2:][0])
+    wide = width > w
+    # n doubles from a view, no n x m copy; exact zeros on narrow rows
+    tail = np.einsum("ij,ij->i", pts[:, w:], pts[:, w:])
+    blocks = [(rows, np.flatnonzero(wide[rows]))
+              for rows in (slice(a, a + _BLOCK) for a in range(0, n, _BLOCK))]
     mat = np.empty((n, n))
-    for a, (rows, w_rows) in enumerate(blocks):
-        for cols, w_cols in blocks[a:]:
-            block = cdist(pts[rows, :w_rows], pts[cols, :w_rows], "sqeuclidean")
-            if w_cols > w_rows:
-                # narrow rows against wide columns (narrow blocks come first)
-                block += tail[cols]
+    for i, (rows, wide_rows) in enumerate(blocks):
+        tail_rows = pts[rows][wide_rows, w:]
+        for cols, wide_cols in blocks[i:]:
+            block = cdist(pts[rows, :w], pts[cols, :w], "sqeuclidean")
+            if wide_rows.size or wide_cols.size:
+                # one sum, so t_i + t_j and t_j + t_i share their bits
+                block += tail[rows, None] + tail[cols]
+            if wide_rows.size and wide_cols.size:
+                # 2 g, with g made bitwise symmetric on diagonal blocks
+                diagonal = cols is rows
+                gram = tail_rows @ (
+                    tail_rows if diagonal else pts[cols][wide_cols, w:]
+                ).T
+                gram = gram + gram.T if diagonal else 2.0 * gram
+                block[np.ix_(wide_rows, wide_cols)] -= gram
+                np.maximum(block, 0.0, out=block)
             # exp(-d2 / (4 epsilon)) in place, bitwise equal to the
             # out-of-place expression
             np.negative(block, out=block)
             np.divide(block, 4.0 * epsilon, out=block)
             np.exp(block, out=block)
-            # runs of rows are written through slices: np.ix_ writes take
-            # twice as long on one-width data
-            fancy = not (isinstance(rows, slice) or isinstance(cols, slice))
-            mat[np.ix_(rows, cols) if fancy else (rows, cols)] = block
-            mat[np.ix_(cols, rows) if fancy else (cols, rows)] = block.T
+            mat[rows, cols] = block
+            mat[cols, rows] = block.T
     np.fill_diagonal(mat, 0.0)
     return Affinity(matrix=mat, epsilon=float(epsilon))
 

@@ -185,8 +185,8 @@ class TestPointwise:
 
 class TestPdistEquivalence:
     """The pipeline on build_affinity's kernel against the pipeline on the
-    full-width pdist kernel, whose narrow-wide entries differ in the last
-    bits (see ``sinklap.kernel``)."""
+    full-width pdist kernel, whose entries with a wide row differ in the
+    last bits (see ``sinklap.kernel``)."""
 
     @staticmethod
     def pdist_affinity(points, epsilon):
@@ -319,15 +319,24 @@ class TestEmbedding:
                                    sk_config=SkConfig(max_iter=1, eps_sk=1e-12))
         assert res.sk_unconverged == 2
 
-    def test_deterministic(self):
-        model = NoiseModel(NoiseKind.IID, 8, 0.05)
-        a = embedding_experiment(60, model, 2e-3, replicas=2, threads=1)
-        b = embedding_experiment(60, model, 2e-3, replicas=2, threads=2)
+    @staticmethod
+    def assert_thread_invariant(n, model):
+        a = embedding_experiment(n, model, 2e-3, replicas=2, threads=1)
+        b = embedding_experiment(n, model, 2e-3, replicas=2, threads=2)
         assert a.records == b.records
         for method in ("sk", "dm"):
             ea, eb = a.first_eigenpairs[method], b.first_eigenpairs[method]
             assert np.array_equal(ea.values, eb.values)
             assert np.array_equal(ea.vectors, eb.vectors)
+
+    def test_deterministic(self):
+        self.assert_thread_invariant(60, NoiseModel(NoiseKind.IID, 8, 0.05))
+
+    def test_deterministic_gram_path(self):
+        # m = 600 and an odd n: the tail Gram products of build_affinity
+        # are large enough for the BLAS to thread, and row blocks are
+        # uneven
+        self.assert_thread_invariant(301, NoiseModel(NoiseKind.HETEROSKEDASTIC, 600))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from sinklap import (
     Affinity,
@@ -34,57 +34,100 @@ def pdist_kernel(pts, eps):
 
 
 def assert_matches_pdist(pts, eps):
-    """build_affinity against ``pdist_kernel``: bitwise on every entry whose
-    two rows share a width group (all entries of one-width clouds), and
-    within the tail-norm bound on narrow-wide entries.
+    """build_affinity against ``pdist_kernel``.  Rows narrower than the
+    widest are narrow, w is their largest width and the widest rows are
+    wide; one-width clouds have no wide row.
 
-    Summing a wide row's tail on its own reorders a sum of m non-negative
-    terms, so d2 moves by at most 2 (m - 1) u d2; the division adds 2u of
-    d2 / (4 eps) and exp one ulp on each side.  Subnormal kernels get an
-    absolute floor.  Returns the number of narrow-wide entries.
+    Narrow-narrow entries are bitwise equal to the reference.
+    Narrow-wide entries are bitwise equal to the tail-norm formula, a
+    w-column ``cdist`` plus the wide row's squares past w.  Summing that
+    tail on its own reorders a sum of m non-negative terms, so d2 moves by
+    at most 2 (m - 1) u d2 from pdist's.
+
+    Wide-wide entries take d2 = c + (t_i + t_j) - 2 g_ij, with c the
+    w-column distance, t the tail squares and g the tail dot product of
+    rows a and b.  To first order (Higham, Accuracy and Stability of
+    Numerical Algorithms, ch. 3), with k = m - w tail columns, c errs by
+    (w + 2) u c, each t by k u t, g by k u (t_i + t_j) / 2, and the three
+    additions by u each of their results; with c <= d2, t <= ||row||^2
+    and pdist's own (m + 2) u d2, d2 is within
+    2 (m + 1) u (||a||^2 + ||b||^2) + 2 (m + 3) u d2 of pdist's.
+
+    On either side the division adds u of d2 / (4 eps) and exp about one
+    ulp.  Subnormal kernels get an absolute floor.  The matrix is also
+    bitwise symmetric and at most 1, as d2 is clamped at 0.  Returns the
+    number of entries with a wide row.
     """
     a = build_affinity(pts, eps).matrix
+    assert np.array_equal(a, a.T) and a.max() <= 1.0
     ref = pdist_kernel(pts, eps)
     m = pts.shape[1]
+    u = np.finfo(float).eps / 2
+    tiny = np.finfo(float).tiny
+    d2 = squareform(pdist(pts, "sqeuclidean"))
     nonzero = pts != 0
     width = np.where(nonzero.any(axis=1), m - np.argmax(nonzero[:, ::-1], axis=1), 0)
-    wide = width == width.max()
-    same = wide[:, None] == wide[None, :]
-    assert np.array_equal(a[same], ref[same])
-    u = np.finfo(float).eps / 2
-    d2 = squareform(pdist(pts, "sqeuclidean"))[~same]
-    bound = ref[~same] * (2 * (m + 1) * u * d2 / (4.0 * eps) + 4 * u)
-    assert np.all(np.abs(a[~same] - ref[~same]) <= bound + np.finfo(float).tiny)
-    return int((~same).sum())
+    wide = (width == width.max()) & (width > width.min())
+    narrow, wide_rows = np.flatnonzero(~wide), np.flatnonzero(wide)
+    w = int(width[narrow].max())
+
+    assert np.array_equal(a[np.ix_(narrow, narrow)], ref[np.ix_(narrow, narrow)])
+
+    cross = np.ix_(narrow, wide_rows)
+    tail = np.einsum("ij,ij->i", pts[wide_rows, w:], pts[wide_rows, w:])
+    tail_d2 = cdist(pts[narrow, :w], pts[wide_rows, :w], "sqeuclidean") + tail
+    assert np.array_equal(a[cross], np.exp(-tail_d2 / (4.0 * eps)))
+    bound = ref[cross] * (2 * (m + 1) * u * d2[cross] / (4.0 * eps) + 4 * u)
+    assert np.all(np.abs(a[cross] - ref[cross]) <= bound + tiny)
+
+    both = np.ix_(wide_rows, wide_rows)
+    sq = np.einsum("ij,ij->i", pts[wide_rows], pts[wide_rows])
+    delta = 2 * (m + 1) * u * (sq[:, None] + sq) + 2 * (m + 4) * u * d2[both]
+    bound = ref[both] * (np.expm1(delta / (4.0 * eps)) + 4 * u)
+    assert np.all(np.abs(a[both] - ref[both]) <= bound + tiny)
+    return a.size - narrow.size**2
 
 
 @st.composite
 def padded_clouds(draw):
     """Point clouds whose rows are zero (or -0.0) past a per-row width.
 
-    Up to 600 rows, so the distance blocks of both narrow and wide rows
-    can number more than one; widths follow one of five patterns.
-    "sorted" widths are non-decreasing, so the narrow and the wide rows
-    are both runs of consecutive rows.
+    Up to 600 rows, so the distance blocks can number more than one;
+    widths follow one of seven patterns.  "sorted" widths are
+    non-decreasing.  "near_duplicate" makes about half the rows widest
+    and a tiny step from one common row, so their d2 is far below their
+    squared norms; "tiny_tail" scales every column past the second-largest
+    width down by up to 1e-8.
     """
     n = draw(st.integers(2, 600))
     m = draw(st.integers(1, 13))
-    pattern = draw(st.sampled_from(["random", "equal", "one_wide", "zero", "sorted"]))
+    pattern = draw(
+        st.sampled_from(
+            ["random", "equal", "one_wide", "zero", "sorted",
+             "near_duplicate", "tiny_tail"]
+        )
+    )
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pts = rng.normal(size=(n, m)) * 10.0 ** rng.uniform(-3.0, 3.0)
-    if pattern == "random":
-        widths = rng.integers(0, m + 1, size=n)
-    elif pattern == "equal":
+    if pattern == "equal":
         widths = np.full(n, rng.integers(0, m + 1))
     elif pattern == "one_wide":
         widths = rng.integers(0, m, size=n)
         widths[rng.integers(n)] = m
     elif pattern == "zero":
         widths = np.zeros(n, dtype=int)
-    else:
+    elif pattern == "sorted":
         widths = np.sort(rng.integers(0, m + 1, size=n))
+    else:
+        widths = rng.integers(0, m + 1, size=n)
+    if pattern == "near_duplicate":
+        widths[rng.random(n) < 0.5] = m
+        dup = widths == m
+        pts[dup] = pts[rng.integers(n)] + pts[dup] * 10.0 ** rng.uniform(-12.0, -4.0)
     pad = np.arange(m) >= widths[:, None]
     pts[pad] = 0.0
+    if pattern == "tiny_tail":
+        pts[:, np.unique(widths)[-2:][0] :] *= 10.0 ** rng.uniform(-8.0, -2.0)
     pts[pad & (rng.random((n, m)) < 0.5)] = -0.0
     pts[~pad & (rng.random((n, m)) < 0.05)] = -0.0
     return pts
@@ -209,16 +252,24 @@ class TestMemory:
                 NoiseModel(NoiseKind.HETEROSKEDASTIC, m=2000),
                 5,
             ),
-            # scattered outliers: no row block is a run, every block goes
-            # through np.ix_ and the cross pairs through the tail norm
+            # scattered outliers: most row blocks hold a few wide rows,
+            # whose tails are copied per block for the Gram product
             lambda: noisy_dataset(
                 1000,
                 DensitySpec.SINUSOIDAL_1D,
                 NoiseModel(NoiseKind.SIMPLE, m=2000),
                 5,
             ),
+            # nearly every row wide: each block pair copies two full blocks
+            # of tails
+            lambda: noisy_dataset(
+                1000,
+                DensitySpec.UNIFORM_CIRCLE,
+                NoiseModel(NoiseKind.IID, m=2000),
+                5,
+            ),
         ],
-        ids=["clean", "heteroskedastic", "simple"],
+        ids=["clean", "heteroskedastic", "simple", "iid"],
     )
     def test_peak_is_one_matrix(self, make):
         pts = make().points
