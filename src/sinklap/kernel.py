@@ -16,7 +16,9 @@ The affinity is the only n x n matrix of the pipeline, built by one
 loop over upper pairs of contiguous row blocks, each turned into kernel
 values in place and written with its mirror.  Scalings and Laplacians
 (``sinklap.laplacian``) keep it as the kernel A plus a scale vector s
-and reach diag(s) A diag(s) through matvecs with A.
+and reach diag(s) A diag(s) through matvecs with A.  ``Affinity`` owns
+the square, symmetric, non-negative A that scaling needs: it checks
+outside data once, and ``build_affinity``'s A holds it by construction.
 
 A row's width is 1 + the index of its last nonzero column.  Rows
 narrower than the widest are narrow, w is their largest width, and the
@@ -60,23 +62,50 @@ _BLOCK = 128
 class Affinity:
     """A dense kernel matrix with its bandwidth.
 
-    The matrix is marked read-only.
+    The matrix is a read-only, checked copy of the given one: square,
+    bitwise symmetric and non-negative.  epsilon is positive and finite.
     """
 
     matrix: np.ndarray
     epsilon: float
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("affinity matrix must be square")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
+        self.matrix = _checked_kernel(np.array(self.matrix, dtype=float))
         self.matrix.setflags(write=False)
 
     @property
     def n(self):
         return self.matrix.shape[0]
+
+
+def _checked_kernel(a):
+    """The float array of a; raises unless square, symmetric, non-negative.
+
+    Compares upper cache-sized tiles with the transposed lower ones (a NaN
+    never matches); once symmetry holds the upper tiles hold every entry
+    and alone are checked for sign, so asymmetry is reported first.
+    """
+    mat = np.asarray(a, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError("matrix must be square")
+    n, block = mat.shape[0], 256
+    negative = False
+    for i in range(0, n, block):
+        for j in range(i, n, block):
+            upper = mat[i : i + block, j : j + block]
+            if not np.array_equal(upper, mat[j : j + block, i : i + block].T):
+                raise ValueError("matrix must be symmetric")
+            negative = negative or upper.min() < 0
+    if negative:
+        raise ValueError("matrix must be non-negative")
+    return mat
+
+
+def kernel_matrix(a):
+    """An Affinity's matrix as is, or an ndarray checked like one."""
+    return a.matrix if isinstance(a, Affinity) else _checked_kernel(a)
 
 
 def gaussian_kernel(xi, d):
@@ -104,7 +133,7 @@ def build_affinity(points, epsilon):
     points : ndarray, shape (n, m)
         Finite ambient coordinates, n >= 2.
     epsilon : float
-        Kernel bandwidth, > 0.
+        Kernel bandwidth, positive and finite.
 
     Returns
     -------
@@ -121,8 +150,8 @@ def build_affinity(points, epsilon):
         raise ValueError("points must be (n, m) with n >= 2")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be positive and finite")
     n, m = pts.shape
     width = np.where(pts.any(axis=1), m - np.argmax(pts[:, ::-1] != 0, axis=1), 0)
     # the narrow width: the second-largest row width, or the only one
@@ -157,7 +186,11 @@ def build_affinity(points, epsilon):
             mat[rows, cols] = block
             mat[cols, rows] = block.T
     np.fill_diagonal(mat, 0.0)
-    return Affinity(matrix=mat, epsilon=float(epsilon))
+    # symmetric by the mirror writes, non-negative by exp: no copy, no check
+    mat.setflags(write=False)
+    aff = object.__new__(Affinity)
+    aff.matrix, aff.epsilon = mat, float(epsilon)
+    return aff
 
 
 def degree(a):

@@ -55,8 +55,8 @@ class NoiseModel:
             raise ValueError("m must be >= 4")
         if not 0.0 <= self.p_out < 1.0:
             raise ValueError("p_out must lie in [0, 1)")
-        if self.sigma_out < 0:
-            raise ValueError("sigma_out must be >= 0")
+        if not 0 <= self.sigma_out < np.inf:
+            raise ValueError("sigma_out must be finite and >= 0")
 
 
 def _gamma1(t):

@@ -1,7 +1,8 @@
 """Accelerated symmetric Sinkhorn-Knopp matrix scaling.
 
 Finds a positive diagonal scaling eta such that D_eta A D_eta is
-(approximately) doubly stochastic for a symmetric non-negative A.  One
+(approximately) doubly stochastic for a symmetric non-negative A; that
+invariant is checked in ``sinklap.kernel``, once per kernel.  One
 accelerated iteration alternates the two classical Sinkhorn
 half-updates
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericalFailureError
-from .kernel import Affinity
+from .kernel import kernel_matrix
 from .laplacian import dm_scale
 from .manifold import density
 
@@ -55,9 +56,9 @@ class SkConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if self.c_sk < 0:
-            raise ValueError("c_sk must be >= 0")
-        if self.eps_sk <= 0:
+        if not 0 <= self.c_sk < np.inf:
+            raise ValueError("c_sk must be finite and >= 0")
+        if not self.eps_sk > 0:
             raise ValueError("eps_sk must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -83,34 +84,10 @@ class ScalingResult:
     converged: bool = False
 
 
-def _as_matrix(a):
-    return a.matrix if isinstance(a, Affinity) else np.asarray(a, dtype=float)
-
-
 def scaling_residual(a, eta):
     """Row-sum residual vector D_eta A D_eta 1 - 1."""
-    mat = _as_matrix(a)
     eta = np.asarray(eta, dtype=float)
-    return eta * (mat @ eta) - 1.0
-
-
-def _check_symmetric_nonnegative(mat):
-    """Raise unless mat equals mat.T (NaN never does) and has no negative entry.
-
-    Compares the upper cache-sized tiles with the transposed lower ones;
-    once symmetry holds the upper tiles hold every entry, so they alone
-    are checked for sign, and an asymmetric matrix reports asymmetry.
-    """
-    n, block = mat.shape[0], 256
-    negative = False
-    for i in range(0, n, block):
-        for j in range(i, n, block):
-            upper = mat[i : i + block, j : j + block]
-            if not np.array_equal(upper, mat[j : j + block, i : i + block].T):
-                raise ValueError("matrix must be symmetric")
-            negative = negative or upper.min() < 0
-    if negative:
-        raise ValueError("matrix must be non-negative")
+    return eta * (kernel_matrix(a) @ eta) - 1.0
 
 
 def _checked_reciprocal(x, what, k):
@@ -119,6 +96,11 @@ def _checked_reciprocal(x, what, k):
             f"{what} became non-positive or non-finite at iteration {k}", iteration=k
         )
     return 1.0 / x
+
+
+def _project(eta, c_sk):
+    """eta clamped below at c_sk, and the number of entries clamped."""
+    return np.maximum(eta, c_sk), int(np.count_nonzero(eta < c_sk))
 
 
 def approx_sym_sk(a, config=None):
@@ -137,30 +119,19 @@ def approx_sym_sk(a, config=None):
 
     Raises
     ------
+    ValueError
+        If an ndarray ``a`` is not square, symmetric and non-negative
+        (``kernel.kernel_matrix``); an Affinity was checked when built.
     DegenerateInputError
         If the matrix has a zero row.
     NumericalFailureError
         If an update produces non-positive or non-finite values.
     """
-    mat = _as_matrix(a)
+    mat = kernel_matrix(a)
     cfg = config if config is not None else SkConfig()
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("matrix must be square")
-    _check_symmetric_nonnegative(mat)
-
-    eta = dm_scale(mat)
-
-    hits = 0
-    if cfg.c_sk > 0:
-        low = eta < cfg.c_sk
-        hits += int(np.count_nonzero(low))
-        eta = np.maximum(eta, cfg.c_sk)
-
+    eta, hits = _project(dm_scale(mat), cfg.c_sk)
     history = []
-    converged = False
-    iterations = 0
     for k in range(1, cfg.max_iter + 1):
-        iterations = k
         a_eta = mat @ eta
         res = float(np.max(np.abs(eta * a_eta - 1.0)))
         history.append(res)
@@ -169,22 +140,18 @@ def approx_sym_sk(a, config=None):
                 f"residual became non-finite at iteration {k}", iteration=k
             )
         if res < cfg.eps_sk:
-            converged = True
             break
         u = _checked_reciprocal(a_eta, "A eta", k)
         v = _checked_reciprocal(mat @ u, "A u", k)
-        eta = np.sqrt(u * v)
-        if cfg.c_sk > 0:
-            low = eta < cfg.c_sk
-            hits += int(np.count_nonzero(low))
-            eta = np.maximum(eta, cfg.c_sk)
+        eta, clamped = _project(np.sqrt(u * v), cfg.c_sk)
+        hits += clamped
 
     return ScalingResult(
         eta=eta,
-        iterations=iterations,
+        iterations=len(history),
         residual_history=np.asarray(history),
         projection_hits=hits,
-        converged=converged,
+        converged=history[-1] < cfg.eps_sk,
     )
 
 

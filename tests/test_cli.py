@@ -136,6 +136,32 @@ class TestExitCodes:
         assert main(sweep + ["--threads", "0"]) == 1
         assert "threads must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["pointwise", "--epsilon", "nan"], "epsilon must be positive and finite"),
+            (["pointwise", "--epsilon", "inf"], "epsilon must be positive and finite"),
+            (["pointwise", "--epsilon=-inf"], "epsilon must be positive and finite"),
+            (["pointwise", "--epsilon", "1e-3", "--eps-sk", "nan"],
+             "eps_sk must be positive"),
+            (["pointwise", "--epsilon", "1e-3", "--c-sk", "nan"],
+             "c_sk must be finite and >= 0"),
+            (["pointwise", "--epsilon", "1e-3", "--c-sk", "inf"],
+             "c_sk must be finite and >= 0"),
+            (["generate", "--noise", "simple", "--m", "4", "--p-out", "0.5",
+              "--sigma-out", "nan"], "sigma_out must be finite and >= 0"),
+            (["generate", "--noise", "simple", "--m", "4", "--p-out", "0.5",
+              "--sigma-out", "inf"], "sigma_out must be finite and >= 0"),
+        ],
+        ids=["epsilon-nan", "epsilon-inf", "epsilon-minus-inf", "eps-sk-nan",
+             "c-sk-nan", "c-sk-inf", "sigma-out-nan", "sigma-out-inf"],
+    )
+    def test_non_finite_parameter_named(self, tmp_path, capsys, args, message):
+        out = tmp_path / "out.csv"
+        assert main(args + ["--n", "100", "--out", str(out)]) == 1
+        assert f"sinklap {args[0]}: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_success_is_0(self, capsys):
         assert main(["moments", "--d", "2"]) == 0
         captured = capsys.readouterr()

@@ -8,17 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist, squareform
 
+import sinklap.kernel
 from sinklap import (
     Affinity,
     DensitySpec,
+    LaplacianKind,
     NoiseKind,
     NoiseModel,
+    approx_sym_sk,
     build_affinity,
     degree,
+    embedding_experiment,
+    epsilon_sweep,
     gaussian_kernel,
     kernel_moments,
     noisy_dataset,
     normalized_prefactor,
+    pointwise_experiment,
     sample_dataset,
 )
 from sinklap.kernel import _BLOCK
@@ -55,11 +61,12 @@ def assert_matches_pdist(pts, eps):
 
     On either side the division adds u of d2 / (4 eps) and exp about one
     ulp.  Subnormal kernels get an absolute floor.  The matrix is also
-    bitwise symmetric and at most 1, as d2 is clamped at 0.  Returns the
+    bitwise symmetric, non-negative and at most 1, as d2 is clamped at 0;
+    the first two are why ``Affinity`` need not check it.  Returns the
     number of entries with a wide row.
     """
     a = build_affinity(pts, eps).matrix
-    assert np.array_equal(a, a.T) and a.max() <= 1.0
+    assert np.array_equal(a, a.T) and a.min() >= 0.0 and a.max() <= 1.0
     ref = pdist_kernel(pts, eps)
     m = pts.shape[1]
     u = np.finfo(float).eps / 2
@@ -215,6 +222,81 @@ class TestBuildAffinity:
         a = build_affinity(self.ds.points, 1e-3)
         with pytest.raises(ValueError):
             a.matrix[0, 0] = 1.0
+
+
+class TestInvariant:
+    """Affinity owns the square, symmetric, non-negative kernel: it checks
+    outside data once, at construction, on its own copy; build_affinity's
+    matrix holds the invariant by construction and is not checked."""
+
+    @staticmethod
+    def kernel(seed):
+        """A symmetric positive 600 x 600 matrix: three 256-row tiles."""
+        a = np.random.default_rng(seed).uniform(0.1, 2.0, size=(600, 600))
+        return (a + a.T) / 2.0
+
+    def test_one_asymmetric_entry(self):
+        a = self.kernel(8)
+        a[599, 3] = np.nextafter(a[599, 3], 3.0)
+        with pytest.raises(ValueError, match="matrix must be symmetric"):
+            Affinity(a, 1.0)
+
+    def test_nan_pair(self):
+        a = self.kernel(9)
+        a[10, 400] = a[400, 10] = np.nan
+        with pytest.raises(ValueError, match="matrix must be symmetric"):
+            Affinity(a, 1.0)
+
+    def test_negative_pair(self):
+        # past the first 256-row tile, so the sign check must reach it
+        a = self.kernel(10)
+        a[300, 580] = a[580, 300] = -1e-3
+        with pytest.raises(ValueError, match="matrix must be non-negative"):
+            Affinity(a, 1.0)
+
+    def test_asymmetry_reported_before_sign(self):
+        # a negative pair in an early tile, the asymmetry in a later one
+        a = self.kernel(11)
+        a[5, 300] = a[300, 5] = -1e-3
+        a[599, 400] = -1.0
+        with pytest.raises(ValueError, match="matrix must be symmetric"):
+            Affinity(a, 1.0)
+
+    def test_nonsquare(self):
+        with pytest.raises(ValueError, match="matrix must be square"):
+            Affinity(np.ones((2, 3)), 1.0)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_epsilon_positive_and_finite(self, eps):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            Affinity(np.ones((2, 2)), eps)
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            build_affinity(np.eye(3), eps)
+
+    def test_owns_its_matrix(self):
+        a = self.kernel(12)
+        aff = Affinity(a, 1.0)
+        kept = aff.matrix.copy()
+        a[0, 1] = a[1, 0] = -1.0
+        assert np.array_equal(aff.matrix, kept)
+        assert a.flags.writeable and not aff.matrix.flags.writeable
+
+    def test_checked_once_per_outside_kernel(self, monkeypatch):
+        calls = []
+        check = sinklap.kernel._checked_kernel
+        monkeypatch.setattr(
+            sinklap.kernel, "_checked_kernel", lambda a: calls.append(1) or check(a)
+        )
+        noise = NoiseModel(NoiseKind.SIMPLE, m=8)
+        for kind in LaplacianKind:
+            pointwise_experiment(80, DensitySpec.SINUSOIDAL_1D, 2e-3, kind,
+                                 noise_model=noise, seed=1)
+        epsilon_sweep(60, DensitySpec.SINUSOIDAL_1D, [1e-3, 2e-3], 2,
+                      LaplacianKind.BISTOCH_UN, threads=2)
+        embedding_experiment(60, noise, 2e-3, replicas=2, threads=2)
+        assert calls == []
+        approx_sym_sk(self.kernel(13))
+        assert len(calls) == 1
 
 
 class TestRowSupport:

@@ -76,8 +76,9 @@ class TestAddNoise:
             NoiseModel(NoiseKind.SIMPLE, 3)
         with pytest.raises(ValueError):
             NoiseModel(NoiseKind.SIMPLE, 8, p_out=1.0)
-        with pytest.raises(ValueError):
-            NoiseModel(NoiseKind.SIMPLE, 8, sigma_out=-0.1)
+        for sigma in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="sigma_out"):
+                NoiseModel(NoiseKind.SIMPLE, 8, sigma_out=sigma)
         ds = embedded_dataset(50, 8)
         with pytest.raises(ValueError, match="wider"):
             add_noise(ds, NoiseModel(NoiseKind.SIMPLE, 4), seed=0)

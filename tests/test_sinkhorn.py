@@ -201,7 +201,10 @@ class TestValidation:
     def test_config_validation(self):
         for bad in (
             dict(c_sk=-0.1),
+            dict(c_sk=np.nan),
+            dict(c_sk=np.inf),
             dict(eps_sk=0.0),
+            dict(eps_sk=np.nan),
             dict(max_iter=0),
         ):
             with pytest.raises(ValueError):
