@@ -26,7 +26,6 @@ from .experiments import (
 from .kernel import (
     Affinity,
     build_affinity,
-    degree,
     gaussian_kernel,
     kernel_moments,
     normalized_prefactor,
@@ -37,7 +36,6 @@ from .laplacian import (
     LaplacianKind,
     LaplacianOp,
     apply_rescaled,
-    dm_scale,
     laplacian_from_affinity,
     smallest_eigenpairs,
 )
@@ -59,6 +57,7 @@ from .sinkhorn import (
     ScalingResult,
     SkConfig,
     approx_sym_sk,
+    dm_scale,
     population_reference,
     scaling_residual,
 )

@@ -90,6 +90,8 @@ def parse_grid(s):
     if match is None:
         raise ValueError("grid must look like start:stop:10log or start:stop:10lin")
     start, stop = float(parts[0]), float(parts[1])
+    if not np.isfinite([start, stop]).all():
+        raise ValueError("grid endpoints must be finite")
     count, kind = int(match.group(1)), match.group(2)
     if count < 1:
         raise ValueError("grid needs at least one point")
@@ -133,7 +135,7 @@ _SCHEMAS = {
     "sweep": [
         ("n", int, 3000),
         ("density", _density, DensitySpec.SINUSOIDAL_1D),
-        ("eps_grid", str, _REQUIRED),
+        ("eps_grid", parse_grid, _REQUIRED),
         ("replicas", int, 20),
         ("lap", _lap, LaplacianKind.BISTOCH_UN),
         ("seed", int, 0),
@@ -300,8 +302,7 @@ def _cmd_pointwise(p):
 
 
 def _cmd_sweep(p):
-    grid = parse_grid(p["eps_grid"])
-    k = p["slope_points"]
+    grid, k = p["eps_grid"], p["slope_points"]
     if p["slopes_out"] and not 2 <= k <= len(grid):
         raise UsageError("slope_points must lie in [2, grid size]")
     records = epsilon_sweep(

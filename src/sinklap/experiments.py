@@ -16,6 +16,9 @@ Replica r draws its dataset once, with dataset seed base_seed + r and
 noise seed base_seed + r + NOISE_SEED_OFFSET (disjoint streams for any
 desk-scale seed range); a sweep replica walks the whole grid on that
 one dataset, so sweep curves see the same datasets.
+
+Layer functions are called through this module's globals, which the
+benchmark wraps to time each layer: a call that bypasses them reads 0.
 """
 
 import os
@@ -30,13 +33,12 @@ from .laplacian import (
     LaplacianForm,
     LaplacianKind,
     apply_rescaled,
-    dm_scale,
     laplacian_from_affinity,
     smallest_eigenpairs,
 )
 from .manifold import DensitySpec, delta_p_f, sample_dataset, test_function
 from .noise import add_noise
-from .sinkhorn import approx_sym_sk
+from .sinkhorn import approx_sym_sk, dm_scale
 
 NOISE_SEED_OFFSET = 2**32
 
@@ -220,18 +222,18 @@ def epsilon_sweep(
 ):
     """Replicated pointwise runs over a bandwidth grid.
 
-    epsilons must be positive and non-decreasing.  Replica r draws its
-    dataset once, with seed base_seed + r (as ``pointwise_experiment``
-    would), and walks the whole grid on it, so per-epsilon aggregates
-    are over the same family of datasets.  Means and standard
-    deviations are population-style (ddof=0); mean_sk_iters and
-    sk_unconverged are 0 for the dm kinds.
+    epsilons must be positive, finite and non-decreasing.  Replica r
+    draws its dataset once, with seed base_seed + r (as
+    ``pointwise_experiment`` would), and walks the whole grid on it, so
+    per-epsilon aggregates are over the same family of datasets.  Means
+    and standard deviations are population-style (ddof=0);
+    mean_sk_iters and sk_unconverged are 0 for the dm kinds.
     """
     epsilons = [float(e) for e in epsilons]
     if len(epsilons) == 0:
         raise ValueError("epsilons must be non-empty")
-    if min(epsilons) <= 0:
-        raise ValueError("epsilons must be positive")
+    if not all(0 < e < np.inf for e in epsilons):
+        raise ValueError("epsilons must be positive and finite")
     if any(b < a for a, b in zip(epsilons, epsilons[1:])):
         raise ValueError("epsilons must be non-decreasing")
     if not isinstance(kind, LaplacianKind):

@@ -14,11 +14,12 @@ quantities are one division away and need no second kernel.
 
 The affinity is the only n x n matrix of the pipeline, built by one
 loop over upper pairs of contiguous row blocks, each turned into kernel
-values in place and written with its mirror.  Scalings and Laplacians
-(``sinklap.laplacian``) keep it as the kernel A plus a scale vector s
-and reach diag(s) A diag(s) through matvecs with A.  ``Affinity`` owns
-the square, symmetric, non-negative A that scaling needs: it checks
-outside data once, and ``build_affinity``'s A holds it by construction.
+values in place and written with its mirror.  ``sinklap.sinkhorn``
+makes both scale vectors s from A; a Laplacian reaches
+diag(s) A diag(s) through matvecs with A.  ``Affinity`` owns the
+square, symmetric, non-negative A that scaling needs: it checks outside
+data once, ``build_affinity``'s A holds it by construction, and
+``kernel_matrix`` reads any kernel argument, checking an ndarray.
 
 A row's width is 1 + the index of its last nonzero column.  Rows
 narrower than the widest are narrow, w is their largest width, and the
@@ -191,12 +192,6 @@ def build_affinity(points, epsilon):
     aff = object.__new__(Affinity)
     aff.matrix, aff.epsilon = mat, float(epsilon)
     return aff
-
-
-def degree(a):
-    """Row sums of an affinity (accepts Affinity or ndarray)."""
-    mat = a.matrix if isinstance(a, Affinity) else np.asarray(a, dtype=float)
-    return mat.sum(axis=1)
 
 
 def kernel_moments(d):

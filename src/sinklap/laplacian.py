@@ -1,8 +1,8 @@
 """Graph Laplacians of a Gaussian kernel under a diagonal scaling.
 
-Every Laplacian here is one kernel A (an ``Affinity``) and a positive
-scale vector s: the scaled affinity is K = diag(s) A diag(s), with
-degrees deg = s * (A s).  Two scaling families supply s:
+Every Laplacian here is a kernel A (an ``Affinity``), a form and a
+given positive scale vector s: the scaled affinity is K = diag(s) A
+diag(s), with degrees deg = s * (A s).  ``sinklap.sinkhorn`` makes s:
 
 * bistochastic: s = eta from the symmetric Sinkhorn-Knopp scaling,
 * dm: s = (A 1)^-1/2 (``dm_scale``), the classical alpha = 1/2
@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import DegenerateInputError, NumericalFailureError
-from .kernel import Affinity, degree
+from .kernel import Affinity
 
 
 class LaplacianForm(Enum):
@@ -79,15 +79,7 @@ class EigenPairs:
     vectors: np.ndarray
 
 
-def dm_scale(a):
-    """Scale vector (A 1)^-1/2 of the degree-normalized affinity."""
-    deg = degree(a)
-    if np.any(deg <= 0):
-        raise DegenerateInputError("affinity matrix has a zero row")
-    return 1.0 / np.sqrt(deg)
-
-
-def laplacian_from_affinity(a, form, scale=None):
+def laplacian_from_affinity(a, form, scale):
     """The Laplacian of the scaled affinity diag(s) A diag(s).
 
     Parameters
@@ -98,24 +90,23 @@ def laplacian_from_affinity(a, form, scale=None):
     form : LaplacianForm
         UNNORMALIZED gives D(K) - K; RANDOM_WALK gives I - D(K)^-1 K
         and requires strictly positive degrees.
-    scale : ndarray, shape (n,), optional
-        Positive finite scale vector s; None means s = 1 (the Laplacian
-        of A itself).
+    scale : ndarray, shape (n,)
+        Positive finite scale vector s, from ``sinklap.sinkhorn``
+        (ones give the Laplacian of A itself).
 
     Returns
     -------
     LaplacianOp
     """
+    if not isinstance(a, Affinity):
+        raise TypeError(f"kernel must be an Affinity, not {type(a).__name__}")
     if not isinstance(form, LaplacianForm):
         raise ValueError(f"unknown form: {form!r}")
-    if scale is None:
-        s = np.ones(a.n)
-    else:
-        s = np.asarray(scale, dtype=float)
-        if s.shape != (a.n,):
-            raise ValueError("scale must have shape (n,)")
-        if np.any(s <= 0) or not np.all(np.isfinite(s)):
-            raise ValueError("scale must be positive and finite")
+    s = np.asarray(scale, dtype=float)
+    if s.shape != (a.n,):
+        raise ValueError("scale must have shape (n,)")
+    if np.any(s <= 0) or not np.all(np.isfinite(s)):
+        raise ValueError("scale must be positive and finite")
     deg = s * (a.matrix @ s)
     if form is LaplacianForm.RANDOM_WALK and np.any(deg <= 0):
         raise DegenerateInputError("random-walk form needs positive degrees")

@@ -6,19 +6,20 @@ in the ambient R^m, so ||z_i|| concentrates near sigma_i regardless of m.
 Three regimes:
 
 * SIMPLE          : p_i = p_out, sigma_i = sigma_out.
-* HETEROSKEDASTIC : p_i = 0.05 + 0.9 ((1 - t_i + u_i) mod 1) with
-  u_i ~ Unif(0,1), and sigma_i = sigma_out sqrt(gamma_i) with
-  gamma_i = 0.9 gamma1(t_i) + 0.1 gamma2, gamma2 ~ Unif(0,3),
-  gamma1(t) = 10^(1 - ((1 + sin 2 pi t)/2)^2): both the outlier rate and
-  magnitude vary over the manifold.
+* HETEROSKEDASTIC : p_i = 0.05 + 0.9 ((1 - t_i + u) mod 1) with one
+  phase u ~ Unif(0,1) for all samples, and sigma_i = sigma_out
+  sqrt(gamma_i) with gamma_i = 0.9 gamma1(t_i) + 0.1 gamma2, gamma2 ~
+  Unif(0,3), gamma1(t) = 10^(1 - ((1 + sin 2 pi t)/2)^2): both the
+  outlier rate and magnitude vary over the manifold.
 * IID             : p_i = 0.95, gamma_i ~ Unif(0,3); nearly every point
   is perturbed.
 
-Draw order is part of the reproducibility contract.  For each sample
-i = 0..n-1, in order: the rate uniform u_i (heteroskedastic only), the
-outlier coin, then only for outliers the gamma uniform(s) followed by
-the m Gaussian components.  Gaussians come from the inverse CDF of
-uniforms, so a (seed, order) pair pins every byte of the output.
+Draw order is part of the reproducibility contract.  First the phase u
+(heteroskedastic only); then for each sample i = 0..n-1, in order: the
+outlier coin, then only for outliers the gamma uniform (heteroskedastic
+and IID) followed by the m Gaussian components.  Gaussians come from
+the inverse CDF of uniforms, so a (seed, order) pair pins every byte of
+the output.
 """
 
 from dataclasses import dataclass
@@ -71,13 +72,10 @@ def add_noise(ds, model, seed):
     the outlier displacements, and the clean points are kept as given.
     Inlier rows of the result are bitwise equal to the padded clean rows.
 
-    Draw order is part of the contract: for the heteroskedastic kind
-    one phase u ~ Unif(0,1) is drawn first, making the outlier
-    probability a randomly rotated sawtooth profile along the
-    manifold; then per sample, in index order, the Bernoulli coin,
-    the gamma component, and the noise vector.  The coherent
-    high-outlier arc produced by the shared phase is what breaks the
-    degree-normalized pipeline in the embedding experiment.
+    Draws follow the module's order.  The heteroskedastic phase makes
+    the outlier probability a randomly rotated sawtooth along the
+    manifold; the coherent high-outlier arc it produces is what breaks
+    the degree-normalized pipeline in the embedding experiment.
     """
     if ds.noisy_points is not None:
         raise ValueError("dataset already carries noise")

@@ -1,10 +1,11 @@
-"""Accelerated symmetric Sinkhorn-Knopp matrix scaling.
+"""The two scale vectors of a kernel A: Sinkhorn-Knopp and degrees.
 
-Finds a positive diagonal scaling eta such that D_eta A D_eta is
-(approximately) doubly stochastic for a symmetric non-negative A; that
-invariant is checked in ``sinklap.kernel``, once per kernel.  One
-accelerated iteration alternates the two classical Sinkhorn
-half-updates
+A Laplacian (``sinklap.laplacian``) is A under a diagonal scaling s,
+made here: ``dm_scale`` gives (A 1)^-1/2 and ``approx_sym_sk`` a
+positive eta with D_eta A D_eta (approximately) doubly stochastic.
+Both read A through ``kernel.kernel_matrix``, which checks an ndarray
+on each call and an ``Affinity`` never again.  One accelerated SK
+iteration alternates the two classical half-updates
 
     u = 1 / (A eta),    v = 1 / (A u),
 
@@ -12,7 +13,7 @@ and takes their entrywise geometric mean eta = sqrt(u * v), which
 converges markedly faster than plain alternation on kernel matrices.
 The iteration is wrapped with
 
-* the degree-based start eta_i = 1 / sqrt((A 1)_i),
+* the degree-based start eta = (A 1)^-1/2, the ``dm_scale`` vector,
 * an optional lower-bound projection eta = max(eta, c_sk) applied after
   the start and after every update, guarding against rows dominated by
   numerically vanishing affinities (far outliers), and
@@ -34,9 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalFailureError
+from .errors import DegenerateInputError, NumericalFailureError
 from .kernel import kernel_matrix
-from .laplacian import dm_scale
 from .manifold import density
 
 
@@ -58,8 +58,8 @@ class SkConfig:
     def __post_init__(self):
         if not 0 <= self.c_sk < np.inf:
             raise ValueError("c_sk must be finite and >= 0")
-        if not self.eps_sk > 0:
-            raise ValueError("eps_sk must be positive")
+        if not 0 < self.eps_sk < np.inf:
+            raise ValueError("eps_sk must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -82,6 +82,19 @@ class ScalingResult:
     residual_history: np.ndarray = field(repr=False)
     projection_hits: int = 0
     converged: bool = False
+
+
+def _inverse_root_degrees(mat):
+    """(A 1)^-1/2 of a kernel matrix A; raises on a zero row."""
+    deg = mat.sum(axis=1)
+    if np.any(deg <= 0):
+        raise DegenerateInputError("affinity matrix has a zero row")
+    return 1.0 / np.sqrt(deg)
+
+
+def dm_scale(a):
+    """Scale vector (A 1)^-1/2 of the degree-normalized affinity."""
+    return _inverse_root_degrees(kernel_matrix(a))
 
 
 def scaling_residual(a, eta):
@@ -129,7 +142,7 @@ def approx_sym_sk(a, config=None):
     """
     mat = kernel_matrix(a)
     cfg = config if config is not None else SkConfig()
-    eta, hits = _project(dm_scale(mat), cfg.c_sk)
+    eta, hits = _project(_inverse_root_degrees(mat), cfg.c_sk)
     history = []
     for k in range(1, cfg.max_iter + 1):
         a_eta = mat @ eta

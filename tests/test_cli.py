@@ -39,6 +39,9 @@ class TestParsing:
         for bad in ("1:2", "1:2:0log", "1:2:xlog", "-1:2:3log"):
             with pytest.raises(ValueError):
                 parse_grid(bad)
+        for bad in ("nan:1e-3:2log", "1e-3:inf:3log", "-inf:1:3lin"):
+            with pytest.raises(ValueError, match="grid endpoints must be finite"):
+                parse_grid(bad)
 
     def test_defaults_and_required(self):
         cfg = parse_config(["pointwise", "--epsilon", "1e-3"])
@@ -143,7 +146,9 @@ class TestExitCodes:
             (["pointwise", "--epsilon", "inf"], "epsilon must be positive and finite"),
             (["pointwise", "--epsilon=-inf"], "epsilon must be positive and finite"),
             (["pointwise", "--epsilon", "1e-3", "--eps-sk", "nan"],
-             "eps_sk must be positive"),
+             "eps_sk must be positive and finite"),
+            (["pointwise", "--epsilon", "1e-3", "--eps-sk", "inf"],
+             "eps_sk must be positive and finite"),
             (["pointwise", "--epsilon", "1e-3", "--c-sk", "nan"],
              "c_sk must be finite and >= 0"),
             (["pointwise", "--epsilon", "1e-3", "--c-sk", "inf"],
@@ -154,12 +159,21 @@ class TestExitCodes:
               "--sigma-out", "inf"], "sigma_out must be finite and >= 0"),
         ],
         ids=["epsilon-nan", "epsilon-inf", "epsilon-minus-inf", "eps-sk-nan",
-             "c-sk-nan", "c-sk-inf", "sigma-out-nan", "sigma-out-inf"],
+             "eps-sk-inf", "c-sk-nan", "c-sk-inf", "sigma-out-nan", "sigma-out-inf"],
     )
     def test_non_finite_parameter_named(self, tmp_path, capsys, args, message):
         out = tmp_path / "out.csv"
         assert main(args + ["--n", "100", "--out", str(out)]) == 1
         assert f"sinklap {args[0]}: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["nan:1e-3:2log", "1e-3:inf:3log"])
+    def test_non_finite_grid_named(self, tmp_path, capsys, grid):
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--n", "60", "--eps-grid", grid, "--replicas", "1",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "bad value for --eps-grid: grid endpoints must be finite" in err
         assert not out.exists()
 
     def test_success_is_0(self, capsys):

@@ -281,6 +281,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, [-1e-3, 1e-3], 1,
                           LaplacianKind.BISTOCH_RW)
+        for bad in ([np.nan, 1e-3], [1e-3, np.inf]):
+            with pytest.raises(ValueError, match="positive and finite"):
+                epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, bad, 1,
+                              LaplacianKind.BISTOCH_RW)
         with pytest.raises(ValueError):
             epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, good[::-1], 1,
                           LaplacianKind.BISTOCH_RW)

@@ -17,7 +17,7 @@ from sinklap import (
     NoiseModel,
     approx_sym_sk,
     build_affinity,
-    degree,
+    dm_scale,
     embedding_experiment,
     epsilon_sweep,
     gaussian_kernel,
@@ -295,8 +295,12 @@ class TestInvariant:
                       LaplacianKind.BISTOCH_UN, threads=2)
         embedding_experiment(60, noise, 2e-3, replicas=2, threads=2)
         assert calls == []
+        dm_scale(build_affinity(np.eye(3), 1.0))
+        assert calls == []
         approx_sym_sk(self.kernel(13))
         assert len(calls) == 1
+        dm_scale(self.kernel(13))
+        assert len(calls) == 2
 
 
 class TestRowSupport:
@@ -367,12 +371,14 @@ class TestMemory:
 
 
 class TestDegree:
+    """dm_scale, the degree scale vector: 1/sqrt of the kernel's row sums."""
+
     def test_matches_row_sums(self):
         ds = sample_dataset(40, DensitySpec.UNIFORM_CIRCLE, 8)
         a = build_affinity(ds.points, 1e-3)
-        assert np.array_equal(degree(a), a.matrix.sum(axis=1))
-        assert np.array_equal(degree(a.matrix), degree(a))
+        assert np.array_equal(dm_scale(a), 1.0 / np.sqrt(a.matrix.sum(axis=1)))
+        assert np.array_equal(dm_scale(a.matrix), dm_scale(a))
 
     def test_identical_points_zero_diag(self):
         a = Affinity(matrix=np.ones((3, 3)) - np.eye(3), epsilon=1.0)
-        assert np.array_equal(degree(a), np.full(3, 2.0))
+        assert np.array_equal(dm_scale(a), np.full(3, 1.0 / np.sqrt(2.0)))

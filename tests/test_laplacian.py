@@ -70,7 +70,7 @@ def dense_eigenpairs(k, count):
 class TestForms:
     def test_unnormalized_permutation(self):
         lap = laplacian_from_affinity(kernel(np.array([[0.0, 1.0], [1.0, 0.0]])),
-                                      LaplacianForm.UNNORMALIZED)
+                                      LaplacianForm.UNNORMALIZED, np.ones(2))
         assert np.array_equal(dense_laplacian(lap),
                               np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
@@ -79,7 +79,7 @@ class TestForms:
         a = random_kernel(rng, 8)
         ones = np.ones(8)
         for form in LaplacianForm:
-            for scale in (None, rng.uniform(0.5, 2.0, size=8)):
+            for scale in (np.ones(8), rng.uniform(0.5, 2.0, size=8)):
                 lap = laplacian_from_affinity(a, form, scale)
                 assert np.abs(apply_rescaled(lap, ones)).max() < 1e-12
 
@@ -94,7 +94,7 @@ class TestForms:
     def test_random_walk_degenerate(self):
         a = kernel(np.zeros((3, 3)))
         with pytest.raises(DegenerateInputError):
-            laplacian_from_affinity(a, LaplacianForm.RANDOM_WALK)
+            laplacian_from_affinity(a, LaplacianForm.RANDOM_WALK, np.ones(3))
 
     def test_apply_rescaled(self):
         rng = np.random.default_rng(2)
@@ -126,7 +126,12 @@ class TestScaledAffinities:
             with pytest.raises(ValueError):
                 laplacian_from_affinity(self.aff, LaplacianForm.UNNORMALIZED, eta)
         with pytest.raises(ValueError):
-            laplacian_from_affinity(self.aff, "random_walk")
+            laplacian_from_affinity(self.aff, "random_walk", np.ones(self.aff.n))
+
+    def test_kernel_must_be_affinity(self):
+        with pytest.raises(TypeError, match="must be an Affinity, not ndarray"):
+            laplacian_from_affinity(self.aff.matrix, LaplacianForm.UNNORMALIZED,
+                                    np.ones(self.aff.n))
 
     def test_dm_hand_value(self):
         a = Affinity(matrix=np.array([[0.0, 2.0, 1.0],
@@ -234,7 +239,7 @@ class TestEigensolve:
         # space turns invariant and Lanczos draws a restart vector, which
         # must come from a fixed seed
         a = kernel(np.ones((50, 50)) - np.eye(50))
-        lap = laplacian_from_affinity(a, LaplacianForm.RANDOM_WALK)
+        lap = laplacian_from_affinity(a, LaplacianForm.RANDOM_WALK, np.ones(50))
         first, second = smallest_eigenpairs(lap, 3), smallest_eigenpairs(lap, 3)
         assert np.array_equal(first.vectors, second.vectors)
 

@@ -14,6 +14,7 @@ from sinklap import (
     embed_ambient,
     sample_dataset,
 )
+from sinklap._rng import make_rng, standard_normal
 
 
 def embedded_dataset(n, m, spec=DensitySpec.SINUSOIDAL_1D, seed=0):
@@ -86,6 +87,39 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             add_noise(noisy, NoiseModel(NoiseKind.SIMPLE, 8), seed=0)
 
+
+    @pytest.mark.parametrize("kind", list(NoiseKind))
+    def test_draw_order(self, kind):
+        # the module docstring's order, rebuilt draw by draw: the phase u
+        # (heteroskedastic only), then per sample the coin and, for
+        # outliers only, the gamma uniform and the m Gaussians
+        n, m, seed = 300, 6, 21
+        ds = embedded_dataset(n, m, spec=DensitySpec.UNIFORM_CIRCLE)
+        model = NoiseModel(kind, m, sigma_out=0.2, p_out=0.3)
+        rng = make_rng(seed)
+        points = ds.clean_points.copy()
+        flags = np.zeros(n, dtype=bool)
+        u = rng.random() if kind is NoiseKind.HETEROSKEDASTIC else None
+        for i, t in enumerate(ds.t):
+            if kind is NoiseKind.HETEROSKEDASTIC:
+                p = 0.05 + 0.9 * ((1.0 - t + u) % 1.0)
+            else:
+                p = 0.3 if kind is NoiseKind.SIMPLE else 0.95
+            if rng.random() >= p:
+                continue
+            flags[i] = True
+            if kind is NoiseKind.SIMPLE:
+                gam = 1.0
+            elif kind is NoiseKind.HETEROSKEDASTIC:
+                gamma1 = 10.0 ** (1.0 - ((1.0 + np.sin(2.0 * np.pi * t)) / 2.0) ** 2)
+                gam = 0.9 * gamma1 + 0.1 * (3.0 * rng.random())
+            else:
+                gam = 3.0 * rng.random()
+            points[i] += (0.2 * np.sqrt(gam) / np.sqrt(m)) * standard_normal(rng, m)
+        noisy = add_noise(ds, model, seed)
+        assert 0 < flags.sum() < n
+        assert np.array_equal(noisy.outlier_flags, flags)
+        assert np.array_equal(noisy.noisy_points, points)
 
     def test_narrow_clean_points_padded(self):
         # clean points narrower than m give the noise of their padded copy,

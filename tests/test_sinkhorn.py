@@ -12,6 +12,7 @@ from sinklap import (
     SkConfig,
     approx_sym_sk,
     build_affinity,
+    dm_scale,
     normalized_prefactor,
     population_reference,
     sample_dataset,
@@ -187,6 +188,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="symmetric"):
             approx_sym_sk(a)
 
+    def test_dm_scale_reads_the_kernel_check(self):
+        a = random_spd_affinity(np.random.default_rng(12), 5)
+        a[4, 0] += 0.5
+        with pytest.raises(ValueError, match="matrix must be symmetric"):
+            dm_scale(a)
+        with pytest.raises(ValueError, match="matrix must be non-negative"):
+            dm_scale(np.array([[1.0, -1.0], [-1.0, 3.0]]))
+        with pytest.raises(DegenerateInputError, match="zero row"):
+            dm_scale(np.zeros((2, 2)))
+
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             approx_sym_sk(np.ones((2, 3)))
@@ -205,6 +216,7 @@ class TestValidation:
             dict(c_sk=np.inf),
             dict(eps_sk=0.0),
             dict(eps_sk=np.nan),
+            dict(eps_sk=np.inf),
             dict(max_iter=0),
         ):
             with pytest.raises(ValueError):
