@@ -13,6 +13,7 @@ from .experiments import (
     AlignmentResult,
     EmbeddingRecord,
     EmbeddingResult,
+    LaplacianKind,
     PointwiseResult,
     SweepRecord,
     align_pair,
@@ -33,7 +34,6 @@ from .kernel import (
 from .laplacian import (
     EigenPairs,
     LaplacianForm,
-    LaplacianKind,
     LaplacianOp,
     apply_rescaled,
     laplacian_from_affinity,
@@ -49,6 +49,7 @@ from .manifold import (
     density_cdf,
     density_cdf_inverse,
     embed_ambient,
+    population_reference,
     sample_dataset,
     test_function,
 )
@@ -58,7 +59,6 @@ from .sinkhorn import (
     SkConfig,
     approx_sym_sk,
     dm_scale,
-    population_reference,
     scaling_residual,
 )
 

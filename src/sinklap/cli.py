@@ -31,6 +31,8 @@ import numpy as np
 from .csvio import fmt, write_slopes_json, write_table
 from .errors import DegenerateInputError, NumericalFailureError, UsageError
 from .experiments import (
+    EMBEDDING_EIGENPAIRS,
+    LaplacianKind,
     embedding_experiment,
     epsilon_sweep,
     noisy_dataset,
@@ -38,7 +40,6 @@ from .experiments import (
     slope_fit,
 )
 from .kernel import build_affinity, kernel_moments
-from .laplacian import LaplacianKind
 from .manifold import DensitySpec
 from .noise import NoiseKind, NoiseModel
 from .sinkhorn import SkConfig, approx_sym_sk
@@ -74,6 +75,17 @@ def _one_of(enum, none=None):
     return convert
 
 
+def _at_least(low):
+    """Converter from an option's text to an int no smaller than ``low``."""
+
+    def convert(s):
+        if int(s) < low:
+            raise ValueError(f"must be >= {low}")
+        return int(s)
+
+    return convert
+
+
 _density = _one_of(DensitySpec)
 _noise = _one_of(NoiseKind, none="none")
 _lap = _one_of(LaplacianKind)
@@ -92,12 +104,12 @@ def parse_grid(s):
     start, stop = float(parts[0]), float(parts[1])
     if not np.isfinite([start, stop]).all():
         raise ValueError("grid endpoints must be finite")
+    if not 0 < start <= stop:
+        raise ValueError("grid needs 0 < start <= stop")
     count, kind = int(match.group(1)), match.group(2)
     if count < 1:
         raise ValueError("grid needs at least one point")
     if kind == "log":
-        if start <= 0 or stop <= 0:
-            raise ValueError("log grids need positive endpoints")
         return [float(e) for e in np.geomspace(start, stop, count)]
     return [float(e) for e in np.linspace(start, stop, count)]
 
@@ -114,31 +126,32 @@ _NOISE_OPTS = [
     ("p_out", float, NoiseModel.p_out),
 ]
 
+# n >= 2 for a kernel, and one more than the eigenpairs for an embedding
 _SCHEMAS = {
     "generate": [
-        ("n", int, 3000),
+        ("n", _at_least(1), 3000),
         ("density", _density, DensitySpec.SINUSOIDAL_1D),
-        ("seed", int, 0),
+        ("seed", _at_least(0), 0),
         ("out", str, _REQUIRED),
     ]
     + _NOISE_OPTS,
     "pointwise": [
-        ("n", int, 3000),
+        ("n", _at_least(2), 3000),
         ("density", _density, DensitySpec.SINUSOIDAL_1D),
         ("epsilon", float, _REQUIRED),
         ("lap", _lap, LaplacianKind.BISTOCH_UN),
-        ("seed", int, 0),
+        ("seed", _at_least(0), 0),
         ("out", str, None),
     ]
     + _SK_OPTS
     + _NOISE_OPTS,
     "sweep": [
-        ("n", int, 3000),
+        ("n", _at_least(2), 3000),
         ("density", _density, DensitySpec.SINUSOIDAL_1D),
         ("eps_grid", parse_grid, _REQUIRED),
         ("replicas", int, 20),
         ("lap", _lap, LaplacianKind.BISTOCH_UN),
-        ("seed", int, 0),
+        ("seed", _at_least(0), 0),
         ("threads", int, None),
         ("out", str, _REQUIRED),
         ("slopes_out", str, None),
@@ -147,10 +160,10 @@ _SCHEMAS = {
     + _SK_OPTS
     + _NOISE_OPTS,
     "embed": [
-        ("n", int, 1000),
+        ("n", _at_least(EMBEDDING_EIGENPAIRS + 1), 1000),
         ("epsilon", float, 5e-4),
         ("replicas", int, 20),
-        ("seed", int, 0),
+        ("seed", _at_least(0), 0),
         ("threads", int, None),
         ("out", str, _REQUIRED),
         ("eigen_out", str, None),
@@ -160,10 +173,10 @@ _SCHEMAS = {
     + _NOISE_OPTS[1:],
     "skdiag": [
         ("fixture", str, None),
-        ("n", int, 3000),
+        ("n", _at_least(2), 3000),
         ("density", _density, DensitySpec.SINUSOIDAL_1D),
         ("epsilon", float, None),
-        ("seed", int, 0),
+        ("seed", _at_least(0), 0),
         ("out", str, _REQUIRED),
     ]
     + _SK_OPTS

@@ -11,6 +11,9 @@ Three experiments built from the library pieces:
   random-walk Laplacians vs. the circle harmonics, scored after an
   optimal orthogonal alignment.
 
+A ``LaplacianKind`` is an experiment's choice of scaling family times
+Laplacian form; the numerical core takes a form and a vector, not it.
+
 The replicated drivers run one job per replica on one thread pool.
 Replica r draws its dataset once, with dataset seed base_seed + r and
 noise seed base_seed + r + NOISE_SEED_OFFSET (disjoint streams for any
@@ -24,6 +27,7 @@ benchmark wraps to time each layer: a call that bypasses them reads 0.
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 from scipy.linalg import svd
@@ -31,7 +35,6 @@ from scipy.linalg import svd
 from .kernel import build_affinity, normalized_prefactor
 from .laplacian import (
     LaplacianForm,
-    LaplacianKind,
     apply_rescaled,
     laplacian_from_affinity,
     smallest_eigenpairs,
@@ -41,18 +44,39 @@ from .noise import add_noise
 from .sinkhorn import approx_sym_sk, dm_scale
 
 NOISE_SEED_OFFSET = 2**32
+# eigenpairs per embedding Laplacian: the trivial one and two harmonic pairs
+EMBEDDING_EIGENPAIRS = 5
+
+
+class LaplacianKind(Enum):
+    """Scaling family x Laplacian form, read off the value."""
+
+    BISTOCH_UN = "bistoch_un"
+    BISTOCH_RW = "bistoch_rw"
+    DM_UN = "dm_un"
+    DM_RW = "dm_rw"
+
+    @property
+    def bistochastic(self):
+        """True for the Sinkhorn-Knopp family, False for the dm family."""
+        return self.value.startswith("bistoch_")
+
+    @property
+    def form(self):
+        if self.value.endswith("_rw"):
+            return LaplacianForm.RANDOM_WALK
+        return LaplacianForm.UNNORMALIZED
 
 
 @dataclass
 class PointwiseResult:
     """Relative errors of one pipeline run plus scaling diagnostics.
 
-    sk_iters and projection_hits are 0 for the dm pipeline;
     min_inlier_eta is the smallest entry of the normalized kernel's
-    scaling eta / sqrt(kappa) over non-outlier samples (all samples
-    when the data is clean), or None for the dm pipeline.  sk_converged and sk_residual are the
-    scaling's ``converged`` flag and last tested residual (True and
-    None for the dm pipeline).
+    scaling eta / sqrt(kappa) over non-outlier samples (all samples when
+    the data is clean); the other fields are the scaling's counts, flag
+    and last tested residual.  The defaults are the dm pipeline's
+    values: it runs no scaling, and its sk_iters is 0.
     """
 
     relerr2: float
@@ -177,35 +201,25 @@ def pointwise_experiment(
 
 def _pointwise_on(ds, spec, epsilon, kind, sk_config):
     """The pipeline of ``pointwise_experiment`` on a sampled dataset."""
-    n = ds.n
     aff = build_affinity(ds.points, epsilon)
-    if kind.bistochastic:
-        scaling = approx_sym_sk(aff, sk_config)
-        scale = scaling.eta
-        sk_iters = scaling.iterations
-        hits = scaling.projection_hits
-        eta_norm = scaling.eta / np.sqrt(normalized_prefactor(n, aff.epsilon, 1))
-        inliers = (
-            ~ds.outlier_flags if ds.outlier_flags is not None else np.ones(n, bool)
-        )
-        min_eta = float(np.min(eta_norm[inliers]))
-        converged = scaling.converged
-        residual = float(scaling.residual_history[-1])
-    else:
-        scale = dm_scale(aff)
-        sk_iters, hits, min_eta = 0, 0, None
-        converged, residual = True, None
+    scaling = approx_sym_sk(aff, sk_config) if kind.bistochastic else None
+    scale = dm_scale(aff) if scaling is None else scaling.eta
     lap = laplacian_from_affinity(aff, kind.form, scale)
     est = apply_rescaled(lap, test_function(ds.t))
     relerr2, relerrinf = rel_errors(est, delta_p_f(ds.t, spec))
+    if scaling is None:
+        return PointwiseResult(relerr2=relerr2, relerrinf=relerrinf, sk_iters=0)
+    eta_norm = scaling.eta / np.sqrt(normalized_prefactor(ds.n, aff.epsilon, 1))
+    if ds.outlier_flags is not None:
+        eta_norm = eta_norm[~ds.outlier_flags]
     return PointwiseResult(
         relerr2=relerr2,
         relerrinf=relerrinf,
-        sk_iters=sk_iters,
-        projection_hits=hits,
-        min_inlier_eta=min_eta,
-        sk_converged=converged,
-        sk_residual=residual,
+        sk_iters=scaling.iterations,
+        projection_hits=scaling.projection_hits,
+        min_inlier_eta=float(np.min(eta_norm)),
+        sk_converged=scaling.converged,
+        sk_residual=float(scaling.residual_history[-1]),
     )
 
 
@@ -312,16 +326,11 @@ def _embed_one(n, noise_model, epsilon, sk_config, seed):
     eigs = {}
     for method, scale in (("sk", scaling.eta), ("dm", dm_scale(aff))):
         lap = laplacian_from_affinity(aff, LaplacianForm.RANDOM_WALK, scale)
-        eig = smallest_eigenpairs(lap, 5)
+        eig = smallest_eigenpairs(lap, EMBEDDING_EIGENPAIRS)
         eigs[method] = eig
         for pair, (lo, k) in ((1, (1, 1)), (2, (3, 2))):
-            ref = np.stack(
-                [
-                    np.sin(2.0 * np.pi * k * ds.t),
-                    np.cos(2.0 * np.pi * k * ds.t),
-                ],
-                axis=-1,
-            )
+            phase = 2.0 * np.pi * k * ds.t
+            ref = np.stack([np.sin(phase), np.cos(phase)], axis=-1)
             mse[(method, pair)] = align_pair(eig.vectors[:, lo : lo + 2], ref).mse
     return mse, eigs, scaling.converged
 

@@ -1,17 +1,12 @@
 """Graph Laplacians of a Gaussian kernel under a diagonal scaling.
 
 Every Laplacian here is a kernel A (an ``Affinity``), a form and a
-given positive scale vector s: the scaled affinity is K = diag(s) A
-diag(s), with degrees deg = s * (A s).  ``sinklap.sinkhorn`` makes s:
-
-* bistochastic: s = eta from the symmetric Sinkhorn-Knopp scaling,
-* dm: s = (A 1)^-1/2 (``dm_scale``), the classical alpha = 1/2
-  density-corrected kernel built from plain degrees.
-
-Each then yields an unnormalized Laplacian D(K) - K or a random-walk
-Laplacian I - D(K)^-1 K.  Applying -(1/epsilon) times the operator to a
-function sampled on the points approximates a weighted
-Laplace-Beltrami operator as the bandwidth shrinks.
+given positive scale vector s, which ``sinklap.sinkhorn`` makes: the
+scaled affinity is K = diag(s) A diag(s), with degrees
+deg = s * (A s).  The form is an unnormalized Laplacian D(K) - K or
+a random-walk Laplacian I - D(K)^-1 K.  Applying -(1/epsilon) times
+the operator to a function sampled on the points approximates a
+weighted Laplace-Beltrami operator as the bandwidth shrinks.
 
 Neither K nor L is ever formed, so A is the only n x n array: applying
 L costs one matvec with A, and the random-walk eigenproblem is solved
@@ -31,26 +26,6 @@ from .kernel import Affinity
 class LaplacianForm(Enum):
     UNNORMALIZED = "unnormalized"
     RANDOM_WALK = "random_walk"
-
-
-class LaplacianKind(Enum):
-    """Scaling family x Laplacian form, read off the value."""
-
-    BISTOCH_UN = "bistoch_un"
-    BISTOCH_RW = "bistoch_rw"
-    DM_UN = "dm_un"
-    DM_RW = "dm_rw"
-
-    @property
-    def bistochastic(self):
-        """True for the Sinkhorn-Knopp family, False for the dm family."""
-        return self.value.startswith("bistoch_")
-
-    @property
-    def form(self):
-        if self.value.endswith("_rw"):
-            return LaplacianForm.RANDOM_WALK
-        return LaplacianForm.UNNORMALIZED
 
 
 @dataclass

@@ -8,9 +8,10 @@ Two unit-length closed curves, both parametrized by arclength t in
 * ``UNIFORM_CIRCLE`` -- a circle of circumference 1 in R^2 sampled
   uniformly.
 
-Both curves are exactly unit-speed, so t is intrinsic arclength and the
-weighted Laplacian Delta_p f = f'' + (p'/p) f' has a closed form for the
-bundled test function f(t) = sin(2 pi (t + 0.05)).
+Both curves are exactly unit-speed, so t is intrinsic arclength, and two
+large-sample limits have closed forms: ``delta_p_f``, the weighted
+Laplacian f'' + (p'/p) f' of the test function f(t) = sin(2 pi (t + 0.05)),
+and ``population_reference``, the normalized kernel's scaling p(t)^(-1/2).
 """
 
 from dataclasses import dataclass
@@ -194,6 +195,11 @@ def delta_p_f(t, spec):
     p = density(t, spec)
     pp = -3.6 * np.pi * np.cos(6.0 * np.pi * t)
     return fpp + (pp / p) * fp
+
+
+def population_reference(ds, spec):
+    """Large-sample limit of the normalized kernel's scaling: p(t)^(-1/2)."""
+    return density(ds.t, spec) ** -0.5
 
 
 def embed_ambient(points, m):

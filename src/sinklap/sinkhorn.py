@@ -3,9 +3,9 @@
 A Laplacian (``sinklap.laplacian``) is A under a diagonal scaling s,
 made here: ``dm_scale`` gives (A 1)^-1/2 and ``approx_sym_sk`` a
 positive eta with D_eta A D_eta (approximately) doubly stochastic.
-Both read A through ``kernel.kernel_matrix``, which checks an ndarray
-on each call and an ``Affinity`` never again.  One accelerated SK
-iteration alternates the two classical half-updates
+Both read a matrix A, never a dataset, through ``kernel.kernel_matrix``,
+which checks an ndarray on each call and an ``Affinity`` never again.
+One accelerated SK iteration alternates the two classical half-updates
 
     u = 1 / (A eta),    v = 1 / (A u),
 
@@ -37,7 +37,6 @@ import numpy as np
 
 from .errors import DegenerateInputError, NumericalFailureError
 from .kernel import kernel_matrix
-from .manifold import density
 
 
 @dataclass
@@ -166,9 +165,3 @@ def approx_sym_sk(a, config=None):
         projection_hits=hits,
         converged=history[-1] < cfg.eps_sk,
     )
-
-
-def population_reference(ds, spec):
-    """Large-sample limit of the normalized kernel's scaling: p(t)^(-1/2)."""
-    return density(ds.t, spec) ** -0.5
-

@@ -176,6 +176,32 @@ class TestExitCodes:
         assert "bad value for --eps-grid: grid endpoints must be finite" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, option",
+        [
+            (["pointwise", "--n", "1", "--epsilon", "1e-3"], "--n"),
+            (["sweep", "--n", "1", "--eps-grid", "1e-3:2e-3:2log", "--replicas", "1"],
+             "--n"),
+            (["skdiag", "--n", "1", "--epsilon", "1e-3"], "--n"),
+            (["embed", "--n", "5", "--epsilon", "1e-3", "--replicas", "1", "--m", "8"],
+             "--n"),
+            (["generate", "--n", "5", "--seed", "-3"], "--seed"),
+            (["sweep", "--n", "20", "--eps-grid", "2e-3:1e-3:2log", "--replicas", "1"],
+             "--eps-grid"),
+            (["sweep", "--n", "20", "--eps-grid", "0:1e-3:3lin", "--replicas", "1"],
+             "--eps-grid"),
+        ],
+        ids=["pointwise-n", "sweep-n", "skdiag-n", "embed-n", "generate-seed",
+             "sweep-decreasing-grid", "sweep-zero-grid"],
+    )
+    def test_bad_input_named_before_sampling(self, tmp_path, capsys, sample_calls,
+                                             args, option):
+        out = tmp_path / "out.csv"
+        assert main(args + ["--out", str(out)]) == 1
+        assert f"error: bad value for {option}: " in capsys.readouterr().err
+        assert not out.exists()
+        assert sample_calls == []
+
     def test_success_is_0(self, capsys):
         assert main(["moments", "--d", "2"]) == 0
         captured = capsys.readouterr()

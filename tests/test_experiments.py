@@ -24,20 +24,6 @@ from sinklap.cli import main
 from sinklap.experiments import NOISE_SEED_OFFSET, SweepRecord
 
 
-@pytest.fixture
-def sample_calls(monkeypatch):
-    """The seeds of the dataset draws the experiment drivers make."""
-    calls = []
-    real = sinklap.experiments.sample_dataset
-
-    def counting(n, spec, seed):
-        calls.append(seed)
-        return real(n, spec, seed)
-
-    monkeypatch.setattr(sinklap.experiments, "sample_dataset", counting)
-    return calls
-
-
 def rot(theta, refl=1.0):
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s * refl], [s, c * refl]])
@@ -396,6 +382,36 @@ class TestApproximateScaling:
         assert res.sk_unconverged == 0
         for pair in (1, 2):
             assert np.array_equal(res.mse[("sk", pair)], res.mse[("dm", pair)])
+
+
+class TestOutlierTerm:
+    def test_excess_against_ambient_dimension(self):
+        # the paper's noisy error is the clean rate plus a term that follows
+        # the noise vectors' inner products, which shrink as m grows: the
+        # scaled pipeline's excess over clean data fades with m, while the
+        # degree pipeline's does not, since its outlier attenuation
+        # exp(-|xi|^2 / 4 eps) does not depend on m
+        n, eps, seeds = 1000, 5e-4, range(4)
+        config = SkConfig(c_sk=0.1 * np.sqrt(normalized_prefactor(n, eps, 1)))
+
+        def mean_relerr2(kind, model):
+            runs = [
+                pointwise_experiment(n, DensitySpec.SINUSOIDAL_1D, eps, kind,
+                                     sk_config=config, noise_model=model, seed=seed)
+                for seed in seeds
+            ]
+            assert all(res.projection_hits == 0 for res in runs)
+            return np.mean([res.relerr2 for res in runs])
+
+        def excess(kind):
+            """Mean RelErr2 over clean, at m = 250 and m = 4000."""
+            clean = mean_relerr2(kind, None)
+            return [mean_relerr2(kind, NoiseModel(NoiseKind.SIMPLE, m)) - clean
+                    for m in (250, 4000)]
+
+        sk, dm = excess(LaplacianKind.BISTOCH_UN), excess(LaplacianKind.DM_UN)
+        assert sk[1] <= 0.25 * sk[0]
+        assert dm[1] >= 0.5 * dm[0]
 
 
 class TestCsvWriters:

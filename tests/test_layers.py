@@ -51,3 +51,15 @@ def test_imports_point_down():
         if RANK[name] >= RANK[path.stem]
     ]
     assert upward == []
+
+
+def test_numerical_core_reads_no_dataset():
+    # the kernel, its scalings and its Laplacians take points, matrices and
+    # vectors; datasets and experiment choices live in the layers above
+    allowed = {"errors", "kernel"}
+    extra = [
+        f"{module} imports {name}"
+        for module in ("kernel", "sinkhorn", "laplacian")
+        for name in sorted(internal_imports(SRC / f"{module}.py") - allowed)
+    ]
+    assert extra == []
