@@ -5,15 +5,16 @@ Replicated sweep of the kernel bandwidth on the sinusoidal-density
 curve.  The mean relative 2-norm error traces a U: it falls like
 eps^(-3/4) while sampling variance dominates, bottoms out, then rises
 roughly linearly in eps once the smoothing bias takes over.  Both
-slopes are fit on the log-log curve; the variance branch uses the
-first grid points, the bias branch starts at the sup-norm argmin.
+slopes come from ``sweep_slopes``, as in ``sinklap sweep --slopes-out``:
+the variance branch over the first grid points, the bias branch from the
+sup-norm argmin, held inside the grid.
 
 Run:  python3 demos/bandwidth_sweep.py   (about 10 s)
 """
 
 import numpy as np
 
-from sinklap import DensitySpec, LaplacianKind, epsilon_sweep, slope_fit
+from sinklap import DensitySpec, LaplacianKind, epsilon_sweep, sweep_slopes
 
 
 def main():
@@ -31,12 +32,7 @@ def main():
         print(f"{rec.epsilon:9.1e} {rec.relerr2_mean:9.4f} "
               f"{rec.relerr2_std:7.4f} {rec.relerrinf_mean:10.4f} "
               f"{rec.mean_sk_iters:9.2f}")
-    log_eps = np.log(eps_grid)
-    r2 = np.log([rec.relerr2_mean for rec in records])
-    ri = [rec.relerrinf_mean for rec in records]
-    k0 = int(np.argmin(ri))
-    small = slope_fit(log_eps, r2, (0, 3))
-    large = slope_fit(log_eps, np.log(ri), (k0, k0 + 3))
+    (_, small), (_, large) = sweep_slopes(records, 3)
     print()
     print(f"variance-branch slope (first 3 points):   {small:+.3f}  "
           f"(about -3/4 expected)")

@@ -23,6 +23,7 @@ from .experiments import (
     pointwise_experiment,
     rel_errors,
     slope_fit,
+    sweep_slopes,
 )
 from .kernel import (
     Affinity,

@@ -37,7 +37,7 @@ from .experiments import (
     epsilon_sweep,
     noisy_dataset,
     pointwise_experiment,
-    slope_fit,
+    sweep_slopes,
 )
 from .kernel import build_affinity, kernel_moments
 from .manifold import DensitySpec
@@ -331,23 +331,7 @@ def _cmd_sweep(p):
     )
     _write_records(p["out"], _SWEEP_COLUMNS, records)
     if p["slopes_out"]:
-        log_eps = np.log([r.epsilon for r in records])
-        errinf = [r.relerrinf_mean for r in records]
-        # the sup-norm bias branch starts where the U-shaped curve turns,
-        # not at the end of the grid (past the bias branch the error
-        # saturates and bends back down)
-        start = min(int(np.argmin(errinf)), len(records) - k)
-        slopes = [
-            (
-                "small_eps",
-                slope_fit(log_eps, np.log([r.relerr2_mean for r in records]), (0, k)),
-            ),
-            (
-                "large_eps",
-                slope_fit(log_eps, np.log(errinf), (start, start + k)),
-            ),
-        ]
-        write_slopes_json(p["slopes_out"], slopes)
+        write_slopes_json(p["slopes_out"], sweep_slopes(records, k))
     _warn_unconverged(
         p, sum(r.sk_unconverged for r in records), sum(r.replicas for r in records)
     )

@@ -193,6 +193,8 @@ def pointwise_experiment(
     weighted Laplacian evaluated at the clean intrinsic coordinates,
     also when the observed points are noisy.
     """
+    if n < 2:
+        raise ValueError("n must be >= 2")
     if not isinstance(kind, LaplacianKind):
         raise ValueError(f"unknown laplacian kind: {kind!r}")
     ds = noisy_dataset(n, spec, noise_model, seed)
@@ -243,6 +245,8 @@ def epsilon_sweep(
     and standard deviations are population-style (ddof=0);
     mean_sk_iters and sk_unconverged are 0 for the dm kinds.
     """
+    if n < 2:
+        raise ValueError("n must be >= 2")
     epsilons = [float(e) for e in epsilons]
     if len(epsilons) == 0:
         raise ValueError("epsilons must be non-empty")
@@ -288,6 +292,25 @@ def slope_fit(log_eps, log_err, index_range):
     if np.ptp(x) == 0:
         raise ValueError("log_eps is constant on the range")
     return float(np.polyfit(x, y, 1)[0])
+
+
+def sweep_slopes(records, points):
+    """Log-log slopes [("small_eps", s1), ("large_eps", s2)] of a sweep.
+
+    Each fits ``points`` records: log mean RelErr2 from the first, log mean
+    sup-norm error from its argmin, where the U turns (past the bias branch
+    it saturates and bends back down), but from len(records) - points at most.
+    """
+    if not 2 <= points <= len(records):
+        raise ValueError("points must lie in [2, len(records)]")
+    log_eps = np.log([r.epsilon for r in records])
+    errinf = [r.relerrinf_mean for r in records]
+    start = min(int(np.argmin(errinf)), len(records) - points)
+    relerr2 = np.log([r.relerr2_mean for r in records])
+    return [
+        ("small_eps", slope_fit(log_eps, relerr2, (0, points))),
+        ("large_eps", slope_fit(log_eps, np.log(errinf), (start, start + points))),
+    ]
 
 
 def align_pair(v, r):
@@ -347,6 +370,8 @@ def embedding_experiment(
     intrinsic coordinates.  Returns per-(method, pair) mse summaries
     plus the per-replica arrays.
     """
+    if n < EMBEDDING_EIGENPAIRS + 1:
+        raise ValueError(f"n must be >= {EMBEDDING_EIGENPAIRS + 1}")
     per_rep = _replicate(
         lambda r: _embed_one(n, noise_model, epsilon, sk_config, base_seed + r),
         replicas,

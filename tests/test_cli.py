@@ -24,6 +24,7 @@ from sinklap import (
     epsilon_sweep,
     noisy_dataset,
     pointwise_experiment,
+    sweep_slopes,
 )
 from sinklap.cli import main, parse_config, parse_grid
 from sinklap.csvio import fmt
@@ -251,14 +252,16 @@ class TestArtifacts:
         out = tmp_path / "sweep.csv"
         slopes = tmp_path / "slopes.json"
         code = main(["sweep", "--n", "60", "--density", "uniform_circle",
-                     "--eps-grid", "1e-3:2e-3:2log", "--replicas", "1",
-                     "--lap", "bistoch_rw", "--slope-points", "2",
+                     "--eps-grid", "1e-3:8e-3:4log", "--replicas", "1",
+                     "--lap", "bistoch_rw", "--slope-points", "2", "--threads", "1",
                      "--out", str(out), "--slopes-out", str(slopes)])
         assert code == 0
-        assert len(out.read_text().splitlines()) == 3
+        assert len(out.read_text().splitlines()) == 5
         payload = json.loads(slopes.read_text())
-        assert [e["branch"] for e in payload] == ["small_eps", "large_eps"]
-        assert all(isinstance(e["slope"], float) for e in payload)
+        records = epsilon_sweep(60, DensitySpec.UNIFORM_CIRCLE,
+                                parse_grid("1e-3:8e-3:4log"), 1,
+                                LaplacianKind.BISTOCH_RW, threads=1)
+        assert [(e["branch"], e["slope"]) for e in payload] == sweep_slopes(records, 2)
 
     def test_sweep_slope_points_validation(self, tmp_path, capsys):
         code = main(["sweep", "--n", "60", "--density", "uniform_circle",

@@ -19,6 +19,7 @@ from sinklap import (
     pointwise_experiment,
     rel_errors,
     slope_fit,
+    sweep_slopes,
 )
 from sinklap.cli import main
 from sinklap.experiments import NOISE_SEED_OFFSET, SweepRecord
@@ -49,6 +50,29 @@ class TestMetrics:
             slope_fit(x, y, (0, 1))
         with pytest.raises(ValueError):
             slope_fit(np.zeros(4), y[:4], (0, 4))
+
+    def test_sweep_slopes(self):
+        eps = np.geomspace(1e-4, 1e-2, 8)
+
+        def records(errinf):
+            return [
+                SweepRecord(epsilon=e, relerr2_mean=e**-0.75, relerr2_std=0.0,
+                            relerrinf_mean=ei, relerrinf_std=0.0,
+                            mean_sk_iters=0.0, replicas=1, sk_unconverged=0)
+                for e, ei in zip(eps, errinf)
+            ]
+
+        # sup-norm error flat, then linear in eps from its argmin at record 3
+        turn = records(np.where(np.arange(8) < 3, 1.0, eps))
+        (b1, small), (b2, large) = sweep_slopes(turn, 3)
+        assert (b1, b2) == ("small_eps", "large_eps")
+        assert abs(small + 0.75) < 1e-12 and abs(large - 1.0) < 1e-12
+        # argmin at the last record: the fit covers the last 3 records
+        falling = records(np.where(np.arange(8) < 5, eps**-2.0, eps**-0.5))
+        assert abs(sweep_slopes(falling, 3)[1][1] + 0.5) < 1e-12
+        for points in (1, 9):
+            with pytest.raises(ValueError, match=r"points must lie in \[2, "):
+                sweep_slopes(turn, points)
 
     def test_noise_seed_offset(self):
         assert NOISE_SEED_OFFSET == 2**32
@@ -285,6 +309,24 @@ class TestSweep:
         with pytest.raises(ValueError, match="threads must be >= 1"):
             epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, [1e-3], 1,
                           LaplacianKind.BISTOCH_RW, threads=0)
+
+
+@pytest.mark.parametrize(
+    "run, least",
+    [
+        (lambda: pointwise_experiment(1, DensitySpec.UNIFORM_CIRCLE, 1e-3,
+                                      LaplacianKind.BISTOCH_RW), 2),
+        (lambda: epsilon_sweep(1, DensitySpec.UNIFORM_CIRCLE, [1e-3], 2,
+                               LaplacianKind.BISTOCH_RW, threads=1), 2),
+        (lambda: embedding_experiment(5, NoiseModel(NoiseKind.SIMPLE, 8), 1e-3,
+                                      replicas=1), 6),
+    ],
+    ids=["pointwise", "sweep", "embedding"],
+)
+def test_small_n_rejected_before_sampling(sample_calls, run, least):
+    with pytest.raises(ValueError, match=f"^n must be >= {least}$"):
+        run()
+    assert sample_calls == []
 
 
 class TestEmbedding:

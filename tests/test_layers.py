@@ -1,9 +1,11 @@
-"""The package's modules import only down one chain of layers."""
+"""The package's modules import only down one chain of layers, and each
+rule that several callers need lives in one of them."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "sinklap"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "sinklap"
 
 # each module may import only from modules of a lower rank
 RANK = {
@@ -63,3 +65,22 @@ def test_numerical_core_reads_no_dataset():
         for name in sorted(internal_imports(SRC / f"{module}.py") - allowed)
     ]
     assert extra == []
+
+
+def test_sweep_slope_branches_have_one_owner():
+    # which grid points each slope branch fits is experiments.sweep_slopes'
+    # rule; a caller that fits slopes itself restates it
+    def calls_slope_fit(path):
+        return any(
+            isinstance(node, ast.Call)
+            and "slope_fit" in (getattr(node.func, "id", None),
+                                getattr(node.func, "attr", None))
+            for node in ast.walk(ast.parse(path.read_text()))
+        )
+
+    callers = [
+        f"{path.stem} calls slope_fit"
+        for path in sorted([*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py")])
+        if path.stem != "experiments" and calls_slope_fit(path)
+    ]
+    assert callers == []
