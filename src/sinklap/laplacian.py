@@ -10,7 +10,8 @@ weighted Laplace-Beltrami operator as the bandwidth shrinks.
 
 Neither K nor L is ever formed, so A is the only n x n array: applying
 L costs one matvec with A, and the random-walk eigenproblem is solved
-by Lanczos on the same matvec.
+by Lanczos on the same matvec.  Each matvec runs in A's precision,
+float32 or float64 (see ``sinklap.kernel``); vectors stay float64.
 """
 
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import DegenerateInputError, NumericalFailureError
-from .kernel import Affinity
+from .kernel import Affinity, _matvec
 
 
 class LaplacianForm(Enum):
@@ -82,7 +83,7 @@ def laplacian_from_affinity(a, form, scale):
         raise ValueError("scale must have shape (n,)")
     if np.any(s <= 0) or not np.all(np.isfinite(s)):
         raise ValueError("scale must be positive and finite")
-    deg = s * (a.matrix @ s)
+    deg = s * _matvec(a.matrix, s)
     if form is LaplacianForm.RANDOM_WALK and np.any(deg <= 0):
         raise DegenerateInputError("random-walk form needs positive degrees")
     return LaplacianOp(kernel=a, scale=s, form=form, degrees=deg)
@@ -93,7 +94,7 @@ def apply_rescaled(l, f):
     f = np.asarray(f, dtype=float)
     if f.shape != l.scale.shape:
         raise ValueError("f must have shape (n,)")
-    kf = l.scale * (l.kernel.matrix @ (l.scale * f))
+    kf = l.scale * _matvec(l.kernel.matrix, l.scale * f)
     if l.form is LaplacianForm.UNNORMALIZED:
         lf = l.degrees * f - kf
     else:
@@ -123,7 +124,9 @@ def smallest_eigenpairs(l, k):
     root = 1.0 / np.sqrt(l.degrees)
     r = l.scale * root
     a = l.kernel.matrix
-    op = LinearOperator((n, n), matvec=lambda x: x - r * (a @ (r * x)), dtype=float)
+    op = LinearOperator(
+        (n, n), matvec=lambda x: x - r * _matvec(a, r * x), dtype=float
+    )
     v0 = np.full(n, 1.0 / np.sqrt(n))
     try:
         vals, phi = eigsh(op, k, which="SA", v0=v0, tol=0, rng=0)

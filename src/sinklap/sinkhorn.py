@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, NumericalFailureError
-from .kernel import kernel_matrix
+from .kernel import _matvec, kernel_matrix
 
 
 @dataclass
@@ -85,7 +85,7 @@ class ScalingResult:
 
 def _inverse_root_degrees(mat):
     """(A 1)^-1/2 of a kernel matrix A; raises on a zero row."""
-    deg = mat.sum(axis=1)
+    deg = mat.sum(axis=1, dtype=float)
     if np.any(deg <= 0):
         raise DegenerateInputError("affinity matrix has a zero row")
     return 1.0 / np.sqrt(deg)
@@ -99,7 +99,7 @@ def dm_scale(a):
 def scaling_residual(a, eta):
     """Row-sum residual vector D_eta A D_eta 1 - 1."""
     eta = np.asarray(eta, dtype=float)
-    return eta * (kernel_matrix(a) @ eta) - 1.0
+    return eta * _matvec(kernel_matrix(a), eta) - 1.0
 
 
 def _checked_reciprocal(x, what, k):
@@ -144,7 +144,7 @@ def approx_sym_sk(a, config=None):
     eta, hits = _project(_inverse_root_degrees(mat), cfg.c_sk)
     history = []
     for k in range(1, cfg.max_iter + 1):
-        a_eta = mat @ eta
+        a_eta = _matvec(mat, eta)
         res = float(np.max(np.abs(eta * a_eta - 1.0)))
         history.append(res)
         if not np.isfinite(res):
@@ -154,7 +154,7 @@ def approx_sym_sk(a, config=None):
         if res < cfg.eps_sk:
             break
         u = _checked_reciprocal(a_eta, "A eta", k)
-        v = _checked_reciprocal(mat @ u, "A u", k)
+        v = _checked_reciprocal(_matvec(mat, u), "A u", k)
         eta, clamped = _project(np.sqrt(u * v), cfg.c_sk)
         hits += clamped
 

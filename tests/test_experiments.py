@@ -196,11 +196,16 @@ class TestPointwise:
 class TestPdistEquivalence:
     """The pipeline on build_affinity's kernel against the pipeline on the
     full-width pdist kernel, whose entries with a wide row differ in the
-    last bits (see ``sinklap.kernel``)."""
+    last bits (see ``sinklap.kernel``).  The reference is stored as
+    build_affinity stores its kernel, in float32 when float32 holds every
+    entry as a normal number, so both pipelines multiply in one precision
+    and the tolerance stays that of the distances."""
 
     @staticmethod
     def pdist_affinity(points, epsilon):
         mat = np.exp(-squareform(pdist(points, "sqeuclidean")) / (4.0 * epsilon))
+        if mat.min() >= np.finfo(np.float32).tiny:
+            mat = mat.astype(np.float32)
         np.fill_diagonal(mat, 0.0)
         return Affinity(mat, epsilon)
 

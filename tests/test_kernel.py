@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist, squareform
 
 import sinklap.kernel
+import sinklap.laplacian
+import sinklap.sinkhorn
 from sinklap import (
     Affinity,
     DensitySpec,
@@ -39,14 +41,24 @@ def pdist_kernel(pts, eps):
     return ref
 
 
+def stored(ref):
+    """The storage rule applied to a float64 zero-diagonal kernel: its
+    float32 rounding when every off-diagonal entry is at least float32's
+    smallest normal, else the kernel itself."""
+    off = ref[~np.eye(ref.shape[0], dtype=bool)]
+    return ref.astype(np.float32) if off.min() >= np.finfo(np.float32).tiny else ref
+
+
 def assert_matches_pdist(pts, eps):
     """build_affinity against ``pdist_kernel``.  Rows narrower than the
     widest are narrow, w is their largest width and the widest rows are
     wide; one-width clouds have no wide row.
 
-    Narrow-narrow entries are bitwise equal to the reference.
-    Narrow-wide entries are bitwise equal to the tail-norm formula, a
-    w-column ``cdist`` plus the wide row's squares past w.  Summing that
+    The matrix is float32 exactly when the reference's off-diagonal
+    entries are float32 normals (``stored``).  Narrow-narrow entries are
+    bitwise equal to the stored reference.  Narrow-wide entries are
+    bitwise equal to the stored tail-norm formula, a w-column ``cdist``
+    plus the wide row's squares past w.  Summing that
     tail on its own reorders a sum of m non-negative terms, so d2 moves by
     at most 2 (m - 1) u d2 from pdist's.
 
@@ -60,16 +72,20 @@ def assert_matches_pdist(pts, eps):
     2 (m + 1) u (||a||^2 + ||b||^2) + 2 (m + 3) u d2 of pdist's.
 
     On either side the division adds u of d2 / (4 eps) and exp about one
-    ulp.  Subnormal kernels get an absolute floor.  The matrix is also
-    bitwise symmetric, non-negative and at most 1, as d2 is clamped at 0;
-    the first two are why ``Affinity`` need not check it.  Returns the
-    number of entries with a wide row.
+    ulp.  A float32 matrix rounds that entry once more, by at most
+    u32 = 2^-24 of it.  Subnormal kernels get an absolute floor.  The
+    matrix is also bitwise symmetric, non-negative and at most 1, as d2
+    is clamped at 0; the first two are why ``Affinity`` need not check
+    it.  Returns the number of entries with a wide row.
     """
     a = build_affinity(pts, eps).matrix
     assert np.array_equal(a, a.T) and a.min() >= 0.0 and a.max() <= 1.0
     ref = pdist_kernel(pts, eps)
+    assert a.dtype == stored(ref).dtype
     m = pts.shape[1]
     u = np.finfo(float).eps / 2
+    # the float32 rounding of a float32 matrix; none in a float64 one
+    u_store = np.finfo(np.float32).eps / 2 if a.dtype == np.float32 else 0.0
     tiny = np.finfo(float).tiny
     d2 = squareform(pdist(pts, "sqeuclidean"))
     nonzero = pts != 0
@@ -78,19 +94,21 @@ def assert_matches_pdist(pts, eps):
     narrow, wide_rows = np.flatnonzero(~wide), np.flatnonzero(wide)
     w = int(width[narrow].max())
 
-    assert np.array_equal(a[np.ix_(narrow, narrow)], ref[np.ix_(narrow, narrow)])
+    assert np.array_equal(a[np.ix_(narrow, narrow)], stored(ref)[np.ix_(narrow, narrow)])
 
     cross = np.ix_(narrow, wide_rows)
     tail = np.einsum("ij,ij->i", pts[wide_rows, w:], pts[wide_rows, w:])
     tail_d2 = cdist(pts[narrow, :w], pts[wide_rows, :w], "sqeuclidean") + tail
-    assert np.array_equal(a[cross], np.exp(-tail_d2 / (4.0 * eps)))
+    assert np.array_equal(a[cross], np.exp(-tail_d2 / (4.0 * eps)).astype(a.dtype))
     bound = ref[cross] * (2 * (m + 1) * u * d2[cross] / (4.0 * eps) + 4 * u)
+    bound += u_store * (ref[cross] + bound)
     assert np.all(np.abs(a[cross] - ref[cross]) <= bound + tiny)
 
     both = np.ix_(wide_rows, wide_rows)
     sq = np.einsum("ij,ij->i", pts[wide_rows], pts[wide_rows])
     delta = 2 * (m + 1) * u * (sq[:, None] + sq) + 2 * (m + 4) * u * d2[both]
     bound = ref[both] * (np.expm1(delta / (4.0 * eps)) + 4 * u)
+    bound += u_store * (ref[both] + bound)
     assert np.all(np.abs(a[both] - ref[both]) <= bound + tiny)
     return a.size - narrow.size**2
 
@@ -203,8 +221,10 @@ class TestBuildAffinity:
             build_affinity(self.ds.points, -1e-3)
 
     def test_bitwise_out_of_place_formula(self):
+        # float32 holds this kernel, so A is the float32 rounding of pdist's
         a = build_affinity(self.ds.points, 1e-3)
-        assert np.array_equal(a.matrix, pdist_kernel(self.ds.points, 1e-3))
+        assert a.matrix.dtype == np.float32
+        assert np.array_equal(a.matrix, stored(pdist_kernel(self.ds.points, 1e-3)))
 
     def test_rejects_nan_point(self):
         pts = self.ds.points.copy()
@@ -281,6 +301,13 @@ class TestInvariant:
         assert np.array_equal(aff.matrix, kept)
         assert a.flags.writeable and not aff.matrix.flags.writeable
 
+    def test_outside_dtype(self):
+        # a float32 kernel stays float32; anything else becomes float64
+        a = self.kernel(14)
+        assert Affinity(a.astype(np.float32), 1.0).matrix.dtype == np.float32
+        assert Affinity(a, 1.0).matrix.dtype == np.float64
+        assert Affinity(np.ones((2, 2), dtype=int), 1.0).matrix.dtype == np.float64
+
     def test_checked_once_per_outside_kernel(self, monkeypatch):
         calls = []
         check = sinklap.kernel._checked_kernel
@@ -323,6 +350,73 @@ class TestRowSupport:
         ds = noisy_dataset(300, spec, NoiseModel(kind, m=200), 11)
         assert 0 < ds.outlier_flags.sum() < 300
         assert assert_matches_pdist(ds.points, 5e-4) > 0
+
+
+class TestStorage:
+    """A is float32 exactly when float32 holds every entry as a normal
+    number; otherwise the block loop restarts into the float64 A."""
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-2])
+    def test_clean_is_float32(self, eps):
+        # the ends of the clean sweep's bandwidth grid
+        pts = sample_dataset(400, DensitySpec.SINUSOIDAL_1D, 3).points
+        assert build_affinity(pts, eps).matrix.dtype == np.float32
+        assert_matches_pdist(pts, eps)
+
+    def test_simple_noise_is_float32(self):
+        noise = NoiseModel(NoiseKind.SIMPLE, m=2000)
+        pts = noisy_dataset(400, DensitySpec.SINUSOIDAL_1D, noise, 3).points
+        assert build_affinity(pts, 5e-4).matrix.dtype == np.float32
+        assert assert_matches_pdist(pts, 5e-4) > 0
+
+    def test_heteroskedastic_is_float64(self):
+        noise = NoiseModel(NoiseKind.HETEROSKEDASTIC, m=2000)
+        pts = noisy_dataset(400, DensitySpec.UNIFORM_CIRCLE, noise, 3).points
+        assert build_affinity(pts, 5e-4).matrix.dtype == np.float64
+        assert assert_matches_pdist(pts, 5e-4) > 0
+
+    @pytest.mark.parametrize("step, dtype", [(-1e-6, np.float32), (1e-6, np.float64)])
+    def test_boundary_pair(self, step, dtype):
+        # d2 / (4 eps) = -ln(tiny) (1 + step): the one kernel entry sits
+        # just above or just below float32's smallest normal
+        x = np.sqrt(-np.log(np.finfo(np.float32).tiny) * (1.0 + step))
+        pts = np.array([[1.0], [1.0 + x]])
+        a = build_affinity(pts, 0.25).matrix
+        assert a.dtype == dtype
+        assert np.array_equal(a, stored(pdist_kernel(pts, 0.25)))
+
+    def test_restart_from_last_block(self):
+        # only the last row block reaches the far point, whose entries
+        # (about 1e-108) float32 cannot hold: the restart rebuilds all of A
+        pts = np.linspace(1.0, 1.1, 2 * _BLOCK + 1)[:, None]
+        pts[-1] = 11.0
+        a = build_affinity(pts, 0.1).matrix
+        assert a.dtype == np.float64
+        assert np.array_equal(a, pdist_kernel(pts, 0.1))
+
+    def test_float64_kernel_keeps_its_products(self, monkeypatch):
+        # on a float64 kernel the matvec helper is a plain float64 product,
+        # so the heteroskedastic embedding repeats bit for bit with
+        # ``mat @ x`` in its place
+        noise = NoiseModel(NoiseKind.HETEROSKEDASTIC, m=2000)
+        for seed in (0, 1):
+            pts = noisy_dataset(1000, DensitySpec.UNIFORM_CIRCLE, noise, seed).points
+            assert build_affinity(pts, 5e-4).matrix.dtype == np.float64
+
+        def run():
+            return embedding_experiment(1000, noise, 5e-4, replicas=2, threads=1)
+
+        res = run()
+        for module in (sinklap.sinkhorn, sinklap.laplacian):
+            monkeypatch.setattr(module, "_matvec", lambda mat, x: mat @ x)
+        ref = run()
+        assert res.records == ref.records
+        for key in ref.mse:
+            assert np.array_equal(res.mse[key], ref.mse[key])
+        for method in ("sk", "dm"):
+            got, want = res.first_eigenpairs[method], ref.first_eigenpairs[method]
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.vectors, want.vectors)
 
 
 class TestMemory:
@@ -376,7 +470,11 @@ class TestDegree:
     def test_matches_row_sums(self):
         ds = sample_dataset(40, DensitySpec.UNIFORM_CIRCLE, 8)
         a = build_affinity(ds.points, 1e-3)
-        assert np.array_equal(dm_scale(a), 1.0 / np.sqrt(a.matrix.sum(axis=1)))
+        # a float32 kernel's row sums accumulate in float64
+        assert a.matrix.dtype == np.float32
+        assert np.array_equal(
+            dm_scale(a), 1.0 / np.sqrt(a.matrix.sum(axis=1, dtype=float))
+        )
         assert np.array_equal(dm_scale(a.matrix), dm_scale(a))
 
     def test_identical_points_zero_diag(self):

@@ -84,3 +84,15 @@ def test_sweep_slope_branches_have_one_owner():
         if path.stem != "experiments" and calls_slope_fit(path)
     ]
     assert callers == []
+
+
+def test_products_with_the_kernel_have_one_helper():
+    # kernel._matvec multiplies in A's precision; a bare @ of a float32 A
+    # and a float64 vector multiplies through an n x n float64 copy of A
+    def multiplies(path):
+        tree = ast.parse(path.read_text())
+        return any(isinstance(node, ast.MatMult) for node in ast.walk(tree))
+
+    bare = [module for module in ("sinkhorn", "laplacian")
+            if multiplies(SRC / f"{module}.py")]
+    assert bare == []

@@ -230,11 +230,16 @@ class TestConventions:
         ds = sample_dataset(50, DensitySpec.SINUSOIDAL_1D, 8)
         a = build_affinity(ds.points, 1e-3)
         kappa = normalized_prefactor(50, 1e-3, 1)
-        cfg = SkConfig(c_sk=0.0, eps_sk=1e-10, max_iter=200)
-        eu = approx_sym_sk(a, cfg).eta
-        en = approx_sym_sk(kappa * a.matrix, cfg).eta
-        converted = eu / np.sqrt(kappa)
-        assert np.max(np.abs(converted - en) / en) < 1e-12
+        # A is float32: kappa A rounds every entry again (2^-24 relative)
+        # and each product rounds in float32, whose residuals stall near
+        # 1e-7, so both solve to 1e-6 and agree to that (1.7e-7 measured)
+        assert a.matrix.dtype == np.float32
+        cfg = SkConfig(c_sk=0.0, eps_sk=1e-6, max_iter=200)
+        ru = approx_sym_sk(a, cfg)
+        rn = approx_sym_sk(kappa * a.matrix, cfg)
+        assert ru.converged and rn.converged and ru.iterations == rn.iterations
+        converted = ru.eta / np.sqrt(kappa)
+        assert np.max(np.abs(converted - rn.eta) / rn.eta) < 1e-6
 
 
 class TestPopulationLimit:
