@@ -24,6 +24,7 @@ Layer functions are called through this module's globals, which the
 benchmark wraps to time each layer: a call that bypasses them reads 0.
 """
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -145,12 +146,12 @@ def _replicate(job, replicas, threads):
 
     threads=None means one thread per CPU.
     """
-    if replicas < 1:
-        raise ValueError("replicas must be >= 1")
+    if not isinstance(replicas, numbers.Integral) or replicas < 1:
+        raise ValueError("replicas must be an integer >= 1")
     if threads is None:
         threads = os.cpu_count() or 1
-    elif threads < 1:
-        raise ValueError("threads must be >= 1")
+    elif not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ValueError("threads must be an integer >= 1")
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(job, range(replicas)))
 

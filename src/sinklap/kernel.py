@@ -32,8 +32,8 @@ far outliers.  Heteroskedastic outliers fill whole rows with such
 entries, so the restart comes within the first blocks; at worst, one
 such entry in the last block, the build costs twice its time.  An
 outside kernel stays float32 if it is float32 and is float64 otherwise.
-Every product with A goes through ``_matvec``, which multiplies in A's
-precision and returns float64; row sums accumulate in float64.
+Every pass over A, row sums included, is a product through ``_matvec``,
+which multiplies in A's precision and returns float64.
 
 A row's width is 1 + the index of its last nonzero column.  Rows
 narrower than the widest are narrow, w is their largest width, and the
@@ -150,6 +150,12 @@ def gaussian_kernel(xi, d):
 
 def normalized_prefactor(n, epsilon, d):
     """kappa = n^-1 (4 pi epsilon)^(-d/2), the normalized/unscaled kernel ratio."""
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be positive and finite")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if d < 1:
+        raise ValueError("d must be >= 1")
     return (4.0 * np.pi * epsilon) ** (-d / 2.0) / n
 
 

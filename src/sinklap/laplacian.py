@@ -14,6 +14,7 @@ by Lanczos on the same matvec.  Each matvec runs in A's precision,
 float32 or float64 (see ``sinklap.kernel``); vectors stay float64.
 """
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -119,8 +120,8 @@ def smallest_eigenpairs(l, k):
     if l.form is not LaplacianForm.RANDOM_WALK:
         raise ValueError("eigensolve is defined for the random-walk form")
     n = l.kernel.n
-    if not 1 <= k <= n - 1:
-        raise ValueError("k must lie in [1, n - 1]")
+    if not isinstance(k, numbers.Integral) or not 1 <= k <= n - 1:
+        raise ValueError("k must be an integer in [1, n - 1]")
     root = 1.0 / np.sqrt(l.degrees)
     r = l.scale * root
     a = l.kernel.matrix

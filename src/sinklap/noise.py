@@ -132,6 +132,8 @@ def attenuation(ds, epsilon):
     how much every affinity touching i shrinks relative to the clean
     kernel (up to cross terms).
     """
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be positive and finite")
     _, xi = _clean_and_offsets(ds)
     return np.exp(-np.einsum("ij,ij->i", xi, xi) / (4.0 * epsilon))
 

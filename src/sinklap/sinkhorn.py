@@ -31,6 +31,7 @@ projection bound b stated for kappa A is b sqrt(kappa) for A, with
 kappa = ``normalized_prefactor(n, epsilon, 1)``.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,8 +60,8 @@ class SkConfig:
             raise ValueError("c_sk must be finite and >= 0")
         if not 0 < self.eps_sk < np.inf:
             raise ValueError("eps_sk must be positive and finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer >= 1")
 
 
 @dataclass
@@ -85,7 +86,7 @@ class ScalingResult:
 
 def _inverse_root_degrees(mat):
     """(A 1)^-1/2 of a kernel matrix A; raises on a zero row."""
-    deg = mat.sum(axis=1, dtype=float)
+    deg = _matvec(mat, np.ones(mat.shape[0]))
     if np.any(deg <= 0):
         raise DegenerateInputError("affinity matrix has a zero row")
     return 1.0 / np.sqrt(deg)

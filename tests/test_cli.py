@@ -138,7 +138,7 @@ class TestExitCodes:
         sweep = ["sweep", "--n", "20", "--eps-grid", "1e-3:2e-3:2log",
                  "--replicas", "1", "--out", str(tmp_path / "s.csv")]
         assert main(sweep + ["--threads", "0"]) == 1
-        assert "threads must be >= 1" in capsys.readouterr().err
+        assert "threads must be an integer >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "args, message",

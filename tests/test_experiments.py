@@ -306,14 +306,18 @@ class TestSweep:
         with pytest.raises(ValueError):
             epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, good, 0,
                           LaplacianKind.BISTOCH_RW)
+        with pytest.raises(ValueError, match="replicas must be an integer >= 1"):
+            epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, good, 1.5,
+                          LaplacianKind.BISTOCH_RW)
         with pytest.raises(ValueError, match="unknown laplacian kind"):
             epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, good, 1, "sk")
         assert sample_calls == []
 
     def test_threads_must_be_positive(self):
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, [1e-3], 1,
-                          LaplacianKind.BISTOCH_RW, threads=0)
+        for threads in (0, 2.0):
+            with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+                epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, [1e-3], 1,
+                              LaplacianKind.BISTOCH_RW, threads=threads)
 
 
 @pytest.mark.parametrize(
@@ -376,10 +380,12 @@ class TestEmbedding:
         self.assert_thread_invariant(301, NoiseModel(NoiseKind.HETEROSKEDASTIC, 600))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            embedding_experiment(50, None, 1e-3, replicas=0)
-        with pytest.raises(ValueError, match="threads must be >= 1"):
-            embedding_experiment(50, None, 1e-3, threads=0)
+        for replicas in (0, 2.0):
+            with pytest.raises(ValueError, match="replicas must be an integer >= 1"):
+                embedding_experiment(50, None, 1e-3, replicas=replicas)
+        for threads in (0, 1.5):
+            with pytest.raises(ValueError, match="threads must be an integer >= 1"):
+                embedding_experiment(50, None, 1e-3, threads=threads)
 
 
 class TestApproximateScaling:

@@ -29,7 +29,7 @@ from sinklap import (
     pointwise_experiment,
     sample_dataset,
 )
-from sinklap.kernel import _BLOCK
+from sinklap.kernel import _BLOCK, _matvec
 
 
 def pdist_kernel(pts, eps):
@@ -200,6 +200,22 @@ class TestBuildAffinity:
         eps = 2e-3
         kappa = normalized_prefactor(60, eps, 1)
         assert np.isclose(kappa, (4.0 * np.pi * eps) ** -0.5 / 60.0, rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "n, eps, d, message",
+        [
+            (10, -1.0, 1, "epsilon must be positive and finite"),
+            (10, 0.0, 1, "epsilon must be positive and finite"),
+            (10, np.nan, 1, "epsilon must be positive and finite"),
+            (10, np.inf, 1, "epsilon must be positive and finite"),
+            (0, 1e-3, 1, "n must be >= 1"),
+            (10, 1e-3, 0, "d must be >= 1"),
+        ],
+        ids=["negative-eps", "zero-eps", "nan-eps", "inf-eps", "zero-n", "zero-d"],
+    )
+    def test_normalized_prefactor_rejects(self, n, eps, d, message):
+        with pytest.raises(ValueError, match=message):
+            normalized_prefactor(n, eps, d)
 
     def test_zero_diag(self):
         a = build_affinity(self.ds.points, 1e-3)
@@ -468,14 +484,20 @@ class TestDegree:
     """dm_scale, the degree scale vector: 1/sqrt of the kernel's row sums."""
 
     def test_matches_row_sums(self):
+        # the row sums are the product A 1 through _matvec, in A's
+        # precision: bitwise that product, and within a stated tolerance of
+        # float64-accumulated sums (float32 A: 1e-6 relative, about
+        # sqrt(n) u32; float64 A: 1e-14)
         ds = sample_dataset(40, DensitySpec.UNIFORM_CIRCLE, 8)
-        a = build_affinity(ds.points, 1e-3)
-        # a float32 kernel's row sums accumulate in float64
-        assert a.matrix.dtype == np.float32
-        assert np.array_equal(
-            dm_scale(a), 1.0 / np.sqrt(a.matrix.sum(axis=1, dtype=float))
-        )
-        assert np.array_equal(dm_scale(a.matrix), dm_scale(a))
+        single = build_affinity(ds.points, 1e-3)
+        double = Affinity(matrix=single.matrix.astype(float), epsilon=1e-3)
+        assert single.matrix.dtype == np.float32
+        for a, rtol in ((single, 1e-6), (double, 1e-14)):
+            s = dm_scale(a)
+            assert np.array_equal(s, 1.0 / np.sqrt(_matvec(a.matrix, np.ones(a.n))))
+            assert np.array_equal(dm_scale(a.matrix), s)
+            ref = 1.0 / np.sqrt(a.matrix.sum(axis=1, dtype=float))
+            assert np.max(np.abs(s - ref) / ref) <= rtol
 
     def test_identical_points_zero_diag(self):
         a = Affinity(matrix=np.ones((3, 3)) - np.eye(3), epsilon=1.0)

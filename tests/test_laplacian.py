@@ -26,6 +26,7 @@ from sinklap import (
     scaling_residual,
     smallest_eigenpairs,
 )
+from sinklap.kernel import _matvec
 
 
 def circle_affinity(n=200, eps=2e-3, seed=3):
@@ -187,7 +188,8 @@ class TestDenseEquivalence:
         if kind.bistochastic:
             return self.eta
         s = dm_scale(self.aff)
-        assert np.array_equal(s, 1.0 / np.sqrt(self.aff.matrix.sum(axis=1, dtype=float)))
+        ones = np.ones(self.aff.n)
+        assert np.array_equal(s, 1.0 / np.sqrt(_matvec(self.aff.matrix, ones)))
         return s
 
     @pytest.mark.parametrize("kind", list(LaplacianKind))
@@ -248,6 +250,9 @@ class TestEigensolve:
             smallest_eigenpairs(self.lap, self.aff.n)
         with pytest.raises(ValueError):
             smallest_eigenpairs(self.lap, self.aff.n + 1)
+        for k in (2.0, 2.5):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                smallest_eigenpairs(self.lap, k)
 
     def test_invariant_start_deterministic(self):
         # a complete graph has two distinct eigenvalues, so every Krylov

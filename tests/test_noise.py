@@ -149,6 +149,9 @@ class TestDiagnostics:
         assert np.all(att[noisy.outlier_flags] < 1.0)
         with pytest.raises(ValueError):
             attenuation(ds, eps)
+        for bad in (np.nan, np.inf, -1.0, 0.0):
+            with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+                attenuation(noisy, bad)
 
     def test_cross_term_oracle(self):
         ds = embedded_dataset(30, 8)

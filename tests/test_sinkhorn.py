@@ -221,6 +221,9 @@ class TestValidation:
         ):
             with pytest.raises(ValueError):
                 SkConfig(**bad)
+        for bad in (2.5, 2.0):
+            with pytest.raises(ValueError, match="max_iter must be an integer"):
+                SkConfig(max_iter=bad)
 
 
 class TestConventions:
