@@ -1,4 +1,15 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its input rules.
+
+Each rule that bad input breaks has one owner here and raises a
+``ValueError`` that names the input: ``positive_finite``,
+``finite_nonnegative``, ``integer_at_least`` and ``member``.  The
+command line converts its options by its own rules, so that a bad
+option fails by its option name before any work starts.
+"""
+
+import numbers
+
+import numpy as np
 
 
 class DegenerateInputError(ValueError):
@@ -28,3 +39,27 @@ class NumericalFailureError(RuntimeError):
 
 class UsageError(Exception):
     """Bad command line or config-file input (maps to exit code 1)."""
+
+
+def positive_finite(name, x):
+    """Raise unless x, a number or every entry of an array, is in (0, inf)."""
+    if not np.all((0 < x) & (x < np.inf)):
+        raise ValueError(f"{name} must be positive and finite")
+
+
+def finite_nonnegative(name, x):
+    """Raise unless x, a number or every entry of an array, is in [0, inf)."""
+    if not np.all((0 <= x) & (x < np.inf)):
+        raise ValueError(f"{name} must be finite and >= 0")
+
+
+def integer_at_least(name, x, low):
+    """Raise unless x is an integer (Python or numpy) no smaller than low."""
+    if not isinstance(x, numbers.Integral) or x < low:
+        raise ValueError(f"{name} must be an integer >= {low}")
+
+
+def member(enum, x, name):
+    """Raise unless x is a member of the Enum class enum."""
+    if not isinstance(x, enum):
+        raise ValueError(f"unknown {name}: {x!r}")

@@ -24,7 +24,6 @@ Layer functions are called through this module's globals, which the
 benchmark wraps to time each layer: a call that bypasses them reads 0.
 """
 
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,6 +32,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import svd
 
+from .errors import integer_at_least, member, positive_finite
 from .kernel import build_affinity, normalized_prefactor
 from .laplacian import (
     LaplacianForm,
@@ -146,12 +146,10 @@ def _replicate(job, replicas, threads):
 
     threads=None means one thread per CPU.
     """
-    if not isinstance(replicas, numbers.Integral) or replicas < 1:
-        raise ValueError("replicas must be an integer >= 1")
+    integer_at_least("replicas", replicas, 1)
     if threads is None:
         threads = os.cpu_count() or 1
-    elif not isinstance(threads, numbers.Integral) or threads < 1:
-        raise ValueError("threads must be an integer >= 1")
+    integer_at_least("threads", threads, 1)
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(job, range(replicas)))
 
@@ -194,10 +192,8 @@ def pointwise_experiment(
     weighted Laplacian evaluated at the clean intrinsic coordinates,
     also when the observed points are noisy.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if not isinstance(kind, LaplacianKind):
-        raise ValueError(f"unknown laplacian kind: {kind!r}")
+    integer_at_least("n", n, 2)
+    member(LaplacianKind, kind, "laplacian kind")
     ds = noisy_dataset(n, spec, noise_model, seed)
     return _pointwise_on(ds, spec, epsilon, kind, sk_config)
 
@@ -246,17 +242,14 @@ def epsilon_sweep(
     and standard deviations are population-style (ddof=0);
     mean_sk_iters and sk_unconverged are 0 for the dm kinds.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    integer_at_least("n", n, 2)
     epsilons = [float(e) for e in epsilons]
     if len(epsilons) == 0:
         raise ValueError("epsilons must be non-empty")
-    if not all(0 < e < np.inf for e in epsilons):
-        raise ValueError("epsilons must be positive and finite")
+    positive_finite("epsilons", np.array(epsilons))
     if any(b < a for a, b in zip(epsilons, epsilons[1:])):
         raise ValueError("epsilons must be non-decreasing")
-    if not isinstance(kind, LaplacianKind):
-        raise ValueError(f"unknown laplacian kind: {kind!r}")
+    member(LaplacianKind, kind, "laplacian kind")
 
     def job(r):
         ds = noisy_dataset(n, spec, noise_model, base_seed + r)
@@ -371,8 +364,7 @@ def embedding_experiment(
     intrinsic coordinates.  Returns per-(method, pair) mse summaries
     plus the per-replica arrays.
     """
-    if n < EMBEDDING_EIGENPAIRS + 1:
-        raise ValueError(f"n must be >= {EMBEDDING_EIGENPAIRS + 1}")
+    integer_at_least("n", n, EMBEDDING_EIGENPAIRS + 1)
     per_rep = _replicate(
         lambda r: _embed_one(n, noise_model, epsilon, sk_config, base_seed + r),
         replicas,

@@ -67,9 +67,10 @@ symmetric entries alike.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.spatial.distance import cdist
 from scipy.special import gamma
+
+from .errors import integer_at_least, positive_finite
 
 
 # rows per block in ``build_affinity``, which bounds its temporaries
@@ -89,8 +90,7 @@ class Affinity:
     epsilon: float
 
     def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:
-            raise ValueError("epsilon must be positive and finite")
+        positive_finite("epsilon", self.epsilon)
         self.matrix = _checked_kernel(np.array(self.matrix))
         self.matrix.setflags(write=False)
 
@@ -150,12 +150,9 @@ def gaussian_kernel(xi, d):
 
 def normalized_prefactor(n, epsilon, d):
     """kappa = n^-1 (4 pi epsilon)^(-d/2), the normalized/unscaled kernel ratio."""
-    if not 0 < epsilon < np.inf:
-        raise ValueError("epsilon must be positive and finite")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    positive_finite("epsilon", epsilon)
+    integer_at_least("n", n, 1)
+    integer_at_least("d", d, 1)
     return (4.0 * np.pi * epsilon) ** (-d / 2.0) / n
 
 
@@ -193,8 +190,7 @@ def build_affinity(points, epsilon):
         raise ValueError("points must be (n, m) with n >= 2")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
-    if not 0 < epsilon < np.inf:
-        raise ValueError("epsilon must be positive and finite")
+    positive_finite("epsilon", epsilon)
     n, m = pts.shape
     width = np.where(pts.any(axis=1), m - np.argmax(pts[:, ::-1] != 0, axis=1), 0)
     # the narrow width: the second-largest row width, or the only one
@@ -260,8 +256,10 @@ def kernel_moments(d):
     ||u||^2 g(||u||^2), computed by radial quadrature.  Both equal
     (1, 2) for every d by the Gaussian's normalization.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    # imported on call, so that importing the package skips scipy.integrate
+    from scipy.integrate import quad
+
+    integer_at_least("d", d, 1)
     surf = 2.0 * np.pi ** (d / 2.0) / gamma(d / 2.0)
     rmax = np.sqrt(200.0)
 

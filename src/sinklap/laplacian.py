@@ -14,14 +14,19 @@ by Lanczos on the same matvec.  Each matvec runs in A's precision,
 float32 or float64 (see ``sinklap.kernel``); vectors stay float64.
 """
 
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-from .errors import DegenerateInputError, NumericalFailureError
+from .errors import (
+    DegenerateInputError,
+    NumericalFailureError,
+    integer_at_least,
+    member,
+    positive_finite,
+)
 from .kernel import Affinity, _matvec
 
 
@@ -77,13 +82,11 @@ def laplacian_from_affinity(a, form, scale):
     """
     if not isinstance(a, Affinity):
         raise TypeError(f"kernel must be an Affinity, not {type(a).__name__}")
-    if not isinstance(form, LaplacianForm):
-        raise ValueError(f"unknown form: {form!r}")
+    member(LaplacianForm, form, "form")
     s = np.asarray(scale, dtype=float)
     if s.shape != (a.n,):
         raise ValueError("scale must have shape (n,)")
-    if np.any(s <= 0) or not np.all(np.isfinite(s)):
-        raise ValueError("scale must be positive and finite")
+    positive_finite("scale", s)
     deg = s * _matvec(a.matrix, s)
     if form is LaplacianForm.RANDOM_WALK and np.any(deg <= 0):
         raise DegenerateInputError("random-walk form needs positive degrees")
@@ -120,7 +123,8 @@ def smallest_eigenpairs(l, k):
     if l.form is not LaplacianForm.RANDOM_WALK:
         raise ValueError("eigensolve is defined for the random-walk form")
     n = l.kernel.n
-    if not isinstance(k, numbers.Integral) or not 1 <= k <= n - 1:
+    integer_at_least("k", k, 1)
+    if k > n - 1:
         raise ValueError("k must be an integer in [1, n - 1]")
     root = 1.0 / np.sqrt(l.degrees)
     r = l.scale * root

@@ -20,6 +20,7 @@ from enum import Enum
 import numpy as np
 
 from ._rng import make_rng
+from .errors import integer_at_least, member
 
 _OMEGA = 2.0
 _CURVE_SCALE = 1.0 / (2.0 * np.pi * np.sqrt(5.0))
@@ -51,8 +52,9 @@ class Dataset:
     seed : int
         Seed the dataset was drawn with.
 
-    Arrays are marked read-only on construction; treat instances as
-    immutable values.
+    The dataset holds read-only views of the given arrays, so the
+    caller's own arrays stay writeable and are not copied; treat
+    instances as immutable values.
     """
 
     t: np.ndarray
@@ -62,8 +64,8 @@ class Dataset:
     seed: int = 0
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float)
-        self.clean_points = np.asarray(self.clean_points, dtype=float)
+        self.t = np.asarray(self.t, dtype=float).view()
+        self.clean_points = np.asarray(self.clean_points, dtype=float).view()
         if self.t.ndim != 1 or self.clean_points.ndim != 2:
             raise ValueError("t must be (n,) and clean_points (n, m)")
         n = self.t.shape[0]
@@ -72,8 +74,8 @@ class Dataset:
         if (self.noisy_points is None) != (self.outlier_flags is None):
             raise ValueError("noisy_points and outlier_flags must come together")
         if self.noisy_points is not None:
-            self.noisy_points = np.asarray(self.noisy_points, dtype=float)
-            self.outlier_flags = np.asarray(self.outlier_flags, dtype=bool)
+            self.noisy_points = np.asarray(self.noisy_points, dtype=float).view()
+            self.outlier_flags = np.asarray(self.outlier_flags, dtype=bool).view()
             if (
                 self.noisy_points.ndim != 2
                 or self.noisy_points.shape[0] != n
@@ -135,6 +137,7 @@ def density(t, spec):
     """Sampling density p(t) on [0, 1)."""
     t = np.asarray(t, dtype=float)
     _check_unit_interval(t)
+    member(DensitySpec, spec, "density")
     if spec is DensitySpec.SINUSOIDAL_1D:
         return 1.0 - 0.6 * np.sin(6.0 * np.pi * t)
     return np.ones_like(t)
@@ -145,6 +148,7 @@ def density_cdf(t, spec):
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("t must lie in [0, 1]")
+    member(DensitySpec, spec, "density")
     if spec is DensitySpec.SINUSOIDAL_1D:
         return t - (0.1 / np.pi) * (1.0 - np.cos(6.0 * np.pi * t))
     return t.copy()
@@ -220,8 +224,7 @@ def sample_dataset(n, spec, seed):
     pushed through the inverse CDF, so equal seeds give bitwise equal
     datasets.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    integer_at_least("n", n, 1)
     rng = make_rng(seed)
     u = rng.random(n)
     t = density_cdf_inverse(u, spec)

@@ -28,6 +28,7 @@ from enum import Enum
 import numpy as np
 
 from ._rng import make_rng, standard_normal
+from .errors import finite_nonnegative, integer_at_least, member, positive_finite
 from .manifold import Dataset, embed_ambient
 
 
@@ -41,9 +42,9 @@ class NoiseKind(Enum):
 class NoiseModel:
     """Noise regime plus ambient dimension and scale knobs.
 
-    p_out is only read by the SIMPLE regime.  m is the ambient
-    dimension of the noisy points: at least 4 and at least the clean
-    points' width.
+    kind is a ``NoiseKind``.  p_out is only read by the SIMPLE regime.
+    m is the ambient dimension of the noisy points: an integer, at
+    least 4 and at least the clean points' width.
     """
 
     kind: NoiseKind
@@ -52,12 +53,11 @@ class NoiseModel:
     p_out: float = 0.1
 
     def __post_init__(self):
-        if self.m < 4:
-            raise ValueError("m must be >= 4")
+        member(NoiseKind, self.kind, "noise kind")
+        integer_at_least("m", self.m, 4)
         if not 0.0 <= self.p_out < 1.0:
             raise ValueError("p_out must lie in [0, 1)")
-        if not 0 <= self.sigma_out < np.inf:
-            raise ValueError("sigma_out must be finite and >= 0")
+        finite_nonnegative("sigma_out", self.sigma_out)
 
 
 def _gamma1(t):
@@ -132,8 +132,7 @@ def attenuation(ds, epsilon):
     how much every affinity touching i shrinks relative to the clean
     kernel (up to cross terms).
     """
-    if not 0 < epsilon < np.inf:
-        raise ValueError("epsilon must be positive and finite")
+    positive_finite("epsilon", epsilon)
     _, xi = _clean_and_offsets(ds)
     return np.exp(-np.einsum("ij,ij->i", xi, xi) / (4.0 * epsilon))
 

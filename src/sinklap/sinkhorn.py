@@ -31,12 +31,17 @@ projection bound b stated for kappa A is b sqrt(kappa) for A, with
 kappa = ``normalized_prefactor(n, epsilon, 1)``.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateInputError, NumericalFailureError
+from .errors import (
+    DegenerateInputError,
+    NumericalFailureError,
+    finite_nonnegative,
+    integer_at_least,
+    positive_finite,
+)
 from .kernel import _matvec, kernel_matrix
 
 
@@ -56,12 +61,9 @@ class SkConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if not 0 <= self.c_sk < np.inf:
-            raise ValueError("c_sk must be finite and >= 0")
-        if not 0 < self.eps_sk < np.inf:
-            raise ValueError("eps_sk must be positive and finite")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
-            raise ValueError("max_iter must be an integer >= 1")
+        finite_nonnegative("c_sk", self.c_sk)
+        positive_finite("eps_sk", self.eps_sk)
+        integer_at_least("max_iter", self.max_iter, 1)
 
 
 @dataclass

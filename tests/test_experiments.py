@@ -329,13 +329,25 @@ class TestSweep:
                                LaplacianKind.BISTOCH_RW, threads=1), 2),
         (lambda: embedding_experiment(5, NoiseModel(NoiseKind.SIMPLE, 8), 1e-3,
                                       replicas=1), 6),
+        (lambda: pointwise_experiment(10.5, DensitySpec.UNIFORM_CIRCLE, 1e-3,
+                                      LaplacianKind.BISTOCH_RW), 2),
     ],
-    ids=["pointwise", "sweep", "embedding"],
+    ids=["pointwise", "sweep", "embedding", "fractional"],
 )
 def test_small_n_rejected_before_sampling(sample_calls, run, least):
-    with pytest.raises(ValueError, match=f"^n must be >= {least}$"):
+    with pytest.raises(ValueError, match=f"^n must be an integer >= {least}$"):
         run()
     assert sample_calls == []
+
+
+def test_density_rejected_before_any_kernel(monkeypatch):
+    # a string density would read as p = 1 in the sample and the reference
+    def no_kernel(*args):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(sinklap.experiments, "build_affinity", no_kernel)
+    with pytest.raises(ValueError, match="^unknown density: 'sinusoidal1d'$"):
+        pointwise_experiment(300, "sinusoidal1d", 4.64e-4, LaplacianKind.BISTOCH_UN)
 
 
 class TestEmbedding:

@@ -1,6 +1,10 @@
 """Affinity construction and kernel moment checks."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +183,20 @@ class TestMoments:
         assert abs(m0 - 1.0) < 1e-9
         assert abs(m2 - 2.0) < 1e-9
 
+    def test_import_leaves_quadrature_out(self):
+        # only the moments integrate, so importing the package skips
+        # scipy.integrate and its import time
+        src = str(Path(sinklap.kernel.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, sinklap; print('scipy.integrate' in sys.modules)"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestBuildAffinity:
     def setup_method(self):
@@ -208,8 +226,8 @@ class TestBuildAffinity:
             (10, 0.0, 1, "epsilon must be positive and finite"),
             (10, np.nan, 1, "epsilon must be positive and finite"),
             (10, np.inf, 1, "epsilon must be positive and finite"),
-            (0, 1e-3, 1, "n must be >= 1"),
-            (10, 1e-3, 0, "d must be >= 1"),
+            (0, 1e-3, 1, "n must be an integer >= 1"),
+            (10, 1e-3, 0, "d must be an integer >= 1"),
         ],
         ids=["negative-eps", "zero-eps", "nan-eps", "inf-eps", "zero-n", "zero-d"],
     )

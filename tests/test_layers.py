@@ -100,3 +100,44 @@ def test_products_with_the_kernel_have_one_helper():
     bare = [module for module in ("sinkhorn", "laplacian")
             if reads_apart(SRC / f"{module}.py")]
     assert bare == []
+
+
+def raised_texts(tree):
+    """The string arguments of each raised exception, a formatted value
+    read as {}."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise) or not isinstance(node.exc, ast.Call):
+            continue
+        for arg in node.exc.args:
+            if isinstance(arg, ast.JoinedStr):
+                yield "".join(v.value if isinstance(v, ast.Constant) else "{}"
+                              for v in arg.values)
+            elif isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                yield arg.value
+
+
+def test_input_rules_have_one_owner():
+    # errors.py owns the four input rules; the command line converts its
+    # options by their own names, and every other module calls the owner
+    def restates_a_rule(text):
+        return (text.endswith(("must be positive and finite", "must be finite and >= 0"))
+                or "must be an integer >=" in text
+                or text.startswith("unknown "))
+
+    def imports_numbers(tree):
+        return any(
+            isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "numbers"
+            for node in ast.walk(tree)
+        )
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem in ("errors", "cli"):
+            continue
+        tree = ast.parse(path.read_text())
+        found += [f"{path.stem} raises {text!r}"
+                  for text in sorted(set(raised_texts(tree))) if restates_a_rule(text)]
+        if imports_numbers(tree):
+            found.append(f"{path.stem} imports numbers")
+    assert found == []

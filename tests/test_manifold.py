@@ -172,6 +172,16 @@ class TestSampling:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             sample_dataset(0, SIN, 1)
+        with pytest.raises(ValueError, match="^n must be an integer >= 1$"):
+            sample_dataset(2.5, SIN, 1)
+
+    def test_density_must_be_a_spec(self):
+        # a string would miss every identity test and read as p = 1
+        t = np.linspace(0.0, 0.9, 10)
+        for call in (lambda: sample_dataset(10, "sinusoidal1d", 0),
+                     lambda: delta_p_f(t, "sinusoidal1d")):
+            with pytest.raises(ValueError, match="^unknown density: 'sinusoidal1d'$"):
+                call()
 
 
 class TestDataset:
@@ -181,6 +191,17 @@ class TestDataset:
         assert ds.points is ds.clean_points
         with pytest.raises(ValueError):
             ds.t[0] = 0.5
+
+    def test_callers_arrays_stay_writeable(self):
+        t, pts = np.zeros(3), np.zeros((3, 2))
+        noisy, flags = np.zeros((3, 5)), np.zeros(3, dtype=bool)
+        ds = Dataset(t=t, clean_points=pts, noisy_points=noisy, outlier_flags=flags)
+        given = (t, pts, noisy, flags)
+        held = (ds.t, ds.clean_points, ds.noisy_points, ds.outlier_flags)
+        assert all(arr.flags.writeable for arr in given)
+        assert not any(arr.flags.writeable for arr in held)
+        # views, not copies
+        assert all(np.shares_memory(a, b) for a, b in zip(given, held))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

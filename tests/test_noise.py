@@ -77,6 +77,12 @@ class TestAddNoise:
             NoiseModel(NoiseKind.SIMPLE, 3)
         with pytest.raises(ValueError):
             NoiseModel(NoiseKind.SIMPLE, 8, p_out=1.0)
+        with pytest.raises(ValueError, match="^m must be an integer >= 4$"):
+            NoiseModel(NoiseKind.SIMPLE, m=4.5)
+        # a string kind would match none of add_noise's identity tests and
+        # fall through to the IID branch
+        with pytest.raises(ValueError, match="^unknown noise kind: 'simple'$"):
+            NoiseModel("simple", m=8)
         for sigma in (-0.1, np.nan, np.inf):
             with pytest.raises(ValueError, match="sigma_out"):
                 NoiseModel(NoiseKind.SIMPLE, 8, sigma_out=sigma)
