@@ -16,8 +16,9 @@ _U_FLOOR = 2.0 ** -54
 
 
 def make_rng(seed):
-    """Return a ``numpy.random.Generator`` backed by PCG64(seed)."""
-    return Generator(PCG64(int(seed)))
+    """Return a ``numpy.random.Generator`` backed by PCG64(seed); callers
+    check that seed is an integer >= 0."""
+    return Generator(PCG64(seed))
 
 
 def standard_normal(rng, size=None):

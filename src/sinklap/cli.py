@@ -18,6 +18,11 @@ in one ``warning:`` line on stderr (pointwise also names the last
 tested residual).  All floats in
 output files use 17 significant digits, so identical invocations
 produce byte-identical artifacts.
+
+Parsing turns option text into values and checks only what text alone
+decides: option syntax, the ``--eps-grid`` grammar, ``--slope-points``
+against the grid and ``--fixture``.  The library judges every value by
+name, n and seed before any draw.
 """
 
 import argparse
@@ -29,9 +34,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import fmt, write_slopes_json, write_table
-from .errors import DegenerateInputError, NumericalFailureError, UsageError
+from .errors import (
+    DegenerateInputError,
+    NumericalFailureError,
+    UsageError,
+    integer_at_least,
+)
 from .experiments import (
-    EMBEDDING_EIGENPAIRS,
     LaplacianKind,
     embedding_experiment,
     epsilon_sweep,
@@ -75,17 +84,6 @@ def _one_of(enum, none=None):
     return convert
 
 
-def _at_least(low):
-    """Converter from an option's text to an int no smaller than ``low``."""
-
-    def convert(s):
-        if int(s) < low:
-            raise ValueError(f"must be >= {low}")
-        return int(s)
-
-    return convert
-
-
 _density = _one_of(DensitySpec)
 _noise = _one_of(NoiseKind, none="none")
 _lap = _one_of(LaplacianKind)
@@ -125,69 +123,16 @@ _NOISE_OPTS = [
     ("sigma_out", float, NoiseModel.sigma_out),
     ("p_out", float, NoiseModel.p_out),
 ]
-
-# n >= 2 for a kernel, and one more than the eigenpairs for an embedding
-_SCHEMAS = {
-    "generate": [
-        ("n", _at_least(1), 3000),
-        ("density", _density, DensitySpec.SINUSOIDAL_1D),
-        ("seed", _at_least(0), 0),
-        ("out", str, _REQUIRED),
-    ]
-    + _NOISE_OPTS,
-    "pointwise": [
-        ("n", _at_least(2), 3000),
-        ("density", _density, DensitySpec.SINUSOIDAL_1D),
-        ("epsilon", float, _REQUIRED),
-        ("lap", _lap, LaplacianKind.BISTOCH_UN),
-        ("seed", _at_least(0), 0),
-        ("out", str, None),
-    ]
-    + _SK_OPTS
-    + _NOISE_OPTS,
-    "sweep": [
-        ("n", _at_least(2), 3000),
-        ("density", _density, DensitySpec.SINUSOIDAL_1D),
-        ("eps_grid", parse_grid, _REQUIRED),
-        ("replicas", int, 20),
-        ("lap", _lap, LaplacianKind.BISTOCH_UN),
-        ("seed", _at_least(0), 0),
-        ("threads", int, None),
-        ("out", str, _REQUIRED),
-        ("slopes_out", str, None),
-        ("slope_points", int, 3),
-    ]
-    + _SK_OPTS
-    + _NOISE_OPTS,
-    "embed": [
-        ("n", _at_least(EMBEDDING_EIGENPAIRS + 1), 1000),
-        ("epsilon", float, 5e-4),
-        ("replicas", int, 20),
-        ("seed", _at_least(0), 0),
-        ("threads", int, None),
-        ("out", str, _REQUIRED),
-        ("eigen_out", str, None),
-    ]
-    + _SK_OPTS
-    + [("noise", _noise, NoiseKind.SIMPLE)]
-    + _NOISE_OPTS[1:],
-    "skdiag": [
-        ("fixture", str, None),
-        ("n", _at_least(2), 3000),
-        ("density", _density, DensitySpec.SINUSOIDAL_1D),
-        ("epsilon", float, None),
-        ("seed", _at_least(0), 0),
-        ("out", str, _REQUIRED),
-    ]
-    + _SK_OPTS
-    + _NOISE_OPTS,
-    "moments": [("d", int, 1)],
-}
+_DATA_OPTS = [
+    ("n", int, 3000),
+    ("density", _density, DensitySpec.SINUSOIDAL_1D),
+    ("seed", int, 0),
+]
 
 
 @dataclass
 class RunConfig:
-    """A validated command name plus its parameter table."""
+    """A parsed command name plus its parameter table."""
 
     command: str
     params: dict
@@ -222,22 +167,20 @@ def parse_config(argv=None):
     """Parse argv (and an optional config file) into a RunConfig."""
     parser = _Parser(prog="sinklap", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", metavar="command")
-    for command, schema in _SCHEMAS.items():
+    for command, (_handler, options) in _SUBCOMMANDS.items():
         sub = subs.add_parser(command, prog=f"sinklap {command}")
         sub.add_argument("--config", default=None)
-        for name, _conv, _default in schema:
+        for name, _conv, _default in options:
             sub.add_argument("--" + name.replace("_", "-"), dest=name, default=None)
     ns = vars(parser.parse_args(argv))
     command = ns.get("command")
     if command is None:
         raise UsageError("a command is required (see sinklap --help)")
-    schema = _SCHEMAS[command]
-    names = {name for name, _c, _d in schema}
-    file_values = (
-        _read_config_file(ns["config"], names) if ns.get("config") else {}
-    )
+    options = _SUBCOMMANDS[command][1]
+    names = {name for name, _c, _d in options}
+    file_values = _read_config_file(ns["config"], names) if ns.get("config") else {}
     params = {}
-    for name, conv, default in schema:
+    for name, conv, default in options:
         raw = ns.get(name)
         if raw is None:
             raw = file_values.get(name)
@@ -253,23 +196,14 @@ def parse_config(argv=None):
     return RunConfig(command=command, params=params)
 
 
-def _noise_model(params):
-    if params["noise"] is None:
+def _noise_model(p):
+    if p["noise"] is None:
         return None
-    return NoiseModel(
-        kind=params["noise"],
-        m=params["m"],
-        sigma_out=params["sigma_out"],
-        p_out=params["p_out"],
-    )
+    return NoiseModel(p["noise"], p["m"], p["sigma_out"], p["p_out"])
 
 
-def _sk_config(params):
-    return SkConfig(
-        c_sk=params["c_sk"],
-        eps_sk=params["eps_sk"],
-        max_iter=params["max_iter"],
-    )
+def _sk_config(p):
+    return SkConfig(p["c_sk"], p["eps_sk"], p["max_iter"])
 
 
 def _warn_unconverged(p, unconverged, total, residual=None):
@@ -305,10 +239,8 @@ def _cmd_pointwise(p):
         noise_model=_noise_model(p),
         seed=p["seed"],
     )
-    print(f"relerr2 = {fmt(res.relerr2)}")
-    print(f"relerrinf = {fmt(res.relerrinf)}")
-    print(f"sk_iters = {res.sk_iters}")
-    print(f"projection_hits = {res.projection_hits}")
+    for column in _POINTWISE_COLUMNS:
+        print(f"{column} = {fmt(getattr(res, column))}")
     if p["out"]:
         _write_records(p["out"], _POINTWISE_COLUMNS, [res])
     _warn_unconverged(p, int(not res.sk_converged), 1, res.sk_residual)
@@ -369,9 +301,9 @@ def _cmd_skdiag(p):
     else:
         if p["epsilon"] is None:
             raise UsageError("--epsilon is required without --fixture")
-        ds = noisy_dataset(
-            p["n"], p["density"], _noise_model(p), p["seed"]
-        )
+        # the kernel needs n >= 2, judged before the draw
+        integer_at_least("n", p["n"], 2)
+        ds = noisy_dataset(p["n"], p["density"], _noise_model(p), p["seed"])
         target = build_affinity(ds.points, p["epsilon"])
     res = approx_sym_sk(target, _sk_config(p))
     write_table(
@@ -388,13 +320,58 @@ def _cmd_moments(p):
     print(f"m2 = {fmt(m2)}")
 
 
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "pointwise": _cmd_pointwise,
-    "sweep": _cmd_sweep,
-    "embed": _cmd_embed,
-    "skdiag": _cmd_skdiag,
-    "moments": _cmd_moments,
+# each subcommand's handler and options: (name, converter, default)
+_SUBCOMMANDS = {
+    "generate": (_cmd_generate, _DATA_OPTS + [("out", str, _REQUIRED)] + _NOISE_OPTS),
+    "pointwise": (
+        _cmd_pointwise,
+        _DATA_OPTS
+        + [
+            ("epsilon", float, _REQUIRED),
+            ("lap", _lap, LaplacianKind.BISTOCH_UN),
+            ("out", str, None),
+        ]
+        + _SK_OPTS
+        + _NOISE_OPTS,
+    ),
+    "sweep": (
+        _cmd_sweep,
+        _DATA_OPTS
+        + [
+            ("eps_grid", parse_grid, _REQUIRED),
+            ("replicas", int, 20),
+            ("lap", _lap, LaplacianKind.BISTOCH_UN),
+            ("threads", int, None),
+            ("out", str, _REQUIRED),
+            ("slopes_out", str, None),
+            ("slope_points", int, 3),
+        ]
+        + _SK_OPTS
+        + _NOISE_OPTS,
+    ),
+    "embed": (
+        _cmd_embed,
+        [
+            ("n", int, 1000),
+            ("seed", int, 0),
+            ("epsilon", float, 5e-4),
+            ("replicas", int, 20),
+            ("threads", int, None),
+            ("out", str, _REQUIRED),
+            ("eigen_out", str, None),
+            ("noise", _noise, NoiseKind.SIMPLE),
+        ]
+        + _SK_OPTS
+        + _NOISE_OPTS[1:],
+    ),
+    "skdiag": (
+        _cmd_skdiag,
+        [("fixture", str, None), ("epsilon", float, None), ("out", str, _REQUIRED)]
+        + _DATA_OPTS
+        + _SK_OPTS
+        + _NOISE_OPTS,
+    ),
+    "moments": (_cmd_moments, [("d", int, 1)]),
 }
 
 
@@ -402,14 +379,11 @@ def run(cfg):
     """Execute a parsed RunConfig; returns the process exit code."""
     start = time.perf_counter()
     try:
-        _COMMANDS[cfg.command](cfg.params)
-    except UsageError as exc:
-        print(f"sinklap {cfg.command}: error: {exc}", file=sys.stderr)
-        return 1
+        _SUBCOMMANDS[cfg.command][0](cfg.params)
     except (DegenerateInputError, NumericalFailureError) as exc:
         print(f"sinklap {cfg.command}: numerical failure: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"sinklap {cfg.command}: error: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - start

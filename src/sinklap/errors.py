@@ -3,8 +3,9 @@
 Each rule that bad input breaks has one owner here and raises a
 ``ValueError`` that names the input: ``positive_finite``,
 ``finite_nonnegative``, ``integer_at_least`` and ``member``.  The
-command line converts its options by its own rules, so that a bad
-option fails by its option name before any work starts.
+command line only turns option text into values and leaves every value
+to these rules, so a bad option fails with the library's message,
+named after the parameter; n and seed are judged before any draw.
 """
 
 import numbers

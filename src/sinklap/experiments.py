@@ -18,7 +18,8 @@ The replicated drivers run one job per replica on one thread pool.
 Replica r draws its dataset once, with dataset seed base_seed + r and
 noise seed base_seed + r + NOISE_SEED_OFFSET (disjoint streams for any
 desk-scale seed range); a sweep replica walks the whole grid on that
-one dataset, so sweep curves see the same datasets.
+one dataset, so sweep curves see the same datasets.  Every driver
+checks n and its seed, an integer >= 0, before the first draw.
 
 Layer functions are called through this module's globals, which the
 benchmark wraps to time each layer: a call that bypasses them reads 0.
@@ -173,8 +174,10 @@ def noisy_dataset(n, spec, noise_model, seed):
 
     The noise stream uses seed + NOISE_SEED_OFFSET; without a noise
     model the clean dataset is returned.  The clean points keep their
-    native width; only the noisy points are m wide.
+    native width; only the noisy points are m wide.  seed is checked
+    before the first draw.
     """
+    integer_at_least("seed", seed, 0)
     ds = sample_dataset(n, spec, seed)
     if noise_model is None:
         return ds
@@ -243,6 +246,7 @@ def epsilon_sweep(
     mean_sk_iters and sk_unconverged are 0 for the dm kinds.
     """
     integer_at_least("n", n, 2)
+    integer_at_least("seed", base_seed, 0)
     epsilons = [float(e) for e in epsilons]
     if len(epsilons) == 0:
         raise ValueError("epsilons must be non-empty")
@@ -365,6 +369,7 @@ def embedding_experiment(
     plus the per-replica arrays.
     """
     integer_at_least("n", n, EMBEDDING_EIGENPAIRS + 1)
+    integer_at_least("seed", base_seed, 0)
     per_rep = _replicate(
         lambda r: _embed_one(n, noise_model, epsilon, sk_config, base_seed + r),
         replicas,

@@ -17,9 +17,10 @@ loop over upper pairs of contiguous row blocks, each turned into kernel
 values in place and written with its mirror.  ``sinklap.sinkhorn``
 makes both scale vectors s from A; a Laplacian reaches
 diag(s) A diag(s) through matvecs with A.  ``Affinity`` owns the
-square, symmetric, non-negative A that scaling needs: it checks outside
-data once, ``build_affinity``'s A holds it by construction, and
-``kernel_matrix`` reads any kernel argument, checking an ndarray.
+square, finite, symmetric, non-negative A that scaling needs: it
+checks outside data once, ``build_affinity``'s A holds it by
+construction, and ``kernel_matrix`` reads any kernel argument,
+checking an ndarray.
 
 Storage rule: every block is computed in float64 and stored in float32,
 the float32 rounding of the float64 kernel, off by at most 2^-24
@@ -82,8 +83,8 @@ class Affinity:
     """A dense kernel matrix with its bandwidth.
 
     The matrix is a read-only, checked copy of the given one: square,
-    bitwise symmetric and non-negative, float32 if the given one is and
-    float64 otherwise.  epsilon is positive and finite.
+    finite, bitwise symmetric and non-negative, float32 if the given one
+    is and float64 otherwise.  epsilon is positive and finite.
     """
 
     matrix: np.ndarray
@@ -101,11 +102,13 @@ class Affinity:
 
 def _checked_kernel(a):
     """a as a float32 array if it is one, else as a float64 array; raises
-    unless square, symmetric and non-negative.
+    unless square, finite, symmetric and non-negative.
 
-    Compares upper cache-sized tiles with the transposed lower ones (a NaN
-    never matches); once symmetry holds the upper tiles hold every entry
-    and alone are checked for sign, so asymmetry is reported first.
+    One pass over upper cache-sized tiles: each must be finite (a NaN or
+    an infinity shows in its minimum or maximum), then equal to the
+    transposed lower tile.  Once symmetry holds the upper tiles hold
+    every entry and alone are checked for sign, so asymmetry is reported
+    before sign.
     """
     mat = np.asarray(a)
     if mat.dtype != np.float32:
@@ -117,9 +120,12 @@ def _checked_kernel(a):
     for i in range(0, n, block):
         for j in range(i, n, block):
             upper = mat[i : i + block, j : j + block]
+            low, high = upper.min(), upper.max()
+            if not (np.isfinite(low) and np.isfinite(high)):
+                raise ValueError("matrix must be finite")
             if not np.array_equal(upper, mat[j : j + block, i : i + block].T):
                 raise ValueError("matrix must be symmetric")
-            negative = negative or upper.min() < 0
+            negative = negative or low < 0
     if negative:
         raise ValueError("matrix must be non-negative")
     return mat
@@ -169,7 +175,7 @@ def build_affinity(points, epsilon):
     Parameters
     ----------
     points : ndarray, shape (n, m)
-        Finite ambient coordinates, n >= 2.
+        Finite ambient coordinates, n >= 2 and m >= 1.
     epsilon : float
         Kernel bandwidth, positive and finite.
 
@@ -186,8 +192,8 @@ def build_affinity(points, epsilon):
         bounds of the module docstring (before rounding).
     """
     pts = np.ascontiguousarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2:
-        raise ValueError("points must be (n, m) with n >= 2")
+    if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] < 1:
+        raise ValueError("points must be (n, m) with n >= 2 and m >= 1")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
     positive_finite("epsilon", epsilon)

@@ -222,9 +222,10 @@ def sample_dataset(n, spec, seed):
 
     Uniforms come from a PCG64 stream seeded with ``seed`` and are
     pushed through the inverse CDF, so equal seeds give bitwise equal
-    datasets.
+    datasets.  n is an integer >= 1 and seed an integer >= 0.
     """
     integer_at_least("n", n, 1)
+    integer_at_least("seed", seed, 0)
     rng = make_rng(seed)
     u = rng.random(n)
     t = density_cdf_inverse(u, spec)

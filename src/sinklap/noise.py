@@ -77,6 +77,7 @@ def add_noise(ds, model, seed):
     manifold; the coherent high-outlier arc it produces is what breaks
     the degree-normalized pipeline in the embedding experiment.
     """
+    integer_at_least("seed", seed, 0)
     if ds.noisy_points is not None:
         raise ValueError("dataset already carries noise")
     clean = ds.clean_points

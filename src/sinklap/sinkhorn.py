@@ -135,8 +135,9 @@ def approx_sym_sk(a, config=None):
     Raises
     ------
     ValueError
-        If an ndarray ``a`` is not square, symmetric and non-negative
-        (``kernel.kernel_matrix``); an Affinity was checked when built.
+        If an ndarray ``a`` is not square, finite, symmetric and
+        non-negative (``kernel.kernel_matrix``); an Affinity was checked
+        when built.
     DegenerateInputError
         If the matrix has a zero row.
     NumericalFailureError

@@ -30,8 +30,55 @@ from sinklap.cli import main, parse_config, parse_grid
 from sinklap.csvio import fmt
 from sinklap.errors import UsageError
 
+# every subcommand's options and parsed defaults; REQUIRED marks an option
+# without one, given in the test as GIVEN's text and read back as its value
+REQUIRED = object()
+GIVEN = {
+    "out": ("o.csv", "o.csv"),
+    "epsilon": ("1e-3", 1e-3),
+    "eps_grid": ("1e-3:2e-3:2lin", [1e-3, 2e-3]),
+}
+DATA = {"n": 3000, "density": DensitySpec.SINUSOIDAL_1D, "seed": 0}
+SK = {"eps_sk": 1e-3, "c_sk": 1e-2, "max_iter": 50}
+NOISE = {"noise": None, "m": 2000, "sigma_out": 0.1, "p_out": 0.1}
+INVENTORY = {
+    "generate": {**DATA, "out": REQUIRED, **NOISE},
+    "pointwise": {**DATA, "epsilon": REQUIRED, "lap": LaplacianKind.BISTOCH_UN,
+                  "out": None, **SK, **NOISE},
+    "sweep": {**DATA, "eps_grid": REQUIRED, "replicas": 20,
+              "lap": LaplacianKind.BISTOCH_UN, "threads": None, "out": REQUIRED,
+              "slopes_out": None, "slope_points": 3, **SK, **NOISE},
+    "embed": {"n": 1000, "seed": 0, "epsilon": 5e-4, "replicas": 20, "threads": None,
+              "out": REQUIRED, "eigen_out": None, **SK, **NOISE,
+              "noise": NoiseKind.SIMPLE},
+    "skdiag": {"fixture": None, **DATA, "epsilon": None, "out": REQUIRED, **SK,
+               **NOISE},
+    "moments": {"d": 1},
+}
+
 
 class TestParsing:
+    @pytest.mark.parametrize("command", sorted(INVENTORY))
+    def test_option_inventory(self, command):
+        options = INVENTORY[command]
+        required = [name for name, default in options.items() if default is REQUIRED]
+
+        def argv(names):
+            return [command] + [word for name in names for word in
+                                (f"--{name.replace('_', '-')}", GIVEN[name][0])]
+
+        params = parse_config(argv(required)).params
+        want = {name: GIVEN[name][1] if default is REQUIRED else default
+                for name, default in options.items()}
+        # typed, so that 3000 and 3000.0 differ
+        assert {k: (type(v), v) for k, v in params.items()} == {
+            k: (type(v), v) for k, v in want.items()
+        }
+        for name in required:
+            flag = "--" + name.replace("_", "-")
+            with pytest.raises(UsageError, match=f"^{flag} is required$"):
+                parse_config(argv([other for other in required if other != name]))
+
     def test_grid(self):
         grid = parse_grid("1e-4:1e-2:3log")
         assert grid == [1e-4, 1e-3, 1e-2]
@@ -65,6 +112,13 @@ class TestParsing:
     def test_bad_values(self):
         with pytest.raises(UsageError):
             parse_config(["pointwise", "--epsilon", "abc"])
+        # an integer option's text must spell an integer; its range is the
+        # library's rule
+        for option, value in (("n", "1.5"), ("seed", "0.5"), ("seed", "x")):
+            with pytest.raises(UsageError, match=f"^bad value for --{option}: "):
+                parse_config(["pointwise", "--epsilon", "1e-3", f"--{option}", value])
+        cfg = parse_config(["pointwise", "--epsilon", "1e-3", "--seed", "-1"])
+        assert cfg.params["seed"] == -1
         for option, value, spellings in (
             ("density", "torus", ["sinusoidal1d", "uniform_circle"]),
             ("lap", "foo", ["bistoch_rw", "bistoch_un", "dm_rw", "dm_un"]),
@@ -178,28 +232,33 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "args, option",
+        "args, message",
         [
-            (["pointwise", "--n", "1", "--epsilon", "1e-3"], "--n"),
+            # n and seed are the library's to judge, by name, before a draw
+            (["pointwise", "--n", "1", "--epsilon", "1e-3"],
+             "sinklap pointwise: error: n must be an integer >= 2"),
             (["sweep", "--n", "1", "--eps-grid", "1e-3:2e-3:2log", "--replicas", "1"],
-             "--n"),
-            (["skdiag", "--n", "1", "--epsilon", "1e-3"], "--n"),
+             "sinklap sweep: error: n must be an integer >= 2"),
+            (["skdiag", "--n", "1", "--epsilon", "1e-3"],
+             "sinklap skdiag: error: n must be an integer >= 2"),
             (["embed", "--n", "5", "--epsilon", "1e-3", "--replicas", "1", "--m", "8"],
-             "--n"),
-            (["generate", "--n", "5", "--seed", "-3"], "--seed"),
+             "sinklap embed: error: n must be an integer >= 6"),
+            (["generate", "--n", "5", "--seed", "-3"],
+             "sinklap generate: error: seed must be an integer >= 0"),
+            # the grid's text is the command line's to parse
             (["sweep", "--n", "20", "--eps-grid", "2e-3:1e-3:2log", "--replicas", "1"],
-             "--eps-grid"),
+             "sinklap: error: bad value for --eps-grid: "),
             (["sweep", "--n", "20", "--eps-grid", "0:1e-3:3lin", "--replicas", "1"],
-             "--eps-grid"),
+             "sinklap: error: bad value for --eps-grid: "),
         ],
         ids=["pointwise-n", "sweep-n", "skdiag-n", "embed-n", "generate-seed",
              "sweep-decreasing-grid", "sweep-zero-grid"],
     )
     def test_bad_input_named_before_sampling(self, tmp_path, capsys, sample_calls,
-                                             args, option):
+                                             args, message):
         out = tmp_path / "out.csv"
         assert main(args + ["--out", str(out)]) == 1
-        assert f"error: bad value for {option}: " in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
         assert sample_calls == []
 

@@ -12,12 +12,15 @@ from sinklap import (
     NoiseKind,
     NoiseModel,
     SkConfig,
+    add_noise,
     align_pair,
     embedding_experiment,
     epsilon_sweep,
+    noisy_dataset,
     normalized_prefactor,
     pointwise_experiment,
     rel_errors,
+    sample_dataset,
     slope_fit,
     sweep_slopes,
 )
@@ -336,6 +339,30 @@ class TestSweep:
 )
 def test_small_n_rejected_before_sampling(sample_calls, run, least):
     with pytest.raises(ValueError, match=f"^n must be an integer >= {least}$"):
+        run()
+    assert sample_calls == []
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        # int(seed) would truncate 1.7 and draw seed 1's dataset
+        lambda: sample_dataset(10, DensitySpec.UNIFORM_CIRCLE, 1.7),
+        lambda: noisy_dataset(10, DensitySpec.UNIFORM_CIRCLE, None, 2.0),
+        lambda: add_noise(sample_dataset(10, DensitySpec.UNIFORM_CIRCLE, 0),
+                          NoiseModel(NoiseKind.SIMPLE, 8), -1),
+        lambda: pointwise_experiment(10, DensitySpec.UNIFORM_CIRCLE, 1e-3,
+                                     LaplacianKind.BISTOCH_RW, seed=-1),
+        lambda: epsilon_sweep(10, DensitySpec.UNIFORM_CIRCLE, [1e-3], 4,
+                              LaplacianKind.BISTOCH_RW, base_seed=-2, threads=1),
+        lambda: embedding_experiment(10, NoiseModel(NoiseKind.SIMPLE, 8), 1e-3,
+                                     replicas=2, base_seed=0.5, threads=1),
+    ],
+    ids=["sample-float", "noisy-float", "noise-negative", "pointwise-negative",
+         "sweep-negative", "embedding-float"],
+)
+def test_bad_seed_rejected_before_sampling(sample_calls, run):
+    with pytest.raises(ValueError, match="^seed must be an integer >= 0$"):
         run()
     assert sample_calls == []
 

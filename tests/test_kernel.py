@@ -253,6 +253,9 @@ class TestBuildAffinity:
             build_affinity(self.ds.points[:1], 1e-3)
         with pytest.raises(ValueError):
             build_affinity(self.ds.points, -1e-3)
+        # columnless points are named, not left to numpy's argmax
+        with pytest.raises(ValueError, match=r"with n >= 2 and m >= 1$"):
+            build_affinity(np.zeros((5, 0)), 1.0)
 
     def test_bitwise_out_of_place_formula(self):
         # float32 holds this kernel, so A is the float32 rounding of pdist's
@@ -279,9 +282,10 @@ class TestBuildAffinity:
 
 
 class TestInvariant:
-    """Affinity owns the square, symmetric, non-negative kernel: it checks
-    outside data once, at construction, on its own copy; build_affinity's
-    matrix holds the invariant by construction and is not checked."""
+    """Affinity owns the square, finite, symmetric, non-negative kernel: it
+    checks outside data once, at construction, on its own copy;
+    build_affinity's matrix holds the invariant by construction and is not
+    checked."""
 
     @staticmethod
     def kernel(seed):
@@ -298,7 +302,18 @@ class TestInvariant:
     def test_nan_pair(self):
         a = self.kernel(9)
         a[10, 400] = a[400, 10] = np.nan
-        with pytest.raises(ValueError, match="matrix must be symmetric"):
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            Affinity(a, 1.0)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_pair(self, value):
+        # unnamed, a symmetric infinite pair would fail inside SK, as a
+        # non-finite residual at iteration 1
+        with pytest.raises(ValueError, match="matrix must be finite"):
+            approx_sym_sk(np.array([[0.0, value], [value, 0.0]]))
+        a = self.kernel(15).astype(np.float32)
+        a[300, 580] = a[580, 300] = value
+        with pytest.raises(ValueError, match="matrix must be finite"):
             Affinity(a, 1.0)
 
     def test_negative_pair(self):
