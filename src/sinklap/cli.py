@@ -22,7 +22,8 @@ produce byte-identical artifacts.
 Parsing turns option text into values and checks only what text alone
 decides: option syntax, the ``--eps-grid`` grammar, ``--slope-points``
 against the grid and ``--fixture``.  The library judges every value by
-name, n and seed before any draw.
+name, n and seed before any draw, grid points included.  The closing
+stderr line names the sizes the run used.
 """
 
 import argparse
@@ -94,22 +95,26 @@ def _write_records(path, columns, records):
 
 
 def parse_grid(s):
-    """Parse ``start:stop:COUNTlog`` / ``start:stop:COUNTlin`` grids."""
+    """Parse ``start:stop:COUNTlog`` / ``start:stop:COUNTlin`` grids.
+
+    Only the grammar is judged here: the form, a count of at least one
+    and, for a log grid, positive endpoints.  Whether the points are
+    finite, positive and ordered is ``epsilon_sweep``'s to judge.
+    """
     parts = str(s).split(":")
     match = re.fullmatch(r"(\d+)(log|lin)", parts[-1].strip()) if len(parts) == 3 else None
     if match is None:
         raise ValueError("grid must look like start:stop:10log or start:stop:10lin")
     start, stop = float(parts[0]), float(parts[1])
-    if not np.isfinite([start, stop]).all():
-        raise ValueError("grid endpoints must be finite")
-    if not 0 < start <= stop:
-        raise ValueError("grid needs 0 < start <= stop")
     count, kind = int(match.group(1)), match.group(2)
     if count < 1:
         raise ValueError("grid needs at least one point")
-    if kind == "log":
-        return [float(e) for e in np.geomspace(start, stop, count)]
-    return [float(e) for e in np.linspace(start, stop, count)]
+    if kind == "log" and not (start > 0 and stop > 0):
+        raise ValueError("a log grid needs positive endpoints")
+    space = np.geomspace if kind == "log" else np.linspace
+    # an infinite endpoint gives non-finite points, for epsilon_sweep to name
+    with np.errstate(invalid="ignore"):
+        return [float(e) for e in space(start, stop, count)]
 
 
 _SK_OPTS = [
@@ -218,6 +223,12 @@ def _warn_unconverged(p, unconverged, total, residual=None):
         )
 
 
+def _used(p, *names):
+    """The named parameters, for the closing stderr line: each handler
+    names what its run used, not every parsed default."""
+    return {name: p[name] for name in names}
+
+
 def _cmd_generate(p):
     ds = noisy_dataset(p["n"], p["density"], _noise_model(p), p["seed"])
     flags = ds.outlier_flags if ds.outlier_flags is not None else np.zeros(ds.n, bool)
@@ -227,6 +238,7 @@ def _cmd_generate(p):
         ("t",) + tuple(f"x{j + 1}" for j in range(m)) + ("outlier",),
         ([t, *x, int(f)] for t, x, f in zip(ds.t, ds.points, flags)),
     )
+    return _used(p, "n")
 
 
 def _cmd_pointwise(p):
@@ -244,6 +256,7 @@ def _cmd_pointwise(p):
     if p["out"]:
         _write_records(p["out"], _POINTWISE_COLUMNS, [res])
     _warn_unconverged(p, int(not res.sk_converged), 1, res.sk_residual)
+    return _used(p, "n", "epsilon")
 
 
 def _cmd_sweep(p):
@@ -267,6 +280,7 @@ def _cmd_sweep(p):
     _warn_unconverged(
         p, sum(r.sk_unconverged for r in records), sum(r.replicas for r in records)
     )
+    return _used(p, "n", "replicas")
 
 
 def _cmd_embed(p):
@@ -291,6 +305,7 @@ def _cmd_embed(p):
                 ([k, val, *eig.vectors[:, k]] for k, val in enumerate(eig.values)),
             )
     _warn_unconverged(p, result.sk_unconverged, p["replicas"])
+    return _used(p, "n", "epsilon", "replicas")
 
 
 def _cmd_skdiag(p):
@@ -298,6 +313,7 @@ def _cmd_skdiag(p):
         if p["fixture"] != "perm2":
             raise UsageError("the only built-in fixture is 'perm2'")
         target = np.array([[0.0, 1.0], [1.0, 0.0]])
+        used = _used(p, "fixture")
     else:
         if p["epsilon"] is None:
             raise UsageError("--epsilon is required without --fixture")
@@ -305,6 +321,7 @@ def _cmd_skdiag(p):
         integer_at_least("n", p["n"], 2)
         ds = noisy_dataset(p["n"], p["density"], _noise_model(p), p["seed"])
         target = build_affinity(ds.points, p["epsilon"])
+        used = _used(p, "n", "epsilon")
     res = approx_sym_sk(target, _sk_config(p))
     write_table(
         p["out"], ("iter", "residual_inf"), enumerate(res.residual_history, 1)
@@ -312,12 +329,14 @@ def _cmd_skdiag(p):
     print(f"iterations = {res.iterations}")
     print(f"converged = {str(res.converged).lower()}")
     print(f"projection_hits = {res.projection_hits}")
+    return used
 
 
 def _cmd_moments(p):
     m0, m2 = kernel_moments(p["d"])
     print(f"m0 = {fmt(m0)}")
     print(f"m2 = {fmt(m2)}")
+    return _used(p, "d")
 
 
 # each subcommand's handler and options: (name, converter, default)
@@ -379,7 +398,7 @@ def run(cfg):
     """Execute a parsed RunConfig; returns the process exit code."""
     start = time.perf_counter()
     try:
-        _SUBCOMMANDS[cfg.command][0](cfg.params)
+        used = _SUBCOMMANDS[cfg.command][0](cfg.params)
     except (DegenerateInputError, NumericalFailureError) as exc:
         print(f"sinklap {cfg.command}: numerical failure: {exc}", file=sys.stderr)
         return 2
@@ -387,10 +406,7 @@ def run(cfg):
         print(f"sinklap {cfg.command}: error: {exc}", file=sys.stderr)
         return 1
     wall = time.perf_counter() - start
-    bits = [cfg.command]
-    for key in ("n", "epsilon", "replicas", "d"):
-        if cfg.params.get(key) is not None:
-            bits.append(f"{key}={cfg.params[key]}")
+    bits = [cfg.command, *(f"{key}={value}" for key, value in used.items())]
     print(f"sinklap {' '.join(bits)} wall={wall:.2f}s", file=sys.stderr)
     return 0
 

@@ -12,19 +12,26 @@ off the diagonal, with kappa = n^-1 (4 pi epsilon)^(-d/2) from
 that constant, eta(kappa A) = eta(A) / sqrt(kappa), so normalized
 quantities are one division away and need no second kernel.
 
-The affinity is the only n x n matrix of the pipeline, built by one
-loop over upper pairs of contiguous row blocks, each turned into kernel
-values in place and written with its mirror.  ``sinklap.sinkhorn``
-makes both scale vectors s from A; a Laplacian reaches
-diag(s) A diag(s) through matvecs with A.  ``Affinity`` owns the
-square, finite, symmetric, non-negative A that scaling needs: it
-checks outside data once, ``build_affinity``'s A holds it by
-construction, and ``kernel_matrix`` reads any kernel argument,
-checking an ndarray.
+The affinity is the pipeline's only array of order n^2, and it is
+stored once, as its lower block triangle: for each block of 256 rows
+s:e, the C-ordered rectangle A[s:e, :e], one after another in one
+array (``PackedTriangle``), at most n^2 / 2 + 128 n entries.  An entry
+left of the diagonal blocks is stored once, for itself and its mirror,
+and each 256 x 256 diagonal block whole, its upper half a copy of its
+lower half, so A is symmetric by construction.  One loop over the lower
+pairs of 128-row tiles turns each tile into kernel values in place and
+writes it once, into its block row's rectangle; no panel, no n x n
+temporary and no mirror write outside the diagonal blocks.
+``sinklap.sinkhorn`` makes both scale vectors s from A; a Laplacian
+reaches diag(s) A diag(s) through matvecs with A.  ``Affinity`` owns the square, finite,
+symmetric, non-negative A that scaling needs: it checks outside data
+once and packs it, ``build_affinity``'s A holds it by construction,
+and ``packed_kernel`` reads any kernel argument, checking and packing
+an ndarray.  ``Affinity.dense`` rebuilds the n x n matrix for tests.
 
-Storage rule: every block is computed in float64 and stored in float32,
+Storage rule: every tile is computed in float64 and stored in float32,
 the float32 rounding of the float64 kernel, off by at most 2^-24
-relative per entry.  If a block holds an entry below float32's smallest
+relative per entry.  If a tile holds an entry below float32's smallest
 normal, 1.18e-38, the loop restarts into float64 and A is the float64
 kernel itself: as float32 subnormals such entries would slow every
 product with A many times over, and flushed to zero they would drop
@@ -33,8 +40,21 @@ far outliers.  Heteroskedastic outliers fill whole rows with such
 entries, so the restart comes within the first blocks; at worst, one
 such entry in the last block, the build costs twice its time.  An
 outside kernel stays float32 if it is float32 and is float64 otherwise.
+
 Every pass over A, row sums included, is a product through ``_matvec``,
-which multiplies in A's precision and returns float64.
+in A's precision, returning float64: two ``gemv`` per block row, its
+rectangle times x[:e] into y[s:e] and the transpose of its part left
+of the diagonal tile times x[s:e] into y[:s].  Each entry of y is thus
+one row's dot product over its own rectangle plus one 256-term sum per
+later block row, which keeps float32 products as close to exact
+arithmetic as a dense ``sgemv``'s (median 3.0e-7 vs 6.5e-7 relative on
+a clean n=3000 kernel), where BLAS's packed ``sspmv`` sums each row
+in sequence (2.5e-6).  The BLAS routine is scipy's own OpenBLAS,
+reached through the function pointer that ``scipy.linalg.cython_blas``
+exports, its C signature checked on import, and called through
+``ctypes``, which releases the GIL, so a replica thread's product runs
+beside the other thread's Python work; ``scipy.linalg.blas``'s f2py
+wrappers hold the GIL for the whole call.
 
 A row's width is 1 + the index of its last nonzero column.  Rows
 narrower than the widest are narrow, w is their largest width, and the
@@ -58,46 +78,132 @@ rounding where A is float32).  Narrow-wide d^2 reorders a sum of
 non-negative terms, within about 2 (m - 1) u relative of ``pdist``'s (u
 the unit roundoff; 4.4e-13 at m = 2000).  Wide rows a, b are within
 about 2 (m + 1) u (||a||^2 + ||b||^2) + 2 (m + 3) u d^2 of it; the
-first term matters only for near-coincident outliers.  (x_k - y_k)^2
-equals (y_k - x_k)^2 bitwise, t_i + t_j is one sum and g is symmetrized
-on diagonal blocks, so the matrix is bitwise symmetric.  These bounds
-hold for the float64 kernel; a float32 A rounds each entry once more,
-symmetric entries alike.
+first term matters only for near-coincident outliers.  These bounds
+hold for the float64 kernel; a float32 A rounds each entry once more.
 """
 
-from dataclasses import dataclass
+import ctypes
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
+from scipy.linalg import cython_blas
 from scipy.spatial.distance import cdist
 from scipy.special import gamma
 
 from .errors import integer_at_least, positive_finite
 
 
-# rows per block in ``build_affinity``, which bounds its temporaries
-_BLOCK = 128
+# rows per tile in ``build_affinity``, which bounds its temporaries
+_TILE = 128
+# rows per block row of the stored triangle, a multiple of _TILE: it sets
+# the number of BLAS calls per product, each of which hands the GIL over
+# and back, which slows replica threads that share it.  256 rows make
+# half of 128's calls for 64 n more stored entries; 384 rows measured no
+# faster, and 512 rows let products move with the BLAS thread count
+# (n = 1001, OpenBLAS 0.3.31)
+_BLOCK = 256
+
+
+class PackedTriangle:
+    """A symmetric n x n matrix stored as its lower block triangle.
+
+    Block row s:e (``_BLOCK`` rows, fewer in the last) is the C-ordered
+    rectangle A[s:e, :e]; ``data`` holds the rectangles one after
+    another, read-only.  ``dense()`` rebuilds the n x n matrix.
+    """
+
+    __slots__ = ("data", "n", "_calls")
+
+    def __init__(self, data, n):
+        if data.shape != (_stored_size(n),):
+            raise ValueError(f"a triangle of order {n} holds {_stored_size(n)} entries")
+        data.setflags(write=False)
+        self.data, self.n = data, n
+        # ``_matvec``'s BLAS arguments for each block row, made once: rows,
+        # width, the width left of the diagonal block (None on the first
+        # block row), the rectangle's address and s in bytes
+        self._calls = [
+            (_int_ref(e - s), _int_ref(e), _int_ref(s) if s else None,
+             ctypes.c_void_p(panel.ctypes.data), s * data.itemsize)
+            for s, e, panel in self.panels()
+        ]
+
+    def __reduce__(self):
+        # the BLAS arguments hold addresses, so a copy rebuilds them
+        return PackedTriangle, (self.data, self.n)
+
+    def panels(self):
+        """Each block row as (s, e, its (e - s, e) rectangle)."""
+        return _panels(self.data, self.n)
+
+    def dense(self):
+        """A as a new dense n x n array in its stored dtype."""
+        mat = np.empty((self.n, self.n), self.data.dtype)
+        for s, e, panel in self.panels():
+            mat[s:e, :e] = panel
+            mat[:s, s:e] = panel[:, :s].T
+        return mat
+
+
+def _int_ref(value):
+    """A C int holding value, by reference, as BLAS takes its sizes."""
+    return ctypes.byref(ctypes.c_int(value))
+
+
+def _stored_size(n):
+    """Entries of a lower block triangle of order n: B^2 q (q + 1) / 2
+    for q full block rows, and r n for a last block row of r < B rows."""
+    q, r = divmod(n, _BLOCK)
+    return _BLOCK * _BLOCK * q * (q + 1) // 2 + r * n
+
+
+def _panels(data, n):
+    """(s, e, rectangle) of each block row s:e of a lower block triangle
+    stored in data, the rectangle an (e - s, e) view."""
+    start = 0
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        yield s, e, data[start : start + (e - s) * e].reshape(e - s, e)
+        start += (e - s) * e
 
 
 @dataclass
 class Affinity:
-    """A dense kernel matrix with its bandwidth.
+    """A kernel matrix with its bandwidth, stored as its lower block
+    triangle (``PackedTriangle``).
 
-    The matrix is a read-only, checked copy of the given one: square,
-    finite, bitwise symmetric and non-negative, float32 if the given one
-    is and float64 otherwise.  epsilon is positive and finite.
+    ``Affinity(matrix, epsilon)`` checks the given dense matrix, which
+    must be square, finite, bitwise symmetric and non-negative, and
+    packs its lower block triangle into a read-only copy, float32 if the
+    matrix is and float64 otherwise.  epsilon is positive and finite.
+    ``dense()`` rebuilds the n x n matrix.
     """
 
-    matrix: np.ndarray
+    matrix: InitVar[np.ndarray]
     epsilon: float
+    packed: PackedTriangle = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, matrix):
         positive_finite("epsilon", self.epsilon)
-        self.matrix = _checked_kernel(np.array(self.matrix))
-        self.matrix.setflags(write=False)
+        self.packed = _pack(_checked_kernel(matrix))
 
     @property
     def n(self):
-        return self.matrix.shape[0]
+        return self.packed.n
+
+    def dense(self):
+        """A as a new dense n x n array in its stored dtype."""
+        return self.packed.dense()
+
+
+def _pack(mat):
+    """The lower block triangle of a square matrix, in a new array of its
+    dtype: no n x n temporary and no index arrays."""
+    n = mat.shape[0]
+    data = np.empty(_stored_size(n), mat.dtype)
+    for s, e, panel in _panels(data, n):
+        panel[...] = mat[s:e, :e]
+    return PackedTriangle(data, n)
 
 
 def _checked_kernel(a):
@@ -131,19 +237,79 @@ def _checked_kernel(a):
     return mat
 
 
-def kernel_matrix(a):
-    """An Affinity's matrix as is, or an ndarray checked like one."""
-    return a.matrix if isinstance(a, Affinity) else _checked_kernel(a)
+def packed_kernel(a):
+    """An Affinity's stored triangle as is, or an ndarray checked like
+    one and packed."""
+    return a.packed if isinstance(a, Affinity) else _pack(_checked_kernel(a))
 
 
-def _matvec(mat, x):
-    """A x in A's precision, as a float64 vector.
+_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+    ("PyCapsule_GetName", ctypes.pythonapi)
+)
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
 
-    x is cast to A's dtype first: numpy multiplies a float32 A by a
-    float64 x through a float64 copy of A, n x n, where a float32 x
-    takes one ``sgemv`` pass over A itself.
+
+def _blas_gemv(prefix, real):
+    """scipy's Cython BLAS ``?gemv`` as a ctypes function, with 1 in the
+    routine's precision: ctypes releases the GIL for the call, where
+    scipy.linalg.blas's f2py wrappers hold it.
+
+    The capsule's name is the routine's C signature; it must be the one
+    ``_matvec``'s arguments follow (32-bit ints, pointers to the real
+    type), or a BLAS built otherwise would read through wrong pointers.
     """
-    return (mat @ x.astype(mat.dtype, copy=False)).astype(float, copy=False)
+    capsule = cython_blas.__pyx_capi__[prefix + "gemv"]
+    name = _capsule_name(capsule)
+    typed = f"__pyx_t_5scipy_6linalg_11cython_blas_{prefix} *"
+    # trans, m, n, alpha, a, lda, x, incx, beta, y, incy
+    want = "void (char *, int *, int *, {0}, {0}, int *, {0}, int *, {0}, {0}, int *)"
+    if name.decode() != want.format(typed):
+        raise ImportError(f"scipy.linalg.cython_blas.{prefix}gemv has signature "
+                          f"{name.decode()!r}, not {want.format(typed)!r}")
+    # no argtypes: each call passes ctypes objects of the checked types,
+    # which skips ctypes' per-argument conversion, 2.4 of a bare call's
+    # 3.5 us
+    gemv = ctypes.CFUNCTYPE(None)(_capsule_pointer(capsule, name))
+    return gemv, ctypes.byref(real(1.0))
+
+
+_GEMV = {
+    np.dtype(np.float32): _blas_gemv("s", ctypes.c_float),
+    np.dtype(np.float64): _blas_gemv("d", ctypes.c_double),
+}
+_UNIT_STRIDE = _int_ref(1)
+_TRANS, _NO_TRANS = ctypes.c_char_p(b"T"), ctypes.c_char_p(b"N")
+
+
+def _matvec(packed, x):
+    """A x in A's precision, as a float64 vector: two ``gemv`` per block
+    row of A's stored triangle.
+
+    Block row s:e adds its rectangle A[s:e, :e] times x[:e] to y[s:e],
+    and the transpose of A[s:e, :s] times x[s:e] to y[:s].  The
+    rectangle is C-ordered, so to Fortran BLAS it is its transpose with
+    leading dimension e.  x is cast to A's dtype first.
+    """
+    n, data = packed.n, packed.data
+    x = np.asarray(x)
+    if x.shape != (n,):
+        raise ValueError(f"vector must have shape ({n},)")
+    # x in A's dtype, then y, in one buffer: one address to look up
+    xy = np.zeros(2 * n, data.dtype)
+    xy[:n] = x
+    gemv, one = _GEMV[data.dtype]
+    x_at = xy.ctypes.data
+    y_at = x_at + n * data.itemsize
+    x_all, y_all = ctypes.c_void_p(x_at), ctypes.c_void_p(y_at)
+    for rows, width, left, at, shift in packed._calls:
+        gemv(_TRANS, width, rows, one, at, width, x_all, _UNIT_STRIDE, one,
+             ctypes.c_void_p(y_at + shift), _UNIT_STRIDE)
+        if left is not None:
+            gemv(_NO_TRANS, left, rows, one, at, width, ctypes.c_void_p(x_at + shift),
+                 _UNIT_STRIDE, one, y_all, _UNIT_STRIDE)
+    return xy[n:].astype(float)
 
 
 def gaussian_kernel(xi, d):
@@ -165,12 +331,13 @@ def normalized_prefactor(n, epsilon, d):
 def build_affinity(points, epsilon):
     """Assemble the zero-diagonal Gaussian kernel of a point cloud.
 
-    Each upper pair of contiguous row blocks is a w-column ``cdist``,
-    plus t_i + t_j on a block with a wide row, minus 2 g_ij between its
-    wide rows; it is turned into kernel values in float64 and written
-    with its mirror into a float32 matrix.  One entry below float32's
-    smallest normal restarts the loop into a float64 matrix (module
-    docstring), at worst doubling the build time.
+    Each lower pair of 128-row tiles is a w-column ``cdist``,
+    plus t_i + t_j on a tile with a wide row, minus 2 g_ij between its
+    wide rows; it is turned into kernel values in float64 and stored,
+    once, into its block row of A's float32 lower block triangle.  One
+    entry below float32's smallest normal restarts the loop into a
+    float64 triangle (module docstring), at worst doubling the build
+    time.
 
     Parameters
     ----------
@@ -182,14 +349,15 @@ def build_affinity(points, epsilon):
     Returns
     -------
     Affinity
-        Bitwise-symmetric non-negative matrix exp(-d2 / (4 epsilon))
-        with a zero diagonal, float32 when float32 holds every entry as
-        a normal number and float64 otherwise.  Entries between narrow
-        rows, and all entries of one-width data, are bitwise equal to
-        the kernel of full-width ``pdist`` distances, or to its float32
-        rounding in a float32 matrix.  Entries with a wide row take d2
-        from the tail norms and the tail Gram product, within the
-        bounds of the module docstring (before rounding).
+        The symmetric non-negative matrix exp(-d2 / (4 epsilon)) with a
+        zero diagonal, stored as its lower block triangle, float32 when
+        float32 holds every entry as a normal number and float64
+        otherwise.  Entries between narrow rows, and all entries of
+        one-width data, are bitwise equal to the kernel of full-width
+        ``pdist`` distances, or to its float32 rounding in float32.
+        Entries with a wide row take d2 from the tail norms and the tail
+        Gram product, within the bounds of the module docstring (before
+        rounding).
     """
     pts = np.ascontiguousarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] < 1:
@@ -204,43 +372,47 @@ def build_affinity(points, epsilon):
     wide = width > w
     # n doubles from a view, no n x m copy; exact zeros on narrow rows
     tail = np.einsum("ij,ij->i", pts[:, w:], pts[:, w:])
-    blocks = [(rows, np.flatnonzero(wide[rows]))
-              for rows in (slice(a, a + _BLOCK) for a in range(0, n, _BLOCK))]
+    tiles = [(rows, np.flatnonzero(wide[rows]))
+             for rows in (slice(a, min(a + _TILE, n)) for a in range(0, n, _TILE))]
     for dtype in (np.float32, np.float64):
-        mat = None  # free a float32 attempt before the float64 array
-        mat = np.empty((n, n), dtype)
-        if _fill_kernel(mat, pts, epsilon, blocks, w, tail):
+        data = None  # free a float32 attempt before the float64 triangle
+        data = np.empty(_stored_size(n), dtype)
+        if _fill_kernel(data, pts, epsilon, tiles, w, tail):
             break
-    # symmetric by the mirror writes, non-negative by exp: no copy, no check
-    mat.setflags(write=False)
+    # one triangle, so symmetric by construction; non-negative by exp
     aff = object.__new__(Affinity)
-    aff.matrix, aff.epsilon = mat, float(epsilon)
+    aff.packed, aff.epsilon = PackedTriangle(data, n), float(epsilon)
     return aff
 
 
-def _fill_kernel(mat, pts, epsilon, blocks, w, tail):
-    """Write the kernel into mat block by block; False once a float32 mat
-    meets an entry below float32's smallest normal.
+def _fill_kernel(data, pts, epsilon, tiles, w, tail):
+    """Write the kernel's lower block triangle into data, one row of
+    tiles at a time; False once a float32 triangle meets an entry below
+    float32's smallest normal.
 
-    Each block is computed in float64 and stored by rounding to mat's
-    dtype, so a float32 mat holds the float32 rounding of the float64 one.
+    Each tile left of and on the diagonal is computed in float64 and
+    stored by rounding into its block row's rectangle, of data's dtype.
+    A float32 triangle thus holds the float32 rounding of the float64
+    kernel.  A tile inside a diagonal block is also stored transposed
+    into the block's upper half, and a diagonal tile is made symmetric
+    first, whatever order the tails' Gram product summed its two halves
+    in.
     """
-    floor = np.finfo(np.float32).tiny if mat.dtype == np.float32 else 0.0
-    for i, (rows, wide_rows) in enumerate(blocks):
+    floor = np.finfo(np.float32).tiny if data.dtype == np.float32 else 0.0
+    panels = _panels(data, pts.shape[0])
+    for i, (rows, wide_rows) in enumerate(tiles):
+        if rows.start % _BLOCK == 0:
+            s, _, panel = next(panels)
         tail_rows = pts[rows][wide_rows, w:]
-        for cols, wide_cols in blocks[i:]:
+        for j, (cols, wide_cols) in enumerate(tiles[: i + 1]):
             block = cdist(pts[rows, :w], pts[cols, :w], "sqeuclidean")
             if wide_rows.size or wide_cols.size:
-                # one sum, so t_i + t_j and t_j + t_i share their bits
                 block += tail[rows, None] + tail[cols]
             if wide_rows.size and wide_cols.size:
-                # 2 g, with g made bitwise symmetric on diagonal blocks
-                diagonal = cols is rows
-                gram = tail_rows @ (
-                    tail_rows if diagonal else pts[cols][wide_cols, w:]
-                ).T
-                gram = gram + gram.T if diagonal else 2.0 * gram
-                block[np.ix_(wide_rows, wide_cols)] -= gram
+                # on a diagonal tile numpy's product of the tails with
+                # their own transpose is one syrk, half a gemm's work
+                gram = tail_rows @ (tail_rows if j == i else pts[cols][wide_cols, w:]).T
+                block[np.ix_(wide_rows, wide_cols)] -= 2.0 * gram
                 np.maximum(block, 0.0, out=block)
             # exp(-d2 / (4 epsilon)) in place, bitwise equal to the
             # out-of-place expression
@@ -249,9 +421,13 @@ def _fill_kernel(mat, pts, epsilon, blocks, w, tail):
             np.exp(block, out=block)
             if block.min() < floor:
                 return False
-            mat[rows, cols] = block
-            mat[cols, rows] = block.T
-    np.fill_diagonal(mat, 0.0)
+            if j == i:
+                np.fill_diagonal(block, 0.0)
+                upper = np.triu_indices(block.shape[0], 1)
+                block[upper] = block.T[upper]
+            panel[rows.start - s : rows.stop - s, cols] = block
+            if j < i and cols.start >= s:
+                panel[cols.start - s : cols.stop - s, rows] = block.T
     return True
 
 

@@ -8,10 +8,11 @@ a random-walk Laplacian I - D(K)^-1 K.  Applying -(1/epsilon) times
 the operator to a function sampled on the points approximates a
 weighted Laplace-Beltrami operator as the bandwidth shrinks.
 
-Neither K nor L is ever formed, so A is the only n x n array: applying
-L costs one matvec with A, and the random-walk eigenproblem is solved
-by Lanczos on the same matvec.  Each matvec runs in A's precision,
-float32 or float64 (see ``sinklap.kernel``); vectors stay float64.
+Neither K nor L is ever formed, so A's stored triangle is the only
+array of order n^2: applying L costs one matvec with A, and the
+random-walk eigenproblem is solved by Lanczos on the same matvec.  Each
+matvec runs in A's precision, float32 or float64 (see
+``sinklap.kernel``); vectors stay float64.
 """
 
 from dataclasses import dataclass
@@ -87,7 +88,7 @@ def laplacian_from_affinity(a, form, scale):
     if s.shape != (a.n,):
         raise ValueError("scale must have shape (n,)")
     positive_finite("scale", s)
-    deg = s * _matvec(a.matrix, s)
+    deg = s * _matvec(a.packed, s)
     if form is LaplacianForm.RANDOM_WALK and np.any(deg <= 0):
         raise DegenerateInputError("random-walk form needs positive degrees")
     return LaplacianOp(kernel=a, scale=s, form=form, degrees=deg)
@@ -98,7 +99,7 @@ def apply_rescaled(l, f):
     f = np.asarray(f, dtype=float)
     if f.shape != l.scale.shape:
         raise ValueError("f must have shape (n,)")
-    kf = l.scale * _matvec(l.kernel.matrix, l.scale * f)
+    kf = l.scale * _matvec(l.kernel.packed, l.scale * f)
     if l.form is LaplacianForm.UNNORMALIZED:
         lf = l.degrees * f - kf
     else:
@@ -128,7 +129,7 @@ def smallest_eigenpairs(l, k):
         raise ValueError("k must be an integer in [1, n - 1]")
     root = 1.0 / np.sqrt(l.degrees)
     r = l.scale * root
-    a = l.kernel.matrix
+    a = l.kernel.packed
     op = LinearOperator(
         (n, n), matvec=lambda x: x - r * _matvec(a, r * x), dtype=float
     )

@@ -3,8 +3,9 @@
 A Laplacian (``sinklap.laplacian``) is A under a diagonal scaling s,
 made here: ``dm_scale`` gives (A 1)^-1/2 and ``approx_sym_sk`` a
 positive eta with D_eta A D_eta (approximately) doubly stochastic.
-Both read a matrix A, never a dataset, through ``kernel.kernel_matrix``,
-which checks an ndarray on each call and an ``Affinity`` never again.
+Both read a matrix A, never a dataset, through ``kernel.packed_kernel``,
+which checks and packs an ndarray on each call and takes an
+``Affinity``'s stored triangle as it is.
 One accelerated SK iteration alternates the two classical half-updates
 
     u = 1 / (A eta),    v = 1 / (A u),
@@ -42,7 +43,7 @@ from .errors import (
     integer_at_least,
     positive_finite,
 )
-from .kernel import _matvec, kernel_matrix
+from .kernel import _matvec, packed_kernel
 
 
 @dataclass
@@ -86,9 +87,9 @@ class ScalingResult:
     converged: bool = False
 
 
-def _inverse_root_degrees(mat):
-    """(A 1)^-1/2 of a kernel matrix A; raises on a zero row."""
-    deg = _matvec(mat, np.ones(mat.shape[0]))
+def _inverse_root_degrees(packed):
+    """(A 1)^-1/2 of a packed kernel A; raises on a zero row."""
+    deg = _matvec(packed, np.ones(packed.n))
     if np.any(deg <= 0):
         raise DegenerateInputError("affinity matrix has a zero row")
     return 1.0 / np.sqrt(deg)
@@ -96,13 +97,13 @@ def _inverse_root_degrees(mat):
 
 def dm_scale(a):
     """Scale vector (A 1)^-1/2 of the degree-normalized affinity."""
-    return _inverse_root_degrees(kernel_matrix(a))
+    return _inverse_root_degrees(packed_kernel(a))
 
 
 def scaling_residual(a, eta):
     """Row-sum residual vector D_eta A D_eta 1 - 1."""
     eta = np.asarray(eta, dtype=float)
-    return eta * _matvec(kernel_matrix(a), eta) - 1.0
+    return eta * _matvec(packed_kernel(a), eta) - 1.0
 
 
 def _checked_reciprocal(x, what, k):
@@ -136,19 +137,19 @@ def approx_sym_sk(a, config=None):
     ------
     ValueError
         If an ndarray ``a`` is not square, finite, symmetric and
-        non-negative (``kernel.kernel_matrix``); an Affinity was checked
+        non-negative (``kernel.packed_kernel``); an Affinity was checked
         when built.
     DegenerateInputError
         If the matrix has a zero row.
     NumericalFailureError
         If an update produces non-positive or non-finite values.
     """
-    mat = kernel_matrix(a)
+    packed = packed_kernel(a)
     cfg = config if config is not None else SkConfig()
-    eta, hits = _project(_inverse_root_degrees(mat), cfg.c_sk)
+    eta, hits = _project(_inverse_root_degrees(packed), cfg.c_sk)
     history = []
     for k in range(1, cfg.max_iter + 1):
-        a_eta = _matvec(mat, eta)
+        a_eta = _matvec(packed, eta)
         res = float(np.max(np.abs(eta * a_eta - 1.0)))
         history.append(res)
         if not np.isfinite(res):
@@ -158,7 +159,7 @@ def approx_sym_sk(a, config=None):
         if res < cfg.eps_sk:
             break
         u = _checked_reciprocal(a_eta, "A eta", k)
-        v = _checked_reciprocal(_matvec(mat, u), "A u", k)
+        v = _checked_reciprocal(_matvec(packed, u), "A u", k)
         eta, clamped = _project(np.sqrt(u * v), cfg.c_sk)
         hits += clamped
 

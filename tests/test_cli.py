@@ -84,12 +84,17 @@ class TestParsing:
         assert grid == [1e-4, 1e-3, 1e-2]
         lin = parse_grid("1:2:3lin")
         assert lin == [1.0, 1.5, 2.0]
-        for bad in ("1:2", "1:2:0log", "1:2:xlog", "-1:2:3log"):
+        for bad in ("1:2", "1:2:0log", "1:2:xlog"):
             with pytest.raises(ValueError):
                 parse_grid(bad)
-        for bad in ("nan:1e-3:2log", "1e-3:inf:3log", "-inf:1:3lin"):
-            with pytest.raises(ValueError, match="grid endpoints must be finite"):
+        # geomspace needs positive endpoints: that is grammar
+        for bad in ("-1:2:3log", "nan:1e-3:2log", "0:1:2log", "1e-3:0:2log"):
+            with pytest.raises(ValueError, match="^a log grid needs positive endpoints$"):
                 parse_grid(bad)
+        # finiteness and order are epsilon_sweep's rules: the text parses
+        assert parse_grid("1e-3:inf:3log") == [1e-3, np.inf, np.inf]
+        assert np.isnan(parse_grid("-inf:1:3lin")[:2]).all()
+        assert parse_grid("2e-3:1e-3:2log") == [2e-3, 1e-3]
 
     def test_defaults_and_required(self):
         cfg = parse_config(["pointwise", "--epsilon", "1e-3"])
@@ -222,13 +227,21 @@ class TestExitCodes:
         assert f"sinklap {args[0]}: error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("grid", ["nan:1e-3:2log", "1e-3:inf:3log"])
-    def test_non_finite_grid_named(self, tmp_path, capsys, grid):
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            # a NaN start is not a positive one, so the grammar rejects it
+            ("nan:1e-3:2log",
+             "sinklap: error: bad value for --eps-grid: a log grid needs positive endpoints"),
+            ("1e-3:inf:3log", "sinklap sweep: error: epsilons must be positive and finite"),
+        ],
+        ids=["nan:1e-3:2log", "1e-3:inf:3log"],
+    )
+    def test_non_finite_grid_named(self, tmp_path, capsys, grid, message):
         out = tmp_path / "s.csv"
         assert main(["sweep", "--n", "60", "--eps-grid", grid, "--replicas", "1",
                      "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert "bad value for --eps-grid: grid endpoints must be finite" in err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -245,11 +258,11 @@ class TestExitCodes:
              "sinklap embed: error: n must be an integer >= 6"),
             (["generate", "--n", "5", "--seed", "-3"],
              "sinklap generate: error: seed must be an integer >= 0"),
-            # the grid's text is the command line's to parse
+            # the grid's points, like every value, are the library's to judge
             (["sweep", "--n", "20", "--eps-grid", "2e-3:1e-3:2log", "--replicas", "1"],
-             "sinklap: error: bad value for --eps-grid: "),
+             "sinklap sweep: error: epsilons must be non-decreasing"),
             (["sweep", "--n", "20", "--eps-grid", "0:1e-3:3lin", "--replicas", "1"],
-             "sinklap: error: bad value for --eps-grid: "),
+             "sinklap sweep: error: epsilons must be positive and finite"),
         ],
         ids=["pointwise-n", "sweep-n", "skdiag-n", "embed-n", "generate-seed",
              "sweep-decreasing-grid", "sweep-zero-grid"],
@@ -269,6 +282,16 @@ class TestExitCodes:
         assert lines[0] == "m0 = 1"
         assert lines[1].startswith("m2 = 2")
         assert "wall=" in captured.err
+
+    def test_wall_line_names_what_ran(self, tmp_path, capsys):
+        # the 2 x 2 fixture draws no points, so no parsed n is named
+        assert main(["skdiag", "--fixture", "perm2", "--out", str(tmp_path / "t.csv")]) == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r"sinklap skdiag fixture=perm2 wall=\d+\.\d\ds", line)
+        assert main(["skdiag", "--n", "30", "--epsilon", "1e-2",
+                     "--out", str(tmp_path / "t.csv")]) == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r"sinklap skdiag n=30 epsilon=0.01 wall=\d+\.\d\ds", line)
 
 
 class TestArtifacts:

@@ -1,6 +1,9 @@
 """Affinity construction and kernel moment checks."""
 
+import copy
+import ctypes
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -33,7 +36,7 @@ from sinklap import (
     pointwise_experiment,
     sample_dataset,
 )
-from sinklap.kernel import _BLOCK, _matvec
+from sinklap.kernel import _BLOCK, _TILE, _matvec
 
 
 def pdist_kernel(pts, eps):
@@ -82,7 +85,7 @@ def assert_matches_pdist(pts, eps):
     is clamped at 0; the first two are why ``Affinity`` need not check
     it.  Returns the number of entries with a wide row.
     """
-    a = build_affinity(pts, eps).matrix
+    a = build_affinity(pts, eps).dense()
     assert np.array_equal(a, a.T) and a.min() >= 0.0 and a.max() <= 1.0
     ref = pdist_kernel(pts, eps)
     assert a.dtype == stored(ref).dtype
@@ -115,6 +118,33 @@ def assert_matches_pdist(pts, eps):
     bound += u_store * (ref[both] + bound)
     assert np.all(np.abs(a[both] - ref[both]) <= bound + tiny)
     return a.size - narrow.size**2
+
+
+def dense_path_kernel(pts, eps):
+    """The kernel as the dense n x n build made it, the reference for the
+    packed triangle: upper tiles written with their mirrors, the tails'
+    Gram product symmetrized on diagonal tiles, the same storage rule."""
+    n, m = pts.shape
+    width = np.where(pts.any(axis=1), m - np.argmax(pts[:, ::-1] != 0, axis=1), 0)
+    w = int(np.unique(width)[-2:][0])
+    wide = width > w
+    tail = np.einsum("ij,ij->i", pts[:, w:], pts[:, w:])
+    mat = np.empty((n, n))
+    for a in range(0, n, _TILE):
+        rows = slice(a, a + _TILE)
+        wide_rows = np.flatnonzero(wide[rows])
+        tail_rows = pts[rows][wide_rows, w:]
+        for b in range(a, n, _TILE):
+            cols = slice(b, b + _TILE)
+            wide_cols = np.flatnonzero(wide[cols])
+            block = cdist(pts[rows, :w], pts[cols, :w], "sqeuclidean")
+            block += tail[rows, None] + tail[cols]
+            gram = tail_rows @ (tail_rows if a == b else pts[cols][wide_cols, w:]).T
+            block[np.ix_(wide_rows, wide_cols)] -= gram + gram.T if a == b else 2.0 * gram
+            mat[rows, cols] = np.exp(-np.maximum(block, 0.0) / (4.0 * eps))
+            mat[cols, rows] = mat[rows, cols].T
+    np.fill_diagonal(mat, 0.0)
+    return stored(mat)
 
 
 @st.composite
@@ -203,16 +233,19 @@ class TestBuildAffinity:
         self.ds = sample_dataset(60, DensitySpec.SINUSOIDAL_1D, 4)
 
     def test_bitwise_symmetry(self):
+        # one stored triangle, so an entry and its mirror are one number;
+        # n = 60 is one block row, its diagonal tile stored whole
         a = build_affinity(self.ds.points, 1e-3)
-        assert np.array_equal(a.matrix, a.matrix.T)
+        assert a.packed.data.shape == (60 * 60,)
+        assert np.array_equal(a.dense(), a.dense().T)
 
     def test_entry_formula(self):
-        a = build_affinity(self.ds.points, 1e-3)
+        a = build_affinity(self.ds.points, 1e-3).dense()
         x = self.ds.points
         # spot-check a handful of entries against the scalar formula
         for i, j in [(0, 1), (3, 17), (20, 59)]:
             d2 = np.sum((x[i] - x[j]) ** 2)
-            assert np.isclose(a.matrix[i, j], np.exp(-d2 / (4.0 * 1e-3)), rtol=1e-14)
+            assert np.isclose(a[i, j], np.exp(-d2 / (4.0 * 1e-3)), rtol=1e-14)
 
     def test_normalized_prefactor_relation(self):
         eps = 2e-3
@@ -237,7 +270,7 @@ class TestBuildAffinity:
 
     def test_zero_diag(self):
         a = build_affinity(self.ds.points, 1e-3)
-        assert not np.diag(a.matrix).any()
+        assert not np.diag(a.dense()).any()
 
     def test_higher_dim_prefactor(self):
         want = (4.0 * np.pi * 0.05) ** -1.5 / 30.0
@@ -246,7 +279,7 @@ class TestBuildAffinity:
     def test_identical_points(self):
         pts = np.zeros((3, 2))
         a = build_affinity(pts, 1e-2)
-        assert np.array_equal(a.matrix, np.ones((3, 3)) - np.eye(3))
+        assert np.array_equal(a.dense(), np.ones((3, 3)) - np.eye(3))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -260,8 +293,8 @@ class TestBuildAffinity:
     def test_bitwise_out_of_place_formula(self):
         # float32 holds this kernel, so A is the float32 rounding of pdist's
         a = build_affinity(self.ds.points, 1e-3)
-        assert a.matrix.dtype == np.float32
-        assert np.array_equal(a.matrix, stored(pdist_kernel(self.ds.points, 1e-3)))
+        assert a.packed.data.dtype == np.float32
+        assert np.array_equal(a.dense(), stored(pdist_kernel(self.ds.points, 1e-3)))
 
     def test_rejects_nan_point(self):
         pts = self.ds.points.copy()
@@ -278,7 +311,7 @@ class TestBuildAffinity:
     def test_matrix_readonly(self):
         a = build_affinity(self.ds.points, 1e-3)
         with pytest.raises(ValueError):
-            a.matrix[0, 0] = 1.0
+            a.packed.data[0] = 1.0
 
 
 class TestInvariant:
@@ -345,17 +378,17 @@ class TestInvariant:
     def test_owns_its_matrix(self):
         a = self.kernel(12)
         aff = Affinity(a, 1.0)
-        kept = aff.matrix.copy()
+        kept = aff.dense()
         a[0, 1] = a[1, 0] = -1.0
-        assert np.array_equal(aff.matrix, kept)
-        assert a.flags.writeable and not aff.matrix.flags.writeable
+        assert np.array_equal(aff.dense(), kept)
+        assert a.flags.writeable and not aff.packed.data.flags.writeable
 
     def test_outside_dtype(self):
         # a float32 kernel stays float32; anything else becomes float64
         a = self.kernel(14)
-        assert Affinity(a.astype(np.float32), 1.0).matrix.dtype == np.float32
-        assert Affinity(a, 1.0).matrix.dtype == np.float64
-        assert Affinity(np.ones((2, 2), dtype=int), 1.0).matrix.dtype == np.float64
+        assert Affinity(a.astype(np.float32), 1.0).packed.data.dtype == np.float32
+        assert Affinity(a, 1.0).packed.data.dtype == np.float64
+        assert Affinity(np.ones((2, 2), dtype=int), 1.0).packed.data.dtype == np.float64
 
     def test_checked_once_per_outside_kernel(self, monkeypatch):
         calls = []
@@ -409,19 +442,19 @@ class TestStorage:
     def test_clean_is_float32(self, eps):
         # the ends of the clean sweep's bandwidth grid
         pts = sample_dataset(400, DensitySpec.SINUSOIDAL_1D, 3).points
-        assert build_affinity(pts, eps).matrix.dtype == np.float32
+        assert build_affinity(pts, eps).packed.data.dtype == np.float32
         assert_matches_pdist(pts, eps)
 
     def test_simple_noise_is_float32(self):
         noise = NoiseModel(NoiseKind.SIMPLE, m=2000)
         pts = noisy_dataset(400, DensitySpec.SINUSOIDAL_1D, noise, 3).points
-        assert build_affinity(pts, 5e-4).matrix.dtype == np.float32
+        assert build_affinity(pts, 5e-4).packed.data.dtype == np.float32
         assert assert_matches_pdist(pts, 5e-4) > 0
 
     def test_heteroskedastic_is_float64(self):
         noise = NoiseModel(NoiseKind.HETEROSKEDASTIC, m=2000)
         pts = noisy_dataset(400, DensitySpec.UNIFORM_CIRCLE, noise, 3).points
-        assert build_affinity(pts, 5e-4).matrix.dtype == np.float64
+        assert build_affinity(pts, 5e-4).packed.data.dtype == np.float64
         assert assert_matches_pdist(pts, 5e-4) > 0
 
     @pytest.mark.parametrize("step, dtype", [(-1e-6, np.float32), (1e-6, np.float64)])
@@ -430,46 +463,204 @@ class TestStorage:
         # just above or just below float32's smallest normal
         x = np.sqrt(-np.log(np.finfo(np.float32).tiny) * (1.0 + step))
         pts = np.array([[1.0], [1.0 + x]])
-        a = build_affinity(pts, 0.25).matrix
+        a = build_affinity(pts, 0.25).dense()
         assert a.dtype == dtype
         assert np.array_equal(a, stored(pdist_kernel(pts, 0.25)))
 
     def test_restart_from_last_block(self):
         # only the last row block reaches the far point, whose entries
         # (about 1e-108) float32 cannot hold: the restart rebuilds all of A
-        pts = np.linspace(1.0, 1.1, 2 * _BLOCK + 1)[:, None]
+        pts = np.linspace(1.0, 1.1, 2 * _TILE + 1)[:, None]
         pts[-1] = 11.0
-        a = build_affinity(pts, 0.1).matrix
+        a = build_affinity(pts, 0.1).dense()
         assert a.dtype == np.float64
         assert np.array_equal(a, pdist_kernel(pts, 0.1))
 
     def test_float64_kernel_keeps_its_products(self, monkeypatch):
-        # on a float64 kernel the matvec helper is a plain float64 product,
-        # so the heteroskedastic embedding repeats bit for bit with
-        # ``mat @ x`` in its place
+        # on a float64 kernel the packed product is a float64 product:
+        # the heteroskedastic embedding matches a run whose products are a
+        # dense float64 ``mat @ x``.  The two sum in different orders, so
+        # each product moves within n u relative (1.1e-13 at n = 1000,
+        # u = 2^-53), and the errors follow.  Measured: alignment errors
+        # 5.4e-12 relative, eigenvalues 2.2e-16 and eigenvectors 1.2e-12
+        # absolute
         noise = NoiseModel(NoiseKind.HETEROSKEDASTIC, m=2000)
         for seed in (0, 1):
             pts = noisy_dataset(1000, DensitySpec.UNIFORM_CIRCLE, noise, seed).points
-            assert build_affinity(pts, 5e-4).matrix.dtype == np.float64
+            assert build_affinity(pts, 5e-4).packed.data.dtype == np.float64
 
         def run():
             return embedding_experiment(1000, noise, 5e-4, replicas=2, threads=1)
 
         res = run()
+        dense = {}
+
+        def dense_product(packed, x):
+            # keyed by id, with packed kept alive so that no id is reused
+            if id(packed) not in dense:
+                dense[id(packed)] = (packed, packed.dense())
+            return dense[id(packed)][1] @ x
+
         for module in (sinklap.sinkhorn, sinklap.laplacian):
-            monkeypatch.setattr(module, "_matvec", lambda mat, x: mat @ x)
+            monkeypatch.setattr(module, "_matvec", dense_product)
         ref = run()
-        assert res.records == ref.records
+        assert len(dense) == 2
+        for got, want in zip(res.records, ref.records):
+            assert (got.method, got.pair, got.replicas) == (want.method, want.pair,
+                                                            want.replicas)
+            assert got.mse_mean == pytest.approx(want.mse_mean, rel=1e-9, abs=0)
+            assert got.mse_std == pytest.approx(want.mse_std, rel=1e-9, abs=0)
         for key in ref.mse:
-            assert np.array_equal(res.mse[key], ref.mse[key])
+            assert np.allclose(res.mse[key], ref.mse[key], rtol=1e-9, atol=0)
         for method in ("sk", "dm"):
             got, want = res.first_eigenpairs[method], ref.first_eigenpairs[method]
-            assert np.array_equal(got.values, want.values)
-            assert np.array_equal(got.vectors, want.vectors)
+            assert np.allclose(got.values, want.values, rtol=0, atol=1e-12)
+            assert np.allclose(got.vectors, want.vectors, rtol=0, atol=1e-9)
+
+
+class TestPackedTriangle:
+    """The lower block triangle's layout: block row s:e is A[s:e, :e],
+    across block boundaries and on a last, partial block row."""
+
+    @pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_round_trip(self, n):
+        rng = np.random.default_rng(n)
+        mat = rng.uniform(size=(n, n))
+        mat += mat.T
+        packed = Affinity(mat, 1.0).packed
+        q, r = divmod(n, _BLOCK)
+        assert packed.data.shape == (_BLOCK**2 * q * (q + 1) // 2 + r * n,)
+        assert [(s, e) for s, e, _ in packed.panels()] == [
+            (s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK)
+        ]
+        assert np.array_equal(packed.dense(), mat)
+
+    def test_copies(self):
+        # a copy is a new triangle with its own BLAS arguments
+        mat = np.arange(9.0).reshape(3, 3) + np.arange(9.0).reshape(3, 3).T
+        aff = Affinity(mat, 1.0)
+        for other in (pickle.loads(pickle.dumps(aff)), copy.deepcopy(aff)):
+            assert np.array_equal(other.dense(), mat) and other.epsilon == 1.0
+            assert not other.packed.data.flags.writeable
+            assert np.array_equal(_matvec(other.packed, np.ones(3)), mat.sum(axis=1))
+
+    @pytest.mark.parametrize("n", [1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    def test_product(self, n):
+        # float64 against numpy's product: n u relative of the row sums
+        rng = np.random.default_rng(n)
+        mat = rng.uniform(size=(n, n))
+        mat += mat.T
+        x = rng.uniform(size=n)
+        got = _matvec(Affinity(mat, 1.0).packed, x)
+        assert np.allclose(got, mat @ x, rtol=n * np.finfo(float).eps, atol=0)
+
+
+    def test_blas_signature_checked(self, monkeypatch):
+        # a cython_blas routine whose C signature is not the ctypes
+        # prototype's (say 64-bit ints) fails on import, not in BLAS
+        name = b"void (char *, long *, long *, float *, float *, long *, float *, long *, "
+        monkeypatch.setattr(sinklap.kernel, "_capsule_name", lambda capsule: name)
+        with pytest.raises(ImportError, match=r"^scipy\.linalg\.cython_blas\.sgemv has"):
+            sinklap.kernel._blas_gemv("s", ctypes.c_float)
+
+
+class TestDensePath:
+    """The packed triangle against the dense build it replaced
+    (``dense_path_kernel``): the same entries, each stored once, and
+    products within float rounding of a float64 dense product."""
+
+    @staticmethod
+    def points(kind, n=1001):
+        if kind is None:
+            return sample_dataset(n, DensitySpec.SINUSOIDAL_1D, 10).points
+        return noisy_dataset(n, DensitySpec.UNIFORM_CIRCLE, NoiseModel(kind, m=2000),
+                             10).points
+
+    @pytest.mark.parametrize("kind", [None, NoiseKind.SIMPLE], ids=["clean", "simple"])
+    def test_bitwise_lower_triangle(self, kind):
+        # one-width data and scattered outliers: each stored block row is
+        # the dense build's A[s:e, :e], bit for bit
+        pts = self.points(kind)
+        a, ref = build_affinity(pts, 5e-4), dense_path_kernel(pts, 5e-4)
+        assert a.packed.data.dtype == ref.dtype
+        for s, e, panel in a.packed.panels():
+            assert np.array_equal(panel, ref[s:e, :e])
+        assert np.array_equal(a.dense(), ref)
+
+    @pytest.mark.parametrize("kind", [NoiseKind.HETEROSKEDASTIC, NoiseKind.IID])
+    def test_outlier_entries_within_tolerance(self, kind):
+        # a lower tile's tail product is a gemm with its operands swapped,
+        # which may sum each g_ij in another order: with k tail columns
+        # both are within k u |tail_i| |tail_j| <= k u (t_i + t_j) / 2 of
+        # it, so d2 moves by at most 2 k u (t_i + t_j) and the entry by
+        # expm1 of that over 4 epsilon, plus one ulp where A is float32
+        # (measured: bitwise)
+        pts = self.points(kind, 700)
+        a, ref = build_affinity(pts, 5e-4), dense_path_kernel(pts, 5e-4)
+        assert a.packed.data.dtype == ref.dtype
+        tail = np.einsum("ij,ij->i", pts, pts)
+        u = np.finfo(float).eps / 2
+        delta = 2 * pts.shape[1] * u * (tail[:, None] + tail)
+        rel = np.expm1(delta / (4.0 * 5e-4)) + np.finfo(a.packed.data.dtype).eps
+        got, want = a.dense().astype(float), ref.astype(float)
+        assert np.all(np.abs(got - want) <= rel * want + np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("kind", [None, NoiseKind.HETEROSKEDASTIC],
+                             ids=["float32", "float64"])
+    def test_products(self, kind):
+        # each entry of A x in A's precision against exact float64
+        # arithmetic on the same entries: a sum of n non-negative terms
+        # errs by at most (n - 1) u, each term by 2 u (x's rounding and
+        # the product), so (n + 1) u relative in all: 6.0e-5 in float32
+        # (u = 2^-24), where 6.9e-7 was measured.  The float64 reference
+        # errs the same way in its own u, 2^-53, which the bound adds
+        pts = self.points(kind)
+        a = build_affinity(pts, 5e-4)
+        x = np.random.default_rng(0).uniform(0.5, 1.5, a.n)
+        want = a.dense().astype(float) @ x
+        u = (np.finfo(a.packed.data.dtype).eps + np.finfo(float).eps) / 2
+        got = _matvec(a.packed, x)
+        assert got.dtype == np.float64
+        assert np.all(np.abs(got - want) <= (a.n + 1) * u * want)
+
+
+class TestThreadCount:
+    """Products with A, and the scaling built on them, repeat bit for bit
+    under 1 and 2 BLAS threads."""
+
+    SCRIPT = """
+import hashlib
+import numpy as np
+from sinklap import Affinity, DensitySpec, approx_sym_sk, build_affinity, sample_dataset
+from sinklap.kernel import _matvec
+
+single = build_affinity(sample_dataset(1001, DensitySpec.SINUSOIDAL_1D, 0).points, 5e-4)
+double = Affinity(single.dense().astype(float), single.epsilon)
+x = np.random.default_rng(0).uniform(0.5, 1.5, single.n)
+for a in (single, double):
+    for v in (_matvec(a.packed, x), approx_sym_sk(a).eta):
+        print(a.packed.data.dtype, hashlib.sha256(v.tobytes()).hexdigest())
+"""
+
+    def test_products_and_scaling_repeat(self):
+        src = str(Path(sinklap.kernel.__file__).parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        digests = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", self.SCRIPT],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.splitlines())
+        assert [line.split()[0] for line in digests[0]] == ["float32"] * 2 + ["float64"] * 2
+        assert digests[0] == digests[1]
 
 
 class TestMemory:
-    """build_affinity allocates the n x n result and block temporaries only."""
+    """build_affinity allocates the stored triangle and tile temporaries
+    only: no n x n array and no (_BLOCK, n) panel."""
 
     @pytest.mark.parametrize(
         "make",
@@ -503,13 +694,17 @@ class TestMemory:
     def test_peak_is_one_matrix(self, make):
         pts = make().points
         n, m = pts.shape
-        bound = 8 * n * n + 8 * 2 * _BLOCK * (m + _BLOCK) + 2**20
         tracemalloc.start()
         try:
-            build_affinity(pts, 5e-4)
+            a = build_affinity(pts, 5e-4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        # the triangle in A's dtype, n^2 / 2 + n _BLOCK / 2 entries (a
+        # float32 attempt is freed before a float64 restart), the tails'
+        # copies and the tile temporaries
+        size = a.packed.data.itemsize * (n * n // 2 + _BLOCK // 2 * n)
+        bound = size + 8 * 2 * _TILE * (m + _TILE) + 2**20
         assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
 
 
@@ -523,13 +718,13 @@ class TestDegree:
         # sqrt(n) u32; float64 A: 1e-14)
         ds = sample_dataset(40, DensitySpec.UNIFORM_CIRCLE, 8)
         single = build_affinity(ds.points, 1e-3)
-        double = Affinity(matrix=single.matrix.astype(float), epsilon=1e-3)
-        assert single.matrix.dtype == np.float32
+        double = Affinity(matrix=single.dense().astype(float), epsilon=1e-3)
+        assert single.packed.data.dtype == np.float32
         for a, rtol in ((single, 1e-6), (double, 1e-14)):
             s = dm_scale(a)
-            assert np.array_equal(s, 1.0 / np.sqrt(_matvec(a.matrix, np.ones(a.n))))
-            assert np.array_equal(dm_scale(a.matrix), s)
-            ref = 1.0 / np.sqrt(a.matrix.sum(axis=1, dtype=float))
+            assert np.array_equal(s, 1.0 / np.sqrt(_matvec(a.packed, np.ones(a.n))))
+            assert np.array_equal(dm_scale(a.dense()), s)
+            ref = 1.0 / np.sqrt(a.dense().sum(axis=1, dtype=float))
             assert np.max(np.abs(s - ref) / ref) <= rtol
 
     def test_identical_points_zero_diag(self):

@@ -87,9 +87,9 @@ def test_sweep_slope_branches_have_one_owner():
 
 
 def test_products_with_the_kernel_have_one_helper():
-    # kernel._matvec multiplies in A's precision; a bare @ of a float32 A
-    # and a float64 vector multiplies through an n x n float64 copy of A,
-    # and a row sum is the product A 1, so no .sum( reads A by a second rule
+    # kernel._matvec is the one product with A's stored triangle, in A's
+    # precision, and a row sum is the product A 1, so no @ or .sum( reads
+    # A by a second rule
     def reads_apart(path):
         return any(
             isinstance(node, ast.MatMult)

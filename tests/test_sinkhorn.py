@@ -202,6 +202,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             approx_sym_sk(np.ones((2, 3)))
 
+    def test_residual_vector_length_checked(self):
+        # the packed product reads x through a pointer: a short vector
+        # must fail by name before BLAS reads past its end
+        a = random_spd_affinity(np.random.default_rng(6), 5)
+        for eta in (np.ones(3), np.ones(6), np.ones((5, 1))):
+            with pytest.raises(ValueError, match=r"^vector must have shape \(5,\)$"):
+                scaling_residual(a, eta)
+
     def test_numerical_failure_flags_iteration(self):
         a = np.full((2, 2), 1e308)
         with np.errstate(over="ignore"):
@@ -236,10 +244,10 @@ class TestConventions:
         # A is float32: kappa A rounds every entry again (2^-24 relative)
         # and each product rounds in float32, whose residuals stall near
         # 1e-7, so both solve to 1e-6 and agree to that (1.7e-7 measured)
-        assert a.matrix.dtype == np.float32
+        assert a.packed.data.dtype == np.float32
         cfg = SkConfig(c_sk=0.0, eps_sk=1e-6, max_iter=200)
         ru = approx_sym_sk(a, cfg)
-        rn = approx_sym_sk(kappa * a.matrix, cfg)
+        rn = approx_sym_sk(kappa * a.dense(), cfg)
         assert ru.converged and rn.converged and ru.iterations == rn.iterations
         converted = ru.eta / np.sqrt(kappa)
         assert np.max(np.abs(converted - rn.eta) / rn.eta) < 1e-6
