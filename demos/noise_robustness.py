@@ -15,7 +15,7 @@ effects are surfaced:
     eta_i, so inlier factors stay near the clean profile and the
     pointwise error barely moves, with zero lower-bound projections.
 
-Run:  python3 demos/noise_robustness.py   (about 15 s)
+Run:  python3 demos/noise_robustness.py   (about 1 s)
 """
 
 import numpy as np

@@ -634,12 +634,16 @@ import numpy as np
 from sinklap import Affinity, DensitySpec, approx_sym_sk, build_affinity, sample_dataset
 from sinklap.kernel import _matvec
 
-single = build_affinity(sample_dataset(1001, DensitySpec.SINUSOIDAL_1D, 0).points, 5e-4)
-double = Affinity(single.dense().astype(float), single.epsilon)
-x = np.random.default_rng(0).uniform(0.5, 1.5, single.n)
-for a in (single, double):
+# one block row, a one-row last block, and 3 full block rows plus 233 rows
+singles = [
+    build_affinity(sample_dataset(n, DensitySpec.SINUSOIDAL_1D, 0).points, 5e-4)
+    for n in (255, 257, 1001)
+]
+double = Affinity(singles[-1].dense().astype(float), singles[-1].epsilon)
+for a in (*singles, double):
+    x = np.random.default_rng(0).uniform(0.5, 1.5, a.n)
     for v in (_matvec(a.packed, x), approx_sym_sk(a).eta):
-        print(a.packed.data.dtype, hashlib.sha256(v.tobytes()).hexdigest())
+        print(a.n, a.packed.data.dtype, hashlib.sha256(v.tobytes()).hexdigest())
 """
 
     def test_products_and_scaling_repeat(self):
@@ -654,7 +658,8 @@ for a in (single, double):
             )
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.splitlines())
-        assert [line.split()[0] for line in digests[0]] == ["float32"] * 2 + ["float64"] * 2
+        kernels = [" ".join(line.split()[:2]) for line in digests[0][::2]]
+        assert kernels == ["255 float32", "257 float32", "1001 float32", "1001 float64"]
         assert digests[0] == digests[1]
 
 
