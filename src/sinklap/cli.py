@@ -232,11 +232,11 @@ def _used(p, *names):
 def _cmd_generate(p):
     ds = noisy_dataset(p["n"], p["density"], _noise_model(p), p["seed"])
     flags = ds.outlier_flags if ds.outlier_flags is not None else np.zeros(ds.n, bool)
-    m = ds.points.shape[1]
+    points = ds.points
     write_table(
         p["out"],
-        ("t",) + tuple(f"x{j + 1}" for j in range(m)) + ("outlier",),
-        ([t, *x, int(f)] for t, x, f in zip(ds.t, ds.points, flags)),
+        ("t",) + tuple(f"x{j + 1}" for j in range(points.shape[1])) + ("outlier",),
+        ([t, *x, int(f)] for t, x, f in zip(ds.t, points, flags)),
     )
     return _used(p, "n")
 
@@ -320,7 +320,7 @@ def _cmd_skdiag(p):
         # the kernel needs n >= 2, judged before the draw
         integer_at_least("n", p["n"], 2)
         ds = noisy_dataset(p["n"], p["density"], _noise_model(p), p["seed"])
-        target = build_affinity(ds.points, p["epsilon"])
+        target = build_affinity(ds, p["epsilon"])
         used = _used(p, "n", "epsilon")
     res = approx_sym_sk(target, _sk_config(p))
     write_table(

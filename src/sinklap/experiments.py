@@ -174,7 +174,7 @@ def noisy_dataset(n, spec, noise_model, seed):
 
     The noise stream uses seed + NOISE_SEED_OFFSET; without a noise
     model the clean dataset is returned.  The clean points keep their
-    native width; only the noisy points are m wide.  seed is checked
+    native width; only the outlier rows are m wide.  seed is checked
     before the first draw.
     """
     integer_at_least("seed", seed, 0)
@@ -203,7 +203,7 @@ def pointwise_experiment(
 
 def _pointwise_on(ds, spec, epsilon, kind, sk_config):
     """The pipeline of ``pointwise_experiment`` on a sampled dataset."""
-    aff = build_affinity(ds.points, epsilon)
+    aff = build_affinity(ds, epsilon)
     scaling = approx_sym_sk(aff, sk_config) if kind.bistochastic else None
     scale = dm_scale(aff) if scaling is None else scaling.eta
     lap = laplacian_from_affinity(aff, kind.form, scale)
@@ -341,7 +341,7 @@ def align_pair(v, r):
 
 def _embed_one(n, noise_model, epsilon, sk_config, seed):
     ds = noisy_dataset(n, DensitySpec.UNIFORM_CIRCLE, noise_model, seed)
-    aff = build_affinity(ds.points, epsilon)
+    aff = build_affinity(ds, epsilon)
     scaling = approx_sym_sk(aff, sk_config)
     mse = {}
     eigs = {}

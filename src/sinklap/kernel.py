@@ -69,7 +69,9 @@ tails, one BLAS product over a block's wide rows.  Inliers span a few
 columns and outlier noise fills R^m, so g holds the noise inner products
 that the paper's outlier term bounds (``noise.cross_term_stats``).
 Inlier coordinates stay in ``cdist``: on-manifold distances are the
-small ones, where a Gram form cancels.
+small ones, where a Gram form cancels.  A noisy ``Dataset`` stores
+only its outlier rows in R^m, and its split comes from those rows and
+the clean points, without the n x m cloud (``build_affinity``).
 
 Narrow rows have t = g = 0 exactly and columns past both rows' width add
 exact zeros, so narrow-narrow entries, and all of one-width data, are
@@ -102,6 +104,10 @@ _TILE = 128
 # faster, and 512 rows let products move with the BLAS thread count
 # (n = 1001, OpenBLAS 0.3.31)
 _BLOCK = 256
+# the strict upper triangle of a tile; its leading square is that of a
+# smaller last tile
+_UPPER = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)
+_UPPER.setflags(write=False)
 
 
 class PackedTriangle:
@@ -331,18 +337,29 @@ def normalized_prefactor(n, epsilon, d):
 def build_affinity(points, epsilon):
     """Assemble the zero-diagonal Gaussian kernel of a point cloud.
 
-    Each lower pair of 128-row tiles is a w-column ``cdist``,
-    plus t_i + t_j on a tile with a wide row, minus 2 g_ij between its
-    wide rows; it is turned into kernel values in float64 and stored,
-    once, into its block row of A's float32 lower block triangle.  One
-    entry below float32's smallest normal restarts the loop into a
-    float64 triangle (module docstring), at worst doubling the build
-    time.
+    The cloud is split into its first w columns, the narrow prefix, and
+    the wide rows' tails past column w (module docstring).  A dense array
+    gives the split from a scan of its row widths.  A ``Dataset`` gives it
+    from its rows: the clean points' widths and its outlier rows', the
+    prefix gathered from both and, in the usual case where the wide rows
+    are the outliers, the tails as a view of the outlier rows, so the
+    n x m cloud is never built.  Either split gives the same kernel, bit
+    for bit.
+
+    Each lower pair of 128-row tiles is then a w-column ``cdist``, plus
+    t_i + t_j on a tile with a wide row, minus 2 g_ij between its wide
+    rows; it is turned into kernel values in float64 and stored, once,
+    into its block row of A's float32 lower block triangle.  One entry
+    below float32's smallest normal restarts the loop into a float64
+    triangle (module docstring), at worst doubling the build time.
 
     Parameters
     ----------
-    points : ndarray, shape (n, m)
-        Finite ambient coordinates, n >= 2 and m >= 1.
+    points : Dataset, or ndarray of shape (n, m)
+        A dataset, whose ``points`` are the cloud, read through its
+        clean_points, outlier_flags and outlier_points (this module
+        imports no dataset type); or finite ambient coordinates.  n >= 2
+        and m >= 1.
     epsilon : float
         Kernel bandwidth, positive and finite.
 
@@ -359,25 +376,25 @@ def build_affinity(points, epsilon):
         Gram product, within the bounds of the module docstring (before
         rounding).
     """
-    pts = np.ascontiguousarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] < 1:
-        raise ValueError("points must be (n, m) with n >= 2 and m >= 1")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
+    outliers = getattr(points, "outlier_points", None)
+    if outliers is None:
+        prefix, wide, tails = _dense_split(getattr(points, "clean_points", points))
+    else:
+        prefix, wide, tails = _row_split(points.clean_points, points.outlier_flags, outliers)
     positive_finite("epsilon", epsilon)
-    n, m = pts.shape
-    width = np.where(pts.any(axis=1), m - np.argmax(pts[:, ::-1] != 0, axis=1), 0)
-    # the narrow width: the second-largest row width, or the only one
-    w = int(np.unique(width)[-2:][0])
-    wide = width > w
-    # n doubles from a view, no n x m copy; exact zeros on narrow rows
-    tail = np.einsum("ij,ij->i", pts[:, w:], pts[:, w:])
-    tiles = [(rows, np.flatnonzero(wide[rows]))
-             for rows in (slice(a, min(a + _TILE, n)) for a in range(0, n, _TILE))]
+    n = prefix.shape[0]
+    tail = np.zeros(n)
+    tail[wide] = np.einsum("ij,ij->i", tails, tails)
+    # each tile's rows, its wide rows' offsets in it and their tails
+    tiles = []
+    for a in range(0, n, _TILE):
+        rows = slice(a, min(a + _TILE, n))
+        lo, hi = np.searchsorted(wide, (rows.start, rows.stop))
+        tiles.append((rows, wide[lo:hi] - a, tails[lo:hi]))
     for dtype in (np.float32, np.float64):
         data = None  # free a float32 attempt before the float64 triangle
         data = np.empty(_stored_size(n), dtype)
-        if _fill_kernel(data, pts, epsilon, tiles, w, tail):
+        if _fill_kernel(data, prefix, epsilon, tiles, tail):
             break
     # one triangle, so symmetric by construction; non-negative by exp
     aff = object.__new__(Affinity)
@@ -385,10 +402,66 @@ def build_affinity(points, epsilon):
     return aff
 
 
-def _fill_kernel(data, pts, epsilon, tiles, w, tail):
+def _widths(rows):
+    """Each row's width, 1 + the index of its last nonzero column (0 for
+    a zero row)."""
+    m = rows.shape[1]
+    return np.where(rows.any(axis=1), m - np.argmax(rows[:, ::-1] != 0, axis=1), 0)
+
+
+def _narrow(width):
+    """The narrow width w, the second-largest row width or the only one,
+    and the index of the wide rows, those wider than w."""
+    w = int(np.unique(width)[-2:][0])
+    return w, np.flatnonzero(width > w)
+
+
+def _dense_split(points):
+    """A dense cloud's narrow prefix (a view), wide-row index and wide
+    tails (a copy), from a scan of its row widths."""
+    pts = np.ascontiguousarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] < 1:
+        raise ValueError("points must be (n, m) with n >= 2 and m >= 1")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
+    w, wide = _narrow(_widths(pts))
+    return pts[:, :w], wide, pts[wide, w:]
+
+
+def _row_split(clean, flags, out):
+    """A noisy dataset's narrow prefix, wide-row index and wide tails, from
+    its clean points (n, k), outlier flags and outlier rows (n_out, m),
+    which ``Dataset`` has checked.  An inlier's row is its clean row
+    padded with zeros to R^m, so it has the clean row's width.  The tails
+    are a view of the outlier rows when those are the wide rows, and
+    gathered otherwise (say, zero noise)."""
+    n, k = clean.shape
+    if n < 2 or out.shape[1] < 1:
+        raise ValueError("points must be (n, m) with n >= 2 and m >= 1")
+    if not np.all(np.isfinite(clean)):
+        raise ValueError("points must be finite")
+    width = _widths(clean)
+    width[flags] = _widths(out)
+    w, wide = _narrow(width)
+    outliers = np.flatnonzero(flags)
+    prefix = np.zeros((n, w))
+    prefix[:, :k] = clean[:, :w]
+    prefix[flags] = out[:, :w]
+    if np.array_equal(wide, outliers):
+        return prefix, wide, out[:, w:]
+    tails = np.zeros((wide.size, out.shape[1] - w))
+    tails[:, : max(k - w, 0)] = clean[wide, w:]
+    hit = flags[wide]
+    tails[hit] = out[np.searchsorted(outliers, wide[hit]), w:]
+    return prefix, wide, tails
+
+
+def _fill_kernel(data, prefix, epsilon, tiles, tail):
     """Write the kernel's lower block triangle into data, one row of
     tiles at a time; False once a float32 triangle meets an entry below
-    float32's smallest normal.
+    float32's smallest normal.  prefix is the narrow prefix, tail each
+    row's squares past it, and tiles holds each tile's rows, its wide
+    rows' offsets in it and their tails, a slice of the split's.
 
     Each tile left of and on the diagonal is computed in float64 and
     stored by rounding into its block row's rectangle, of data's dtype.
@@ -399,32 +472,30 @@ def _fill_kernel(data, pts, epsilon, tiles, w, tail):
     in.
     """
     floor = np.finfo(np.float32).tiny if data.dtype == np.float32 else 0.0
-    panels = _panels(data, pts.shape[0])
-    for i, (rows, wide_rows) in enumerate(tiles):
+    panels = _panels(data, prefix.shape[0])
+    for i, (rows, wide_rows, tail_rows) in enumerate(tiles):
         if rows.start % _BLOCK == 0:
             s, _, panel = next(panels)
-        tail_rows = pts[rows][wide_rows, w:]
-        for j, (cols, wide_cols) in enumerate(tiles[: i + 1]):
-            block = cdist(pts[rows, :w], pts[cols, :w], "sqeuclidean")
+        for j, (cols, wide_cols, tail_cols) in enumerate(tiles[: i + 1]):
+            block = cdist(prefix[rows], prefix[cols], "sqeuclidean")
             if wide_rows.size or wide_cols.size:
                 block += tail[rows, None] + tail[cols]
             if wide_rows.size and wide_cols.size:
-                # on a diagonal tile numpy's product of the tails with
-                # their own transpose is one syrk, half a gemm's work
-                gram = tail_rows @ (tail_rows if j == i else pts[cols][wide_cols, w:]).T
-                block[np.ix_(wide_rows, wide_cols)] -= 2.0 * gram
+                # on a diagonal tile the tails are one array, and numpy's
+                # product of it with its own transpose is one syrk, half
+                # a gemm's work
+                block[np.ix_(wide_rows, wide_cols)] -= 2.0 * (tail_rows @ tail_cols.T)
                 np.maximum(block, 0.0, out=block)
             # exp(-d2 / (4 epsilon)) in place, bitwise equal to the
-            # out-of-place expression
-            np.negative(block, out=block)
-            np.divide(block, 4.0 * epsilon, out=block)
+            # out-of-place expression: IEEE division is sign-symmetric
+            np.divide(block, -4.0 * epsilon, out=block)
             np.exp(block, out=block)
             if block.min() < floor:
                 return False
             if j == i:
                 np.fill_diagonal(block, 0.0)
-                upper = np.triu_indices(block.shape[0], 1)
-                block[upper] = block.T[upper]
+                size = block.shape[0]
+                np.copyto(block, block.T, where=_UPPER[:size, :size])
             panel[rows.start - s : rows.stop - s, cols] = block
             if j < i and cols.start >= s:
                 panel[cols.start - s : cols.stop - s, rows] = block.T

@@ -44,11 +44,14 @@ class Dataset:
         Intrinsic coordinates in [0, 1).
     clean_points : ndarray, shape (n, k)
         On-manifold coordinates.
-    noisy_points : ndarray, shape (n, m) with m >= k, or None
-        Observed coordinates after noise; None for clean datasets.  The
-        clean points sit in its first k columns (zero-padded to R^m).
-    outlier_flags : ndarray or None
-        Boolean per sample; paired with ``noisy_points``.
+    outlier_flags : ndarray of bool, shape (n,), or None
+        Which samples are outliers; None for clean datasets.
+    outlier_points : ndarray, shape (n_out, m) with m >= k, or None
+        The observed rows of the flagged samples, in row order: each is
+        its clean row zero-padded to R^m plus its displacement.  Comes
+        with ``outlier_flags``, one row per set flag, finite.  An
+        inlier is observed at its clean row padded to R^m, so a noisy
+        dataset never stores the n x m cloud (``points`` builds it).
     seed : int
         Seed the dataset was drawn with.
 
@@ -59,8 +62,8 @@ class Dataset:
 
     t: np.ndarray
     clean_points: np.ndarray
-    noisy_points: np.ndarray | None = None
     outlier_flags: np.ndarray | None = None
+    outlier_points: np.ndarray | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -71,20 +74,22 @@ class Dataset:
         n = self.t.shape[0]
         if self.clean_points.shape[0] != n:
             raise ValueError("t and clean_points disagree on n")
-        if (self.noisy_points is None) != (self.outlier_flags is None):
-            raise ValueError("noisy_points and outlier_flags must come together")
-        if self.noisy_points is not None:
-            self.noisy_points = np.asarray(self.noisy_points, dtype=float).view()
+        if (self.outlier_points is None) != (self.outlier_flags is None):
+            raise ValueError("outlier_points and outlier_flags must come together")
+        if self.outlier_points is not None:
             self.outlier_flags = np.asarray(self.outlier_flags, dtype=bool).view()
-            if (
-                self.noisy_points.ndim != 2
-                or self.noisy_points.shape[0] != n
-                or self.noisy_points.shape[1] < self.clean_points.shape[1]
-            ):
-                raise ValueError("noisy_points must be (n, m) with m >= clean width")
+            self.outlier_points = np.asarray(self.outlier_points, dtype=float).view()
             if self.outlier_flags.shape != (n,):
                 raise ValueError("outlier_flags must be (n,)")
-        for arr in (self.t, self.clean_points, self.noisy_points, self.outlier_flags):
+            flagged = int(np.count_nonzero(self.outlier_flags))
+            if self.outlier_points.ndim != 2 or self.outlier_points.shape[0] != flagged:
+                raise ValueError(f"outlier_points must be (n_out, m) with one row per "
+                                 f"set outlier flag, {flagged}")
+            if self.outlier_points.shape[1] < self.clean_points.shape[1]:
+                raise ValueError("outlier_points must be at least as wide as clean_points")
+            if not np.all(np.isfinite(self.outlier_points)):
+                raise ValueError("outlier_points must be finite")
+        for arr in (self.t, self.clean_points, self.outlier_flags, self.outlier_points):
             if arr is not None:
                 arr.setflags(write=False)
 
@@ -94,8 +99,14 @@ class Dataset:
 
     @property
     def points(self):
-        """Observed coordinates: noisy when present, clean otherwise."""
-        return self.noisy_points if self.noisy_points is not None else self.clean_points
+        """Observed coordinates: the clean points of a clean dataset, else
+        a new (n, m) array, the clean points zero-padded to R^m with the
+        outlier rows in place."""
+        if self.outlier_points is None:
+            return self.clean_points
+        pts = embed_ambient(self.clean_points, self.outlier_points.shape[1])
+        pts[self.outlier_flags] = self.outlier_points
+        return pts
 
 
 def _check_unit_interval(t):

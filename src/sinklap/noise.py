@@ -20,6 +20,10 @@ outlier coin, then only for outliers the gamma uniform (heteroskedastic
 and IID) followed by the m Gaussian components.  Gaussians come from
 the inverse CDF of uniforms, so a (seed, order) pair pins every byte of
 the output.
+
+An inlier's displacement is exactly 0, so a noisy dataset stores only
+its outliers' rows in R^m (``Dataset.outlier_points``), and the
+diagnostics read xi from those rows.
 """
 
 from dataclasses import dataclass
@@ -43,7 +47,7 @@ class NoiseModel:
     """Noise regime plus ambient dimension and scale knobs.
 
     kind is a ``NoiseKind``.  p_out is only read by the SIMPLE regime.
-    m is the ambient dimension of the noisy points: an integer, at
+    m is the ambient dimension of the observed points: an integer, at
     least 4 and at least the clean points' width.
     """
 
@@ -67,10 +71,11 @@ def _gamma1(t):
 def add_noise(ds, model, seed):
     """Return a noisy copy of a clean dataset, observed in R^m.
 
-    The clean points may be k <= m = model.m columns wide; the noisy
-    points are them zero-padded to R^m (``manifold.embed_ambient``) plus
-    the outlier displacements, and the clean points are kept as given.
-    Inlier rows of the result are bitwise equal to the padded clean rows.
+    The clean points may be k <= m = model.m columns wide and are kept
+    as given.  Only the outliers' rows are stored (``outlier_points``):
+    each is its clean row zero-padded to R^m (``manifold.embed_ambient``)
+    plus its Gaussian displacement.  An inlier is observed at its padded
+    clean row, which ``Dataset.points`` rebuilds on demand.
 
     Draws follow the module's order.  The heteroskedastic phase makes
     the outlier probability a randomly rotated sawtooth along the
@@ -78,7 +83,7 @@ def add_noise(ds, model, seed):
     the degree-normalized pipeline in the embedding experiment.
     """
     integer_at_least("seed", seed, 0)
-    if ds.noisy_points is not None:
+    if ds.outlier_points is not None:
         raise ValueError("dataset already carries noise")
     clean = ds.clean_points
     n, k = clean.shape
@@ -86,8 +91,8 @@ def add_noise(ds, model, seed):
     if k > m:
         raise ValueError(f"dataset is {k}-dimensional, wider than the model's m={m}")
     rng = make_rng(seed)
-    noisy = embed_ambient(clean, m)
     flags = np.zeros(n, dtype=bool)
+    rows = []
     root_m = np.sqrt(m)
     u = rng.random() if model.kind is NoiseKind.HETEROSKEDASTIC else 0.0
     for i in range(n):
@@ -108,22 +113,26 @@ def add_noise(ds, model, seed):
         else:
             gam = 3.0 * rng.random()
         sigma = model.sigma_out * np.sqrt(gam)
-        noisy[i] += (sigma / root_m) * standard_normal(rng, m)
+        row = np.zeros(m)
+        row[:k] = clean[i]
+        row += (sigma / root_m) * standard_normal(rng, m)
+        rows.append(row)
     return Dataset(
         t=ds.t,
         clean_points=clean,
-        noisy_points=noisy,
         outlier_flags=flags,
+        outlier_points=np.array(rows).reshape(len(rows), m),
         seed=ds.seed,
     )
 
 
-def _clean_and_offsets(ds):
-    """Clean points padded to the noisy width, and the displacements xi."""
-    if ds.noisy_points is None:
+def _outlier_offsets(ds):
+    """The displacements xi of the outliers, (n_out, m): each outlier row
+    minus its clean row padded to R^m.  An inlier's xi is exactly 0."""
+    if ds.outlier_points is None:
         raise ValueError("needs a noisy dataset")
-    xc = embed_ambient(ds.clean_points, ds.noisy_points.shape[1])
-    return xc, ds.noisy_points - xc
+    out = ds.outlier_points
+    return out - embed_ambient(ds.clean_points[ds.outlier_flags], out.shape[1])
 
 
 def attenuation(ds, epsilon):
@@ -131,11 +140,13 @@ def attenuation(ds, epsilon):
 
     xi_i is the sample's displacement off the manifold; the factor is
     how much every affinity touching i shrinks relative to the clean
-    kernel (up to cross terms).
+    kernel (up to cross terms).  Inliers, with xi_i = 0, get exactly 1.
     """
     positive_finite("epsilon", epsilon)
-    _, xi = _clean_and_offsets(ds)
-    return np.exp(-np.einsum("ij,ij->i", xi, xi) / (4.0 * epsilon))
+    xi = _outlier_offsets(ds)
+    sq = np.zeros(ds.n)
+    sq[ds.outlier_flags] = np.einsum("ij,ij->i", xi, xi)
+    return np.exp(-sq / (4.0 * epsilon))
 
 
 def cross_term_stats(ds):
@@ -153,13 +164,15 @@ def cross_term_stats(ds):
     off-diagonal pairs (the empirical cross-term bound) and the
     fraction of inlier samples.
     """
-    xc, xi = _clean_and_offsets(ds)
+    xi_out = _outlier_offsets(ds)
+    xc = embed_ambient(ds.clean_points, xi_out.shape[1])
+    xi = np.zeros_like(xc)
+    xi[ds.outlier_flags] = xi_out
     cross = xc @ xi.T
     diag = np.einsum("ij,ij->i", xc, xi)
     gram = xi @ xi.T
     r = 2.0 * (diag[:, None] + diag[None, :] - cross - cross.T) - 2.0 * gram
     off = ~np.eye(ds.n, dtype=bool)
     max_abs = float(np.max(np.abs(r[off])))
-    flags = ds.outlier_flags
-    frac_inliers = 1.0 if flags is None else float(1.0 - flags.mean())
+    frac_inliers = float(1.0 - ds.outlier_flags.mean())
     return max_abs, frac_inliers

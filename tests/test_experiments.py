@@ -205,8 +205,9 @@ class TestPdistEquivalence:
     and the tolerance stays that of the distances."""
 
     @staticmethod
-    def pdist_affinity(points, epsilon):
-        mat = np.exp(-squareform(pdist(points, "sqeuclidean")) / (4.0 * epsilon))
+    def pdist_affinity(ds, epsilon):
+        # the pipeline hands build_affinity its dataset
+        mat = np.exp(-squareform(pdist(ds.points, "sqeuclidean")) / (4.0 * epsilon))
         if mat.min() >= np.finfo(np.float32).tiny:
             mat = mat.astype(np.float32)
         np.fill_diagonal(mat, 0.0)

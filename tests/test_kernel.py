@@ -20,6 +20,7 @@ import sinklap.laplacian
 import sinklap.sinkhorn
 from sinklap import (
     Affinity,
+    Dataset,
     DensitySpec,
     LaplacianKind,
     NoiseKind,
@@ -27,6 +28,7 @@ from sinklap import (
     approx_sym_sk,
     build_affinity,
     dm_scale,
+    embed_ambient,
     embedding_experiment,
     epsilon_sweep,
     gaussian_kernel,
@@ -36,7 +38,7 @@ from sinklap import (
     pointwise_experiment,
     sample_dataset,
 )
-from sinklap.kernel import _BLOCK, _TILE, _matvec
+from sinklap.kernel import _BLOCK, _TILE, _matvec, _stored_size
 
 
 def pdist_kernel(pts, eps):
@@ -564,6 +566,75 @@ class TestPackedTriangle:
             sinklap.kernel._blas_gemv("s", ctypes.c_float)
 
 
+def rows_dataset(seed, reach):
+    """A dataset of 40 samples in R^3, every fifth clean row ending in a
+    zero, observed in R^10: a third of the rows are outliers whose noise
+    fills the first reach[i % 2] columns."""
+    rng = np.random.default_rng(seed)
+    clean = rng.normal(size=(40, 3))
+    clean[::5, 2] = 0.0
+    flags = np.arange(40) % 3 == 0
+    rows = embed_ambient(clean[flags], 10)
+    for i, row in enumerate(rows):
+        row[: reach[i % 2]] += rng.normal(size=reach[i % 2])
+    return Dataset(t=np.zeros(40), clean_points=clean, outlier_flags=flags,
+                   outlier_points=rows)
+
+
+class TestRowSplit:
+    """A dataset's kernel, split from its clean and outlier rows, is
+    bitwise the kernel of its dense points."""
+
+    @staticmethod
+    def assert_same(ds, eps=5e-4):
+        a, b = build_affinity(ds, eps), build_affinity(ds.points, eps)
+        assert a.packed.data.dtype == b.packed.data.dtype
+        assert np.array_equal(a.packed.data, b.packed.data)
+
+    @pytest.mark.parametrize("n", [300, 1001])
+    @pytest.mark.parametrize(
+        "kind, spec",
+        [(None, DensitySpec.SINUSOIDAL_1D),
+         (NoiseKind.SIMPLE, DensitySpec.SINUSOIDAL_1D),
+         (NoiseKind.HETEROSKEDASTIC, DensitySpec.UNIFORM_CIRCLE),
+         (NoiseKind.IID, DensitySpec.UNIFORM_CIRCLE)],
+        ids=["clean", "simple", "heteroskedastic", "iid"],
+    )
+    def test_bitwise_dense(self, kind, spec, n):
+        model = None if kind is None else NoiseModel(kind, m=2000)
+        self.assert_same(noisy_dataset(n, spec, model, 10))
+
+    def test_no_outlier_drawn(self):
+        ds = noisy_dataset(300, DensitySpec.SINUSOIDAL_1D,
+                           NoiseModel(NoiseKind.SIMPLE, m=50, p_out=0.0), 10)
+        assert ds.outlier_points.shape == (0, 50)
+        self.assert_same(ds)
+
+    def test_all_outliers_full_width(self):
+        # every row an outlier, as wide as R^40: one row width, so the
+        # narrow width w is m and no row is wide
+        ds = noisy_dataset(16, DensitySpec.UNIFORM_CIRCLE, NoiseModel(NoiseKind.IID, m=40), 5)
+        assert ds.outlier_flags.all() and np.all(ds.outlier_points[:, -1] != 0)
+        self.assert_same(ds, 1e-2)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # zero noise: outliers as narrow as their clean rows
+            lambda: noisy_dataset(300, DensitySpec.SINUSOIDAL_1D,
+                                  NoiseModel(NoiseKind.SIMPLE, m=40, sigma_out=0.0,
+                                             p_out=0.3), 10),
+            # half the outliers wide, half as narrow as the clean rows
+            lambda: rows_dataset(1, (10, 3)),
+            # no outlier past the clean width: inliers among the wide rows
+            lambda: rows_dataset(2, (3, 3)),
+        ],
+        ids=["zero-noise", "narrow-outliers", "wide-inliers"],
+    )
+    def test_wide_rows_not_the_outliers(self, make):
+        self.assert_same(make(), 0.5)
+
+
 class TestDensePath:
     """The packed triangle against the dense build it replaced
     (``dense_path_kernel``): the same entries, each stored once, and
@@ -663,53 +734,85 @@ for a in (*singles, double):
         assert digests[0] == digests[1]
 
 
+_MEMORY_CASES = [
+    lambda: sample_dataset(1000, DensitySpec.SINUSOIDAL_1D, 5),
+    lambda: noisy_dataset(
+        1000,
+        DensitySpec.UNIFORM_CIRCLE,
+        NoiseModel(NoiseKind.HETEROSKEDASTIC, m=2000),
+        5,
+    ),
+    # scattered outliers: most row tiles hold a few wide rows
+    lambda: noisy_dataset(
+        1000,
+        DensitySpec.SINUSOIDAL_1D,
+        NoiseModel(NoiseKind.SIMPLE, m=2000),
+        5,
+    ),
+    # nearly every row wide
+    lambda: noisy_dataset(
+        1000,
+        DensitySpec.UNIFORM_CIRCLE,
+        NoiseModel(NoiseKind.IID, m=2000),
+        5,
+    ),
+]
+_MEMORY_IDS = ["clean", "heteroskedastic", "simple", "iid"]
+
+
+def traced_peak(call):
+    """call()'s result and the peak of its traced allocations."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestMemory:
     """build_affinity allocates the stored triangle and tile temporaries
-    only: no n x n array and no (_BLOCK, n) panel."""
+    only: no n x n array, no (_BLOCK, n) panel and, from a dataset, no
+    n x m cloud."""
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: sample_dataset(1000, DensitySpec.SINUSOIDAL_1D, 5),
-            lambda: noisy_dataset(
-                1000,
-                DensitySpec.UNIFORM_CIRCLE,
-                NoiseModel(NoiseKind.HETEROSKEDASTIC, m=2000),
-                5,
-            ),
-            # scattered outliers: most row blocks hold a few wide rows,
-            # whose tails are copied per block for the Gram product
-            lambda: noisy_dataset(
-                1000,
-                DensitySpec.SINUSOIDAL_1D,
-                NoiseModel(NoiseKind.SIMPLE, m=2000),
-                5,
-            ),
-            # nearly every row wide: each block pair copies two full blocks
-            # of tails
-            lambda: noisy_dataset(
-                1000,
-                DensitySpec.UNIFORM_CIRCLE,
-                NoiseModel(NoiseKind.IID, m=2000),
-                5,
-            ),
-        ],
-        ids=["clean", "heteroskedastic", "simple", "iid"],
-    )
-    def test_peak_is_one_matrix(self, make):
-        pts = make().points
-        n, m = pts.shape
-        tracemalloc.start()
-        try:
-            a = build_affinity(pts, 5e-4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    @staticmethod
+    def bound(a, m):
         # the triangle in A's dtype, n^2 / 2 + n _BLOCK / 2 entries (a
-        # float32 attempt is freed before a float64 restart), the tails'
-        # copies and the tile temporaries
+        # float32 attempt is freed before a float64 restart), and the tile
+        # temporaries
+        n = a.n
         size = a.packed.data.itemsize * (n * n // 2 + _BLOCK // 2 * n)
-        bound = size + 8 * 2 * _TILE * (m + _TILE) + 2**20
+        return size + 8 * 2 * _TILE * (m + _TILE) + 2**20
+
+    @pytest.mark.parametrize("make", _MEMORY_CASES, ids=_MEMORY_IDS)
+    def test_peak_is_one_matrix(self, make):
+        ds = make()
+        a, peak = traced_peak(lambda: build_affinity(ds, 5e-4))
+        bound = self.bound(a, ds.points.shape[1])
+        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("make", _MEMORY_CASES, ids=_MEMORY_IDS)
+    def test_dense_input_adds_its_tails(self, make):
+        # a dense cloud's wide tails are gathered once, at most the size of
+        # the outlier rows
+        ds = make()
+        pts = ds.points
+        rows = 0 if ds.outlier_points is None else ds.outlier_points.nbytes
+        a, peak = traced_peak(lambda: build_affinity(pts, 5e-4))
+        bound = self.bound(a, pts.shape[1]) + rows
+        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
+
+    def test_noisy_pipeline_keeps_outlier_rows(self):
+        # noise, kernel, scaling and apply at n = 1000 in R^2000: the peak is
+        # the stored float32 triangle, the outlier rows and 2 MiB, where
+        # the n x m cloud alone is 16 MB
+        n, m, seed = 1000, 2000, 5
+        model = NoiseModel(NoiseKind.SIMPLE, m=m)
+        outliers = noisy_dataset(n, DensitySpec.SINUSOIDAL_1D, model, seed).outlier_flags
+        _, peak = traced_peak(lambda: pointwise_experiment(
+            n, DensitySpec.SINUSOIDAL_1D, 5e-4, LaplacianKind.BISTOCH_UN,
+            noise_model=model, seed=seed))
+        bound = 4 * _stored_size(n) + 8 * m * int(outliers.sum()) + 2 * 2**20
         assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
 
 

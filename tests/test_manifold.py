@@ -194,10 +194,10 @@ class TestDataset:
 
     def test_callers_arrays_stay_writeable(self):
         t, pts = np.zeros(3), np.zeros((3, 2))
-        noisy, flags = np.zeros((3, 5)), np.zeros(3, dtype=bool)
-        ds = Dataset(t=t, clean_points=pts, noisy_points=noisy, outlier_flags=flags)
-        given = (t, pts, noisy, flags)
-        held = (ds.t, ds.clean_points, ds.noisy_points, ds.outlier_flags)
+        flags, rows = np.array([False, True, False]), np.ones((1, 5))
+        ds = Dataset(t=t, clean_points=pts, outlier_flags=flags, outlier_points=rows)
+        given = (t, pts, flags, rows)
+        held = (ds.t, ds.clean_points, ds.outlier_flags, ds.outlier_points)
         assert all(arr.flags.writeable for arr in given)
         assert not any(arr.flags.writeable for arr in held)
         # views, not copies
@@ -206,14 +206,37 @@ class TestDataset:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             Dataset(t=np.zeros(3), clean_points=np.zeros((4, 2)))
-        flags = np.zeros(3, dtype=bool)
-        wide = Dataset(t=np.zeros(3), clean_points=np.zeros((3, 2)),
-                       noisy_points=np.zeros((3, 5)), outlier_flags=flags)
-        assert wide.points.shape == (3, 5)
-        for bad in (np.zeros((3, 1)), np.zeros((4, 5)), np.zeros(3)):
+        flags = np.array([True, False, True])
+        rows = np.arange(10.0).reshape(2, 5)
+        wide = Dataset(t=np.zeros(3), clean_points=np.ones((3, 2)),
+                       outlier_flags=flags, outlier_points=rows)
+        # points: the clean rows padded to R^5, the outlier rows in place
+        assert np.array_equal(wide.points, [rows[0], [1, 1, 0, 0, 0], rows[1]])
+        for bad in (np.zeros((2, 1)), np.zeros((3, 5)), np.zeros(2)):
             with pytest.raises(ValueError):
                 Dataset(t=np.zeros(3), clean_points=np.zeros((3, 2)),
-                        noisy_points=bad, outlier_flags=flags)
+                        outlier_flags=flags, outlier_points=bad)
+
+    def test_outlier_rows_checked(self):
+        # each rule on the outlier rows fails by name
+        flags = np.array([True, False, True])
+        for bad, message in (
+            (np.zeros((3, 5)), r"^outlier_points must be \(n_out, m\) with one row per "
+                               r"set outlier flag, 2$"),
+            (np.zeros((1, 5)), r"one row per set outlier flag, 2$"),
+            (np.zeros(2), r"one row per set outlier flag, 2$"),
+            (np.zeros((2, 1)), "^outlier_points must be at least as wide as clean_points$"),
+            (np.array([[0.0] * 5, [np.nan] * 5]), "^outlier_points must be finite$"),
+            (np.array([[0.0] * 5, [-np.inf] * 5]), "^outlier_points must be finite$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                Dataset(t=np.zeros(3), clean_points=np.zeros((3, 2)),
+                        outlier_flags=flags, outlier_points=bad)
+        with pytest.raises(ValueError, match=r"^outlier_flags must be \(n,\)$"):
+            Dataset(t=np.zeros(3), clean_points=np.zeros((3, 2)),
+                    outlier_flags=np.zeros(4, bool), outlier_points=np.zeros((0, 5)))
+        with pytest.raises(ValueError, match="^outlier_points and outlier_flags must come"):
+            Dataset(t=np.zeros(3), clean_points=np.zeros((3, 2)), outlier_flags=flags)
 
     def test_embed_ambient(self):
         ds = sample_dataset(12, SIN, 3)

@@ -28,17 +28,20 @@ class TestAddNoise:
         model = NoiseModel(NoiseKind.HETEROSKEDASTIC, 8, sigma_out=0.2)
         a = add_noise(ds, model, seed=5)
         b = add_noise(ds, model, seed=5)
-        assert np.array_equal(a.noisy_points, b.noisy_points)
+        assert np.array_equal(a.outlier_points, b.outlier_points)
         assert np.array_equal(a.outlier_flags, b.outlier_flags)
         c = add_noise(ds, model, seed=6)
-        assert not np.array_equal(a.noisy_points, c.noisy_points)
+        assert not np.array_equal(a.points, c.points)
 
     def test_inliers_untouched(self):
         ds = embedded_dataset(500, 8)
         noisy = add_noise(ds, NoiseModel(NoiseKind.SIMPLE, 8, 0.3, 0.4), seed=1)
         inl = ~noisy.outlier_flags
-        assert np.array_equal(noisy.noisy_points[inl], ds.clean_points[inl])
-        assert not np.array_equal(noisy.noisy_points[~inl], ds.clean_points[~inl])
+        # only the outliers' rows are stored, one per flag in row order
+        assert noisy.outlier_points.shape == ((~inl).sum(), 8)
+        assert np.array_equal(noisy.points[inl], ds.clean_points[inl])
+        assert np.array_equal(noisy.points[~inl], noisy.outlier_points)
+        assert not np.array_equal(noisy.outlier_points, ds.clean_points[~inl])
         assert np.array_equal(noisy.clean_points, ds.clean_points)
 
     def test_simple_outlier_rate(self):
@@ -68,7 +71,7 @@ class TestAddNoise:
         ds = embedded_dataset(2000, 400)
         noisy = add_noise(ds, NoiseModel(NoiseKind.SIMPLE, 400, sigma, 0.9),
                           seed=7)
-        xi = noisy.noisy_points - noisy.clean_points
+        xi = noisy.points - noisy.clean_points
         sq = np.einsum("ij,ij->i", xi, xi)[noisy.outlier_flags]
         assert abs(sq.mean() / sigma**2 - 1.0) < 0.05
 
@@ -125,7 +128,8 @@ class TestAddNoise:
         noisy = add_noise(ds, model, seed)
         assert 0 < flags.sum() < n
         assert np.array_equal(noisy.outlier_flags, flags)
-        assert np.array_equal(noisy.noisy_points, points)
+        assert np.array_equal(noisy.outlier_points, points[flags])
+        assert np.array_equal(noisy.points, points)
 
     def test_narrow_clean_points_padded(self):
         # clean points narrower than m give the noise of their padded copy,
@@ -135,8 +139,9 @@ class TestAddNoise:
         narrow = add_noise(ds, model, seed=3)
         padded = add_noise(embedded_dataset(300, 40), model, seed=3)
         assert narrow.clean_points.shape == (300, 4)
-        assert narrow.noisy_points.shape == (300, 40)
-        assert np.array_equal(narrow.noisy_points, padded.noisy_points)
+        assert narrow.outlier_points.shape == (narrow.outlier_flags.sum(), 40)
+        assert np.array_equal(narrow.outlier_points, padded.outlier_points)
+        assert np.array_equal(narrow.points, padded.points)
         assert np.array_equal(narrow.outlier_flags, padded.outlier_flags)
         assert np.array_equal(attenuation(narrow, 5e-4), attenuation(padded, 5e-4))
         assert cross_term_stats(narrow) == cross_term_stats(padded)
@@ -148,9 +153,11 @@ class TestDiagnostics:
         noisy = add_noise(ds, NoiseModel(NoiseKind.SIMPLE, 8, 0.3, 0.5), seed=9)
         eps = 5e-4
         att = attenuation(noisy, eps)
-        xi = noisy.noisy_points - noisy.clean_points
+        xi = noisy.points - noisy.clean_points
         ref = np.exp(-np.sum(xi * xi, axis=1) / (4.0 * eps))
         assert np.allclose(att, ref, rtol=1e-12, atol=0.0)
+        # read from the outlier rows, bitwise the formula on all n rows
+        assert np.array_equal(att, np.exp(-np.einsum("ij,ij->i", xi, xi) / (4.0 * eps)))
         assert np.all(att[~noisy.outlier_flags] == 1.0)
         assert np.all(att[noisy.outlier_flags] < 1.0)
         with pytest.raises(ValueError):
@@ -164,7 +171,7 @@ class TestDiagnostics:
         noisy = add_noise(ds, NoiseModel(NoiseKind.SIMPLE, 8, 0.5, 0.5), seed=11)
         max_abs, frac = cross_term_stats(noisy)
         xc = noisy.clean_points
-        xi = noisy.noisy_points - xc
+        xi = noisy.points - xc
         worst = 0.0
         for i in range(30):
             for j in range(30):
@@ -181,7 +188,7 @@ class TestDiagnostics:
         ds = embedded_dataset(20, 8)
         noisy = add_noise(ds, NoiseModel(NoiseKind.SIMPLE, 8, 0.5, 0.8), seed=12)
         xc = noisy.clean_points
-        x = noisy.noisy_points
+        x = noisy.points
         xi = x - xc
         sq = np.einsum("ij,ij->i", xi, xi)
         i, j = 3, 17
