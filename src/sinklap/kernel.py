@@ -339,12 +339,13 @@ def build_affinity(points, epsilon):
 
     The cloud is split into its first w columns, the narrow prefix, and
     the wide rows' tails past column w (module docstring).  A dense array
-    gives the split from a scan of its row widths.  A ``Dataset`` gives it
-    from its rows: the clean points' widths and its outlier rows', the
-    prefix gathered from both and, in the usual case where the wide rows
-    are the outliers, the tails as a view of the outlier rows, so the
-    n x m cloud is never built.  Either split gives the same kernel, bit
-    for bit.
+    gives the split from a scan of its row widths, and each tile gathers
+    its own wide rows' tails from the array.  A ``Dataset`` gives it from
+    its rows: the clean points' widths and its outlier rows', the prefix
+    gathered from both and, in the usual case where the wide rows are
+    outliers, the tails read from the outlier rows, so the n x m cloud is
+    never built.  Either split gives the same kernel, bit for bit, and
+    neither holds a second copy of the wide tails.
 
     Each lower pair of 128-row tiles is then a w-column ``cdist``, plus
     t_i + t_j on a tile with a wide row, minus 2 g_ij between its wide
@@ -378,23 +379,25 @@ def build_affinity(points, epsilon):
     """
     outliers = getattr(points, "outlier_points", None)
     if outliers is None:
-        prefix, wide, tails = _dense_split(getattr(points, "clean_points", points))
+        split = _dense_split(getattr(points, "clean_points", points))
     else:
-        prefix, wide, tails = _row_split(points.clean_points, points.outlier_flags, outliers)
+        split = _row_split(points.clean_points, points.outlier_flags, outliers)
+    prefix, wide, source, at = split
     positive_finite("epsilon", epsilon)
     n = prefix.shape[0]
+    sq = np.einsum("ij,ij->i", source, source)
     tail = np.zeros(n)
-    tail[wide] = np.einsum("ij,ij->i", tails, tails)
-    # each tile's rows, its wide rows' offsets in it and their tails
+    tail[wide] = sq if at is None else sq[at]
+    # each tile's rows, its wide rows' offsets in it and their rows in source
     tiles = []
     for a in range(0, n, _TILE):
         rows = slice(a, min(a + _TILE, n))
         lo, hi = np.searchsorted(wide, (rows.start, rows.stop))
-        tiles.append((rows, wide[lo:hi] - a, tails[lo:hi]))
+        tiles.append((rows, wide[lo:hi] - a, slice(lo, hi) if at is None else at[lo:hi]))
     for dtype in (np.float32, np.float64):
         data = None  # free a float32 attempt before the float64 triangle
         data = np.empty(_stored_size(n), dtype)
-        if _fill_kernel(data, prefix, epsilon, tiles, tail):
+        if _fill_kernel(data, prefix, epsilon, tiles, tail, source):
             break
     # one triangle, so symmetric by construction; non-negative by exp
     aff = object.__new__(Affinity)
@@ -417,24 +420,28 @@ def _narrow(width):
 
 
 def _dense_split(points):
-    """A dense cloud's narrow prefix (a view), wide-row index and wide
-    tails (a copy), from a scan of its row widths."""
+    """A dense cloud's narrow prefix, wide-row index, tail source and the
+    wide rows' rows in it, from a scan of its row widths.  The prefix and
+    the source, the columns past w, are views; a tile gathers its own
+    wide rows' tails from the source."""
     pts = np.ascontiguousarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] < 1:
         raise ValueError("points must be (n, m) with n >= 2 and m >= 1")
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
     w, wide = _narrow(_widths(pts))
-    return pts[:, :w], wide, pts[wide, w:]
+    return pts[:, :w], wide, pts[:, w:], wide
 
 
 def _row_split(clean, flags, out):
-    """A noisy dataset's narrow prefix, wide-row index and wide tails, from
-    its clean points (n, k), outlier flags and outlier rows (n_out, m),
-    which ``Dataset`` has checked.  An inlier's row is its clean row
-    padded with zeros to R^m, so it has the clean row's width.  The tails
-    are a view of the outlier rows when those are the wide rows, and
-    gathered otherwise (say, zero noise)."""
+    """A noisy dataset's narrow prefix, wide-row index, tail source and
+    the wide rows' rows in it, from its clean points (n, k), outlier flags
+    and outlier rows (n_out, m), which ``Dataset`` has checked.  An
+    inlier's row is its clean row padded with zeros to R^m, so it has the
+    clean row's width.  When every wide row is an outlier, the usual case,
+    the source is a view of the outlier rows past w, and None in place of
+    the rows means the wide rows are its rows in order; otherwise (a clean
+    row wider than w) the wide tails are gathered into the source."""
     n, k = clean.shape
     if n < 2 or out.shape[1] < 1:
         raise ValueError("points must be (n, m) with n >= 2 and m >= 1")
@@ -448,20 +455,23 @@ def _row_split(clean, flags, out):
     prefix[:, :k] = clean[:, :w]
     prefix[flags] = out[:, :w]
     if np.array_equal(wide, outliers):
-        return prefix, wide, out[:, w:]
+        return prefix, wide, out[:, w:], None
+    hit = flags[wide]
+    if hit.all():
+        return prefix, wide, out[:, w:], np.searchsorted(outliers, wide)
     tails = np.zeros((wide.size, out.shape[1] - w))
     tails[:, : max(k - w, 0)] = clean[wide, w:]
-    hit = flags[wide]
     tails[hit] = out[np.searchsorted(outliers, wide[hit]), w:]
-    return prefix, wide, tails
+    return prefix, wide, tails, None
 
 
-def _fill_kernel(data, prefix, epsilon, tiles, tail):
+def _fill_kernel(data, prefix, epsilon, tiles, tail, source):
     """Write the kernel's lower block triangle into data, one row of
     tiles at a time; False once a float32 triangle meets an entry below
     float32's smallest normal.  prefix is the narrow prefix, tail each
     row's squares past it, and tiles holds each tile's rows, its wide
-    rows' offsets in it and their tails, a slice of the split's.
+    rows' offsets in it and their tails' rows in source: a slice, read
+    as a view, or an index, gathered per tile.
 
     Each tile left of and on the diagonal is computed in float64 and
     stored by rounding into its block row's rectangle, of data's dtype.
@@ -473,18 +483,19 @@ def _fill_kernel(data, prefix, epsilon, tiles, tail):
     """
     floor = np.finfo(np.float32).tiny if data.dtype == np.float32 else 0.0
     panels = _panels(data, prefix.shape[0])
-    for i, (rows, wide_rows, tail_rows) in enumerate(tiles):
+    for i, (rows, wide_rows, at_rows) in enumerate(tiles):
         if rows.start % _BLOCK == 0:
             s, _, panel = next(panels)
-        for j, (cols, wide_cols, tail_cols) in enumerate(tiles[: i + 1]):
+        tail_rows = source[at_rows]
+        for j, (cols, wide_cols, at_cols) in enumerate(tiles[: i + 1]):
             block = cdist(prefix[rows], prefix[cols], "sqeuclidean")
             if wide_rows.size or wide_cols.size:
                 block += tail[rows, None] + tail[cols]
             if wide_rows.size and wide_cols.size:
-                # on a diagonal tile the tails are one array, and numpy's
-                # product of it with its own transpose is one syrk, half
-                # a gemm's work
-                block[np.ix_(wide_rows, wide_cols)] -= 2.0 * (tail_rows @ tail_cols.T)
+                # on a diagonal tile numpy's product of the tails with
+                # their own transpose is one syrk, half a gemm's work
+                gram = tail_rows @ (tail_rows if j == i else source[at_cols]).T
+                block[np.ix_(wide_rows, wide_cols)] -= 2.0 * gram
                 np.maximum(block, 0.0, out=block)
             # exp(-d2 / (4 epsilon)) in place, bitwise equal to the
             # out-of-place expression: IEEE division is sign-symmetric

@@ -87,7 +87,10 @@ class Dataset:
                                  f"set outlier flag, {flagged}")
             if self.outlier_points.shape[1] < self.clean_points.shape[1]:
                 raise ValueError("outlier_points must be at least as wide as clean_points")
-            if not np.all(np.isfinite(self.outlier_points)):
+            # NaN propagates through min and max, which read the rows
+            # without an n_out x m temporary
+            out = self.outlier_points
+            if out.size and not (np.isfinite(out.min()) and np.isfinite(out.max())):
                 raise ValueError("outlier_points must be finite")
         for arr in (self.t, self.clean_points, self.outlier_flags, self.outlier_points):
             if arr is not None:

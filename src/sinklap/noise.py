@@ -90,13 +90,37 @@ def add_noise(ds, model, seed):
     m = model.m
     if k > m:
         raise ValueError(f"dataset is {k}-dimensional, wider than the model's m={m}")
+    # a first pass finds the outliers, stepping over each one's m
+    # uniforms (PCG64 spends one output on each), so the rows are
+    # allocated once at their exact size; a second pass from the same
+    # seed fills them with the same draws
     rng = make_rng(seed)
     flags = np.zeros(n, dtype=bool)
-    rows = []
+    for i, _ in _outliers(ds.t, model, rng):
+        flags[i] = True
+        rng.bit_generator.advance(m)
+    rows = np.zeros((int(flags.sum()), m))
+    rng = make_rng(seed)
     root_m = np.sqrt(m)
+    for row, (i, sigma) in zip(rows, _outliers(ds.t, model, rng)):
+        row[:k] = clean[i]
+        row += (sigma / root_m) * standard_normal(rng, m)
+    return Dataset(
+        t=ds.t,
+        clean_points=clean,
+        outlier_flags=flags,
+        outlier_points=rows,
+        seed=ds.seed,
+    )
+
+
+def _outliers(t, model, rng):
+    """Yield (i, sigma_i) for each outlier in row order, drawing the
+    phase, the coins and the gammas from rng in the module's order; the
+    caller draws or skips the outlier's m Gaussian uniforms before it
+    asks for the next."""
     u = rng.random() if model.kind is NoiseKind.HETEROSKEDASTIC else 0.0
-    for i in range(n):
-        ti = ds.t[i]
+    for i, ti in enumerate(t):
         if model.kind is NoiseKind.HETEROSKEDASTIC:
             p_i = 0.05 + 0.9 * ((1.0 - ti + u) % 1.0)
         elif model.kind is NoiseKind.SIMPLE:
@@ -105,25 +129,13 @@ def add_noise(ds, model, seed):
             p_i = 0.95
         if rng.random() >= p_i:
             continue
-        flags[i] = True
         if model.kind is NoiseKind.SIMPLE:
             gam = 1.0
         elif model.kind is NoiseKind.HETEROSKEDASTIC:
             gam = 0.9 * _gamma1(ti) + 0.1 * (3.0 * rng.random())
         else:
             gam = 3.0 * rng.random()
-        sigma = model.sigma_out * np.sqrt(gam)
-        row = np.zeros(m)
-        row[:k] = clean[i]
-        row += (sigma / root_m) * standard_normal(rng, m)
-        rows.append(row)
-    return Dataset(
-        t=ds.t,
-        clean_points=clean,
-        outlier_flags=flags,
-        outlier_points=np.array(rows).reshape(len(rows), m),
-        seed=ds.seed,
-    )
+        yield i, model.sigma_out * np.sqrt(gam)
 
 
 def _outlier_offsets(ds):

@@ -742,14 +742,16 @@ _MEMORY_CASES = [
         NoiseModel(NoiseKind.HETEROSKEDASTIC, m=2000),
         5,
     ),
-    # scattered outliers: most row tiles hold a few wide rows
+    # scattered outliers: most row tiles hold a few wide rows, whose
+    # tails a dense cloud's tile copies for the Gram product
     lambda: noisy_dataset(
         1000,
         DensitySpec.SINUSOIDAL_1D,
         NoiseModel(NoiseKind.SIMPLE, m=2000),
         5,
     ),
-    # nearly every row wide
+    # nearly every row wide: a dense cloud's tile pair copies two full
+    # tiles of tails
     lambda: noisy_dataset(
         1000,
         DensitySpec.UNIFORM_CIRCLE,
@@ -778,28 +780,24 @@ class TestMemory:
     @staticmethod
     def bound(a, m):
         # the triangle in A's dtype, n^2 / 2 + n _BLOCK / 2 entries (a
-        # float32 attempt is freed before a float64 restart), and the tile
-        # temporaries
+        # float32 attempt is freed before a float64 restart), the tails'
+        # tile copies and the tile temporaries
         n = a.n
         size = a.packed.data.itemsize * (n * n // 2 + _BLOCK // 2 * n)
         return size + 8 * 2 * _TILE * (m + _TILE) + 2**20
 
     @pytest.mark.parametrize("make", _MEMORY_CASES, ids=_MEMORY_IDS)
     def test_peak_is_one_matrix(self, make):
-        ds = make()
-        a, peak = traced_peak(lambda: build_affinity(ds, 5e-4))
-        bound = self.bound(a, ds.points.shape[1])
+        pts = make().points
+        a, peak = traced_peak(lambda: build_affinity(pts, 5e-4))
+        bound = self.bound(a, pts.shape[1])
         assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("make", _MEMORY_CASES, ids=_MEMORY_IDS)
-    def test_dense_input_adds_its_tails(self, make):
-        # a dense cloud's wide tails are gathered once, at most the size of
-        # the outlier rows
+    def test_dataset_peak_is_one_matrix(self, make):
         ds = make()
-        pts = ds.points
-        rows = 0 if ds.outlier_points is None else ds.outlier_points.nbytes
-        a, peak = traced_peak(lambda: build_affinity(pts, 5e-4))
-        bound = self.bound(a, pts.shape[1]) + rows
+        a, peak = traced_peak(lambda: build_affinity(ds, 5e-4))
+        bound = self.bound(a, ds.points.shape[1])
         assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
 
     def test_noisy_pipeline_keeps_outlier_rows(self):

@@ -212,10 +212,6 @@ class TestDataset:
                        outlier_flags=flags, outlier_points=rows)
         # points: the clean rows padded to R^5, the outlier rows in place
         assert np.array_equal(wide.points, [rows[0], [1, 1, 0, 0, 0], rows[1]])
-        for bad in (np.zeros((2, 1)), np.zeros((3, 5)), np.zeros(2)):
-            with pytest.raises(ValueError):
-                Dataset(t=np.zeros(3), clean_points=np.zeros((3, 2)),
-                        outlier_flags=flags, outlier_points=bad)
 
     def test_outlier_rows_checked(self):
         # each rule on the outlier rows fails by name
