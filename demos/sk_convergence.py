@@ -38,7 +38,7 @@ from sinklap import (
 
 def main():
     ds = sample_dataset(400, DensitySpec.SINUSOIDAL_1D, seed=0)
-    aff = build_affinity(ds.points, 1e-3)
+    aff = build_affinity(ds, 1e-3)
     res = approx_sym_sk(aff, SkConfig(eps_sk=1e-12, max_iter=30))
     print("residual trace on a kernel matrix (n = 400, eps = 1e-3):")
     for k, r in enumerate(res.residual_history, 1):

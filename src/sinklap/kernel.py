@@ -69,9 +69,10 @@ tails, one BLAS product over a block's wide rows.  Inliers span a few
 columns and outlier noise fills R^m, so g holds the noise inner products
 that the paper's outlier term bounds (``noise.cross_term_stats``).
 Inlier coordinates stay in ``cdist``: on-manifold distances are the
-small ones, where a Gram form cancels.  A noisy ``Dataset`` stores
-only its outlier rows in R^m, and its split comes from those rows and
-the clean points, without the n x m cloud (``build_affinity``).
+small ones, where a Gram form cancels.  One split reads every input as
+clean rows plus, for a noisy ``Dataset``, its outlier rows in R^m: an
+array is its own clean rows, and a noisy dataset's inliers are their
+clean rows padded with zeros, so the n x m cloud is never built.
 
 Narrow rows have t = g = 0 exactly and columns past both rows' width add
 exact zeros, so narrow-narrow entries, and all of one-width data, are
@@ -337,15 +338,14 @@ def normalized_prefactor(n, epsilon, d):
 def build_affinity(points, epsilon):
     """Assemble the zero-diagonal Gaussian kernel of a point cloud.
 
-    The cloud is split into its first w columns, the narrow prefix, and
-    the wide rows' tails past column w (module docstring).  A dense array
-    gives the split from a scan of its row widths, and each tile gathers
-    its own wide rows' tails from the array.  A ``Dataset`` gives it from
-    its rows: the clean points' widths and its outlier rows', the prefix
-    gathered from both and, in the usual case where the wide rows are
-    outliers, the tails read from the outlier rows, so the n x m cloud is
-    never built.  Either split gives the same kernel, bit for bit, and
-    neither holds a second copy of the wide tails.
+    One split (``_split``) reads the cloud as its first w columns, the
+    narrow prefix, and the wide rows' tails past column w (module
+    docstring), from its clean rows and, for a noisy dataset, its
+    outlier rows: an array or a clean dataset is its own tail source,
+    and a noisy dataset's tails are read from its outlier rows, so the
+    n x m cloud is never built.  A dataset and its dense ``points`` give
+    the same kernel, bit for bit, and no split holds a second copy of
+    the wide tails.
 
     Each lower pair of 128-row tiles is then a w-column ``cdist``, plus
     t_i + t_j on a tile with a wide row, minus 2 g_ij between its wide
@@ -377,12 +377,7 @@ def build_affinity(points, epsilon):
         Gram product, within the bounds of the module docstring (before
         rounding).
     """
-    outliers = getattr(points, "outlier_points", None)
-    if outliers is None:
-        split = _dense_split(getattr(points, "clean_points", points))
-    else:
-        split = _row_split(points.clean_points, points.outlier_flags, outliers)
-    prefix, wide, source, at = split
+    prefix, wide, source, at = _split(points)
     positive_finite("epsilon", epsilon)
     n = prefix.shape[0]
     sq = np.einsum("ij,ij->i", source, source)
@@ -412,53 +407,46 @@ def _widths(rows):
     return np.where(rows.any(axis=1), m - np.argmax(rows[:, ::-1] != 0, axis=1), 0)
 
 
-def _narrow(width):
-    """The narrow width w, the second-largest row width or the only one,
-    and the index of the wide rows, those wider than w."""
-    w = int(np.unique(width)[-2:][0])
-    return w, np.flatnonzero(width > w)
+def _split(points):
+    """The cloud's narrow prefix, wide-row index, tail source and the
+    wide rows' rows in it, None for the source's own rows in order.
 
-
-def _dense_split(points):
-    """A dense cloud's narrow prefix, wide-row index, tail source and the
-    wide rows' rows in it, from a scan of its row widths.  The prefix and
-    the source, the columns past w, are views; a tile gathers its own
-    wide rows' tails from the source."""
-    pts = np.ascontiguousarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 2 or pts.shape[1] < 1:
+    points is an array or a dataset, read as its clean rows (n, k) and,
+    if noisy, its outlier flags and outlier rows (n_out, m), which
+    ``Dataset`` has checked; an inlier's row is its clean row padded
+    with zeros to R^m, with the clean row's width.  w is the
+    second-largest row width, or the only one, and the wide rows are
+    those wider than w.  An array, or a clean dataset's points, is its
+    own tail source: the prefix and the source, the columns past w, are
+    views, and a tile gathers its own wide rows' tails from the source.
+    A noisy dataset's prefix is gathered from both parts; when every
+    wide row is an outlier, the usual case, the source is a view of the
+    outlier rows past w, and otherwise (a clean row wider than w) the
+    wide tails are gathered into it.
+    """
+    clean = np.ascontiguousarray(getattr(points, "clean_points", points), dtype=float)
+    flags, out = getattr(points, "outlier_flags", None), getattr(points, "outlier_points", None)
+    m = clean.shape[-1] if out is None else out.shape[1]
+    if clean.ndim != 2 or clean.shape[0] < 2 or m < 1:
         raise ValueError("points must be (n, m) with n >= 2 and m >= 1")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
-    w, wide = _narrow(_widths(pts))
-    return pts[:, :w], wide, pts[:, w:], wide
-
-
-def _row_split(clean, flags, out):
-    """A noisy dataset's narrow prefix, wide-row index, tail source and
-    the wide rows' rows in it, from its clean points (n, k), outlier flags
-    and outlier rows (n_out, m), which ``Dataset`` has checked.  An
-    inlier's row is its clean row padded with zeros to R^m, so it has the
-    clean row's width.  When every wide row is an outlier, the usual case,
-    the source is a view of the outlier rows past w, and None in place of
-    the rows means the wide rows are its rows in order; otherwise (a clean
-    row wider than w) the wide tails are gathered into the source."""
     n, k = clean.shape
-    if n < 2 or out.shape[1] < 1:
-        raise ValueError("points must be (n, m) with n >= 2 and m >= 1")
-    if not np.all(np.isfinite(clean)):
+    if out is None and not np.all(np.isfinite(clean)):
         raise ValueError("points must be finite")
     width = _widths(clean)
-    width[flags] = _widths(out)
-    w, wide = _narrow(width)
+    if out is not None:
+        width[flags] = _widths(out)
+    w = int(np.unique(width)[-2:][0])
+    wide = np.flatnonzero(width > w)
+    if out is None:
+        return clean[:, :w], wide, clean[:, w:], wide
     outliers = np.flatnonzero(flags)
     prefix = np.zeros((n, w))
     prefix[:, :k] = clean[:, :w]
     prefix[flags] = out[:, :w]
-    if np.array_equal(wide, outliers):
-        return prefix, wide, out[:, w:], None
     hit = flags[wide]
     if hit.all():
-        return prefix, wide, out[:, w:], np.searchsorted(outliers, wide)
+        at = None if np.array_equal(wide, outliers) else np.searchsorted(outliers, wide)
+        return prefix, wide, out[:, w:], at
     tails = np.zeros((wide.size, out.shape[1] - w))
     tails[:, : max(k - w, 0)] = clean[wide, w:]
     tails[hit] = out[np.searchsorted(outliers, wide[hit]), w:]

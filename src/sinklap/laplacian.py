@@ -140,7 +140,8 @@ def smallest_eigenpairs(l, k):
         raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
     psi = phi * root[:, None]
     psi /= np.linalg.norm(psi, axis=0)
-    for j in range(psi.shape[1]):
-        if psi[np.argmax(np.abs(psi[:, j])), j] < 0:
-            psi[:, j] = -psi[:, j]
+    # one sign per column, read at its largest-magnitude entry; the
+    # product with +-1 is exact
+    top = psi[np.argmax(np.abs(psi), axis=0), np.arange(k)]
+    psi *= np.where(top < 0, -1.0, 1.0)
     return EigenPairs(values=vals, vectors=psi)

@@ -43,7 +43,7 @@ class Dataset:
     t : ndarray, shape (n,)
         Intrinsic coordinates in [0, 1).
     clean_points : ndarray, shape (n, k)
-        On-manifold coordinates.
+        On-manifold coordinates, finite.
     outlier_flags : ndarray of bool, shape (n,), or None
         Which samples are outliers; None for clean datasets.
     outlier_points : ndarray, shape (n_out, m) with m >= k, or None
@@ -74,6 +74,8 @@ class Dataset:
         n = self.t.shape[0]
         if self.clean_points.shape[0] != n:
             raise ValueError("t and clean_points disagree on n")
+        if not _finite(self.clean_points):
+            raise ValueError("clean_points must be finite")
         if (self.outlier_points is None) != (self.outlier_flags is None):
             raise ValueError("outlier_points and outlier_flags must come together")
         if self.outlier_points is not None:
@@ -87,10 +89,7 @@ class Dataset:
                                  f"set outlier flag, {flagged}")
             if self.outlier_points.shape[1] < self.clean_points.shape[1]:
                 raise ValueError("outlier_points must be at least as wide as clean_points")
-            # NaN propagates through min and max, which read the rows
-            # without an n_out x m temporary
-            out = self.outlier_points
-            if out.size and not (np.isfinite(out.min()) and np.isfinite(out.max())):
+            if not _finite(self.outlier_points):
                 raise ValueError("outlier_points must be finite")
         for arr in (self.t, self.clean_points, self.outlier_flags, self.outlier_points):
             if arr is not None:
@@ -112,8 +111,15 @@ class Dataset:
         return pts
 
 
+def _finite(arr):
+    """Whether every entry is finite: NaN propagates through min and max,
+    which read the array without a temporary of its size."""
+    return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 def _check_unit_interval(t):
-    if np.any(t < 0.0) or np.any(t >= 1.0):
+    # written as the range itself, so that NaN, outside every range, fails
+    if not np.all((0.0 <= t) & (t < 1.0)):
         raise ValueError("t must lie in [0, 1)")
 
 
@@ -160,7 +166,7 @@ def density(t, spec):
 def density_cdf(t, spec):
     """CDF of ``density``; accepts t in [0, 1]."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0) or np.any(t > 1.0):
+    if not np.all((0.0 <= t) & (t <= 1.0)):
         raise ValueError("t must lie in [0, 1]")
     member(DensitySpec, spec, "density")
     if spec is DensitySpec.SINUSOIDAL_1D:
@@ -176,7 +182,7 @@ def density_cdf_inverse(u, spec):
     1e-12.
     """
     u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0) or np.any(u >= 1.0):
+    if not np.all((0.0 <= u) & (u < 1.0)):
         raise ValueError("u must lie in [0, 1)")
     if spec is DensitySpec.UNIFORM_CIRCLE:
         return u.copy()

@@ -23,7 +23,10 @@ the output.
 
 An inlier's displacement is exactly 0, so a noisy dataset stores only
 its outliers' rows in R^m (``Dataset.outlier_points``), and the
-diagnostics read xi from those rows.
+diagnostics read xi from those rows and the clean points, without the
+n x m cloud.  For n_out outliers and k clean columns, ``attenuation``
+costs O(n_out m) and ``cross_term_stats`` O(n n_out) memory beside
+the outlier rows, and O(n n_out k + n_out^2 m) time.
 """
 
 from dataclasses import dataclass
@@ -33,7 +36,7 @@ import numpy as np
 
 from ._rng import make_rng, standard_normal
 from .errors import finite_nonnegative, integer_at_least, member, positive_finite
-from .manifold import Dataset, embed_ambient
+from .manifold import Dataset
 
 
 class NoiseKind(Enum):
@@ -73,9 +76,9 @@ def add_noise(ds, model, seed):
 
     The clean points may be k <= m = model.m columns wide and are kept
     as given.  Only the outliers' rows are stored (``outlier_points``):
-    each is its clean row zero-padded to R^m (``manifold.embed_ambient``)
-    plus its Gaussian displacement.  An inlier is observed at its padded
-    clean row, which ``Dataset.points`` rebuilds on demand.
+    each is its clean row zero-padded to R^m plus its Gaussian
+    displacement.  An inlier is observed at its padded clean row, which
+    ``Dataset.points`` rebuilds on demand.
 
     Draws follow the module's order.  The heteroskedastic phase makes
     the outlier probability a randomly rotated sawtooth along the
@@ -139,12 +142,14 @@ def _outliers(t, model, rng):
 
 
 def _outlier_offsets(ds):
-    """The displacements xi of the outliers, (n_out, m): each outlier row
-    minus its clean row padded to R^m.  An inlier's xi is exactly 0."""
+    """The displacements xi of the outliers, (n_out, m): a copy of the
+    outlier rows with their clean rows subtracted from the first
+    columns.  An inlier's xi is exactly 0."""
     if ds.outlier_points is None:
         raise ValueError("needs a noisy dataset")
-    out = ds.outlier_points
-    return out - embed_ambient(ds.clean_points[ds.outlier_flags], out.shape[1])
+    xi = ds.outlier_points.copy()
+    xi[:, : ds.clean_points.shape[1]] -= ds.clean_points[ds.outlier_flags]
+    return xi
 
 
 def attenuation(ds, epsilon):
@@ -175,16 +180,25 @@ def cross_term_stats(ds):
     as the ambient dimension grows.  Returns the largest |r_ij| over
     off-diagonal pairs (the empirical cross-term bound) and the
     fraction of inlier samples.
+
+    A pair of inliers has r_ij = 0 exactly, so r is formed only on the
+    (n, n_out) pairs with an outlier j, from the products x_i^c . xi_j
+    over the k clean columns, the outliers' own x_j^c . xi_j and the
+    outliers' Gram matrix: O(n n_out) memory beside a copy of the
+    outlier rows, and O(n n_out k + n_out^2 m) time, with no n x m or
+    n x n array.
     """
-    xi_out = _outlier_offsets(ds)
-    xc = embed_ambient(ds.clean_points, xi_out.shape[1])
-    xi = np.zeros_like(xc)
-    xi[ds.outlier_flags] = xi_out
-    cross = xc @ xi.T
-    diag = np.einsum("ij,ij->i", xc, xi)
-    gram = xi @ xi.T
-    r = 2.0 * (diag[:, None] + diag[None, :] - cross - cross.T) - 2.0 * gram
-    off = ~np.eye(ds.n, dtype=bool)
-    max_abs = float(np.max(np.abs(r[off])))
-    frac_inliers = float(1.0 - ds.outlier_flags.mean())
-    return max_abs, frac_inliers
+    xi = _outlier_offsets(ds)
+    flags, clean = ds.outlier_flags, ds.clean_points
+    head = xi[:, : clean.shape[1]]  # xi over the clean columns
+    own = np.einsum("ij,ij->i", clean[flags], head)
+    # r[i, j] for each outlier j, from cross[i, j] = x_i^c . xi_j; an inlier
+    # row i has xi_i = 0, and an outlier row adds its own terms
+    cross = clean @ head.T
+    r = 2.0 * (own - cross)
+    both = cross[flags]
+    r[flags] = 2.0 * (own[:, None] + own - both - both.T) - 2.0 * (xi @ xi.T)
+    # each pair (j, j) is not off-diagonal: as |r| >= 0, a zero drops it
+    # from the max, as the inlier pairs' exact zeros are dropped
+    r[flags, np.arange(len(xi))] = 0.0
+    return float(np.abs(r, out=r).max(initial=0.0)), float(1.0 - flags.mean())

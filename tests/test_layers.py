@@ -67,21 +67,31 @@ def test_numerical_core_reads_no_dataset():
     assert extra == []
 
 
+def calls(path, name):
+    """Whether a source file calls name, bare or as an attribute."""
+    return any(
+        isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        for node in ast.walk(ast.parse(path.read_text()))
+    )
+
+
+def test_padded_cloud_has_one_builder():
+    # a noisy dataset is its clean rows plus its outlier rows, and only
+    # Dataset.points pads the clean rows to the n x m cloud; any other
+    # module that calls embed_ambient builds that cloud again
+    callers = [f"{path.stem} calls embed_ambient" for path in sorted(SRC.glob("*.py"))
+               if path.stem != "manifold" and calls(path, "embed_ambient")]
+    assert callers == []
+
+
 def test_sweep_slope_branches_have_one_owner():
     # which grid points each slope branch fits is experiments.sweep_slopes'
     # rule; a caller that fits slopes itself restates it
-    def calls_slope_fit(path):
-        return any(
-            isinstance(node, ast.Call)
-            and "slope_fit" in (getattr(node.func, "id", None),
-                                getattr(node.func, "attr", None))
-            for node in ast.walk(ast.parse(path.read_text()))
-        )
-
     callers = [
         f"{path.stem} calls slope_fit"
         for path in sorted([*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py")])
-        if path.stem != "experiments" and calls_slope_fit(path)
+        if path.stem != "experiments" and calls(path, "slope_fit")
     ]
     assert callers == []
 

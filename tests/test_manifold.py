@@ -66,6 +66,17 @@ class TestCurveGeometry:
             curve_point(np.array([1.5]))
         with pytest.raises(ValueError):
             circle_point(np.array([-0.1]))
+        # NaN lies in no range, so every range check fails on it
+        t = np.array([0.1, np.nan])
+        for call in (curve_point, circle_point, f_obs, lambda t: density(t, SIN),
+                     lambda t: delta_p_f(t, SIN)):
+            with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\)$"):
+                call(t)
+        with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\]$"):
+            density_cdf(t, SIN)
+        for u in (np.array([np.nan]), t):
+            with pytest.raises(ValueError, match=r"^u must lie in \[0, 1\)$"):
+                density_cdf_inverse(u, SIN)
 
 
 class TestDensity:
@@ -212,6 +223,19 @@ class TestDataset:
                        outlier_flags=flags, outlier_points=rows)
         # points: the clean rows padded to R^5, the outlier rows in place
         assert np.array_equal(wide.points, [rows[0], [1, 1, 0, 0, 0], rows[1]])
+
+    def test_clean_points_checked(self):
+        # a non-finite clean row fails by name, in a clean or a noisy
+        # dataset, before any noise or kernel reads it
+        for bad in (np.nan, np.inf, -np.inf):
+            clean = np.zeros((3, 2))
+            clean[1, 0] = bad
+            with pytest.raises(ValueError, match="^clean_points must be finite$"):
+                Dataset(t=np.zeros(3), clean_points=clean)
+            with pytest.raises(ValueError, match="^clean_points must be finite$"):
+                Dataset(t=np.zeros(3), clean_points=clean,
+                        outlier_flags=np.array([True, False, False]),
+                        outlier_points=np.ones((1, 5)))
 
     def test_outlier_rows_checked(self):
         # each rule on the outlier rows fails by name

@@ -1,5 +1,7 @@
 """Outlier noise models and the distance decomposition diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,32 @@ class TestDiagnostics:
         r_formula = (2.0 * np.dot(xc[i] - xc[j], xi[i] - xi[j])
                      - 2.0 * np.dot(xi[i], xi[j]))
         assert np.isclose(r, r_formula, atol=1e-12)
+
+    def test_no_outlier_drawn(self):
+        # p_out = 0 draws no outlier: (0, m) outlier rows, no attenuation
+        # and no cross term
+        ds = embedded_dataset(50, 8)
+        noisy = add_noise(ds, NoiseModel(NoiseKind.SIMPLE, 8, 0.3, 0.0), seed=14)
+        assert noisy.outlier_points.shape == (0, 8)
+        assert np.array_equal(attenuation(noisy, 5e-4), np.ones(50))
+        assert cross_term_stats(noisy) == (0.0, 1.0)
+
+    def test_cross_term_memory(self):
+        # r is formed on the (n, n_out) pairs with an outlier only: the
+        # peak is a few (n, n_out) arrays, the outlier rows' copy and
+        # 1 MiB, where the n x m cloud alone is 16 MB and n x n 8 MB
+        n, m = 1000, 2000
+        ds = sample_dataset(n, DensitySpec.SINUSOIDAL_1D, 0)
+        noisy = add_noise(ds, NoiseModel(NoiseKind.SIMPLE, m), seed=0)
+        n_out = int(noisy.outlier_flags.sum())
+        tracemalloc.start()
+        try:
+            cross_term_stats(noisy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 3 * 8 * n * n_out + 8 * n_out * m + 2**20
+        assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
 
     def test_cross_term_zero_noise(self):
         ds = embedded_dataset(25, 8)
