@@ -23,11 +23,12 @@ pairs of 128-row tiles turns each tile into kernel values in place and
 writes it once, into its block row's rectangle; no panel, no n x n
 temporary and no mirror write outside the diagonal blocks.
 ``sinklap.sinkhorn`` makes both scale vectors s from A; a Laplacian
-reaches diag(s) A diag(s) through matvecs with A.  ``Affinity`` owns the square, finite,
-symmetric, non-negative A that scaling needs: it checks outside data
-once and packs it, ``build_affinity``'s A holds it by construction,
-and ``packed_kernel`` reads any kernel argument, checking and packing
-an ndarray.  ``Affinity.dense`` rebuilds the n x n matrix for tests.
+reaches diag(s) A diag(s) through matvecs with A.  ``Affinity`` owns
+the square, non-empty, finite, symmetric, non-negative A that scaling
+needs: it checks outside data once and packs it, ``build_affinity``'s
+A holds it by construction, and ``packed_kernel`` reads any kernel
+argument, checking and packing an ndarray.  ``Affinity.dense`` rebuilds
+the n x n matrix for tests.
 
 Storage rule: every tile is computed in float64 and stored in float32,
 the float32 rounding of the float64 kernel, off by at most 2^-24
@@ -56,33 +57,35 @@ exports, its C signature checked on import, and called through
 beside the other thread's Python work; ``scipy.linalg.blas``'s f2py
 wrappers hold the GIL for the whole call.
 
-A row's width is 1 + the index of its last nonzero column.  Rows
-narrower than the widest are narrow, w is their largest width, and the
-widest rows are wide (none on one-width, clean data).  Every squared
-distance is
+One split reads each input as it declares itself.  An array, or a
+clean ``Dataset``, is one cloud: its squared distances are scipy's
+"sqeuclidean" ``cdist`` over all its columns, tile by tile, so A is
+bitwise the kernel of ``pdist`` (its float32 rounding where A is
+float32).  A noisy ``Dataset`` declares its clean rows (n, k), its
+outlier flags and its outlier rows in R^m, and every squared distance
+is the paper's split
 
     ||x_i - x_j||^2 = c_ij + (t_i + t_j) - 2 g_ij,  clamped at 0,
 
-with c_ij scipy's "sqeuclidean" ``cdist`` over the first w columns, t_i
-the squares of row i past column w and g_ij the dot product of the two
-tails, one BLAS product over a block's wide rows.  Inliers span a few
-columns and outlier noise fills R^m, so g holds the noise inner products
-that the paper's outlier term bounds (``noise.cross_term_stats``).
-Inlier coordinates stay in ``cdist``: on-manifold distances are the
-small ones, where a Gram form cancels.  One split reads every input as
-clean rows plus, for a noisy ``Dataset``, its outlier rows in R^m: an
-array is its own clean rows, and a noisy dataset's inliers are their
-clean rows padded with zeros, so the n x m cloud is never built.
+with c_ij the ``cdist`` over the first k columns (an inlier's clean
+row, an outlier's first k coordinates), t_i the squares of an outlier's
+row past column k (0 for an inlier) and g_ij the dot product of two
+outliers' tails, one BLAS product per pair of tiles.  The tails are
+views of the outlier rows, so the n x m cloud is never built.  Inlier
+coordinates stay in ``cdist``: on-manifold distances are the small
+ones, where a Gram form cancels; g holds the noise inner products that
+the paper's outlier term bounds (``noise.cross_term_stats``).
 
-Narrow rows have t = g = 0 exactly and columns past both rows' width add
-exact zeros, so narrow-narrow entries, and all of one-width data, are
-bitwise equal to the kernel of a full-width ``pdist`` (to its float32
-rounding where A is float32).  Narrow-wide d^2 reorders a sum of
-non-negative terms, within about 2 (m - 1) u relative of ``pdist``'s (u
-the unit roundoff; 4.4e-13 at m = 2000).  Wide rows a, b are within
-about 2 (m + 1) u (||a||^2 + ||b||^2) + 2 (m + 3) u d^2 of it; the
-first term matters only for near-coincident outliers.  These bounds
-hold for the float64 kernel; a float32 A rounds each entry once more.
+An inlier is zero past column k, so entries between two inliers are
+bitwise those of a full-width ``pdist`` of the dataset's ``points``.
+Inlier-outlier d^2 reorders a sum of non-negative terms, within about
+2 (m - 1) u relative of ``pdist``'s (u the unit roundoff; 4.4e-13 at
+m = 2000).  Outliers a, b are within about
+2 (m + 1) u (||a||^2 + ||b||^2) + 2 (m + 3) u d^2 of it; the first term
+matters only for near-coincident outliers.  These bounds hold for the
+float64 kernel; a float32 A rounds each entry once more.  A noisy
+(n, m) array is one cloud like any array, an m-column ``cdist`` for
+every pair; callers that want the split pass the ``Dataset``.
 """
 
 import ctypes
@@ -180,9 +183,10 @@ class Affinity:
     triangle (``PackedTriangle``).
 
     ``Affinity(matrix, epsilon)`` checks the given dense matrix, which
-    must be square, finite, bitwise symmetric and non-negative, and
-    packs its lower block triangle into a read-only copy, float32 if the
-    matrix is and float64 otherwise.  epsilon is positive and finite.
+    must be square, non-empty, finite, bitwise symmetric and
+    non-negative, and packs its lower block triangle into a read-only
+    copy, float32 if the matrix is and float64 otherwise.  epsilon is
+    positive and finite.
     ``dense()`` rebuilds the n x n matrix.
     """
 
@@ -215,7 +219,7 @@ def _pack(mat):
 
 def _checked_kernel(a):
     """a as a float32 array if it is one, else as a float64 array; raises
-    unless square, finite, symmetric and non-negative.
+    unless square, non-empty, finite, symmetric and non-negative.
 
     One pass over upper cache-sized tiles: each must be finite (a NaN or
     an infinity shows in its minimum or maximum), then equal to the
@@ -228,6 +232,8 @@ def _checked_kernel(a):
         mat = mat.astype(float, copy=False)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("matrix must be square")
+    if mat.size == 0:
+        raise ValueError("matrix must be non-empty")
     n, block = mat.shape[0], 256
     negative = False
     for i in range(0, n, block):
@@ -338,29 +344,26 @@ def normalized_prefactor(n, epsilon, d):
 def build_affinity(points, epsilon):
     """Assemble the zero-diagonal Gaussian kernel of a point cloud.
 
-    One split (``_split``) reads the cloud as its first w columns, the
-    narrow prefix, and the wide rows' tails past column w (module
-    docstring), from its clean rows and, for a noisy dataset, its
-    outlier rows: an array or a clean dataset is its own tail source,
-    and a noisy dataset's tails are read from its outlier rows, so the
-    n x m cloud is never built.  A dataset and its dense ``points`` give
-    the same kernel, bit for bit, and no split holds a second copy of
-    the wide tails.
+    ``_split`` reads the input as it declares itself (module docstring):
+    an array or a clean dataset is one cloud, and a noisy dataset is its
+    rows' first k columns, k its clean width, plus its outliers' tails
+    past column k, views of its outlier rows, so the n x m cloud is
+    never built.
 
-    Each lower pair of 128-row tiles is then a w-column ``cdist``, plus
-    t_i + t_j on a tile with a wide row, minus 2 g_ij between its wide
-    rows; it is turned into kernel values in float64 and stored, once,
-    into its block row of A's float32 lower block triangle.  One entry
-    below float32's smallest normal restarts the loop into a float64
-    triangle (module docstring), at worst doubling the build time.
+    Each lower pair of 128-row tiles is then a ``cdist`` of those
+    columns, plus t_i + t_j on a tile with an outlier, minus 2 g_ij
+    between its outliers; it is turned into kernel values in float64
+    and stored, once, into its block row of A's float32 lower block
+    triangle.  One entry below float32's smallest normal restarts the
+    loop into a float64 triangle (module docstring), at worst doubling
+    the build time.
 
     Parameters
     ----------
     points : Dataset, or ndarray of shape (n, m)
-        A dataset, whose ``points`` are the cloud, read through its
-        clean_points, outlier_flags and outlier_points (this module
-        imports no dataset type); or finite ambient coordinates.  n >= 2
-        and m >= 1.
+        A dataset, read through its clean_points, outlier_flags and
+        outlier_points (this module imports no dataset type); or finite
+        coordinates.  n >= 2 and m >= 1.
     epsilon : float
         Kernel bandwidth, positive and finite.
 
@@ -370,29 +373,28 @@ def build_affinity(points, epsilon):
         The symmetric non-negative matrix exp(-d2 / (4 epsilon)) with a
         zero diagonal, stored as its lower block triangle, float32 when
         float32 holds every entry as a normal number and float64
-        otherwise.  Entries between narrow rows, and all entries of
-        one-width data, are bitwise equal to the kernel of full-width
-        ``pdist`` distances, or to its float32 rounding in float32.
-        Entries with a wide row take d2 from the tail norms and the tail
-        Gram product, within the bounds of the module docstring (before
+        otherwise.  An array's entries, and those between two inliers,
+        are bitwise equal to the kernel of full-width ``pdist``
+        distances, or to its float32 rounding in float32.  Entries with
+        an outlier take d2 from the tail norms and the tail Gram
+        product, within the bounds of the module docstring (before
         rounding).
     """
-    prefix, wide, source, at = _split(points)
+    prefix, outliers, tails = _split(points)
     positive_finite("epsilon", epsilon)
     n = prefix.shape[0]
-    sq = np.einsum("ij,ij->i", source, source)
     tail = np.zeros(n)
-    tail[wide] = sq if at is None else sq[at]
-    # each tile's rows, its wide rows' offsets in it and their rows in source
+    tail[outliers] = np.einsum("ij,ij->i", tails, tails)
+    # each tile's rows, its outliers' offsets in it and their tails' rows
     tiles = []
     for a in range(0, n, _TILE):
         rows = slice(a, min(a + _TILE, n))
-        lo, hi = np.searchsorted(wide, (rows.start, rows.stop))
-        tiles.append((rows, wide[lo:hi] - a, slice(lo, hi) if at is None else at[lo:hi]))
+        lo, hi = np.searchsorted(outliers, (rows.start, rows.stop))
+        tiles.append((rows, outliers[lo:hi] - a, slice(lo, hi)))
     for dtype in (np.float32, np.float64):
         data = None  # free a float32 attempt before the float64 triangle
         data = np.empty(_stored_size(n), dtype)
-        if _fill_kernel(data, prefix, epsilon, tiles, tail, source):
+        if _fill_kernel(data, prefix, epsilon, tiles, tail, tails):
             break
     # one triangle, so symmetric by construction; non-negative by exp
     aff = object.__new__(Affinity)
@@ -400,66 +402,40 @@ def build_affinity(points, epsilon):
     return aff
 
 
-def _widths(rows):
-    """Each row's width, 1 + the index of its last nonzero column (0 for
-    a zero row)."""
-    m = rows.shape[1]
-    return np.where(rows.any(axis=1), m - np.argmax(rows[:, ::-1] != 0, axis=1), 0)
-
-
 def _split(points):
-    """The cloud's narrow prefix, wide-row index, tail source and the
-    wide rows' rows in it, None for the source's own rows in order.
+    """The columns every pair's ``cdist`` reads, the outliers' row
+    indices and their tails, one row per outlier.
 
     points is an array or a dataset, read as its clean rows (n, k) and,
     if noisy, its outlier flags and outlier rows (n_out, m), which
-    ``Dataset`` has checked; an inlier's row is its clean row padded
-    with zeros to R^m, with the clean row's width.  w is the
-    second-largest row width, or the only one, and the wide rows are
-    those wider than w.  An array, or a clean dataset's points, is its
-    own tail source: the prefix and the source, the columns past w, are
-    views, and a tile gathers its own wide rows' tails from the source.
-    A noisy dataset's prefix is gathered from both parts; when every
-    wide row is an outlier, the usual case, the source is a view of the
-    outlier rows past w, and otherwise (a clean row wider than w) the
-    wide tails are gathered into it.
+    ``Dataset`` has checked.  An array or a clean dataset is one cloud:
+    its rows as they are, no outlier and no tail.  A noisy dataset's
+    first columns are its clean rows with each outlier's first k
+    coordinates in place, and its tails are the view of the outlier
+    rows past column k.
     """
     clean = np.ascontiguousarray(getattr(points, "clean_points", points), dtype=float)
     flags, out = getattr(points, "outlier_flags", None), getattr(points, "outlier_points", None)
     m = clean.shape[-1] if out is None else out.shape[1]
     if clean.ndim != 2 or clean.shape[0] < 2 or m < 1:
         raise ValueError("points must be (n, m) with n >= 2 and m >= 1")
-    n, k = clean.shape
-    if out is None and not np.all(np.isfinite(clean)):
-        raise ValueError("points must be finite")
-    width = _widths(clean)
-    if out is not None:
-        width[flags] = _widths(out)
-    w = int(np.unique(width)[-2:][0])
-    wide = np.flatnonzero(width > w)
     if out is None:
-        return clean[:, :w], wide, clean[:, w:], wide
-    outliers = np.flatnonzero(flags)
-    prefix = np.zeros((n, w))
-    prefix[:, :k] = clean[:, :w]
-    prefix[flags] = out[:, :w]
-    hit = flags[wide]
-    if hit.all():
-        at = None if np.array_equal(wide, outliers) else np.searchsorted(outliers, wide)
-        return prefix, wide, out[:, w:], at
-    tails = np.zeros((wide.size, out.shape[1] - w))
-    tails[:, : max(k - w, 0)] = clean[wide, w:]
-    tails[hit] = out[np.searchsorted(outliers, wide[hit]), w:]
-    return prefix, wide, tails, None
+        if not np.all(np.isfinite(clean)):
+            raise ValueError("points must be finite")
+        return clean, np.arange(0), clean[:0]
+    k = clean.shape[1]
+    prefix = clean.copy()
+    prefix[flags] = out[:, :k]
+    return prefix, np.flatnonzero(flags), out[:, k:]
 
 
-def _fill_kernel(data, prefix, epsilon, tiles, tail, source):
+def _fill_kernel(data, prefix, epsilon, tiles, tail, tails):
     """Write the kernel's lower block triangle into data, one row of
     tiles at a time; False once a float32 triangle meets an entry below
-    float32's smallest normal.  prefix is the narrow prefix, tail each
-    row's squares past it, and tiles holds each tile's rows, its wide
-    rows' offsets in it and their tails' rows in source: a slice, read
-    as a view, or an index, gathered per tile.
+    float32's smallest normal.  prefix holds the columns of each pair's
+    ``cdist``, tail each row's squares past them, and tiles each tile's
+    rows, its outliers' offsets in it and the slice of their rows in
+    tails, read as a view.
 
     Each tile left of and on the diagonal is computed in float64 and
     stored by rounding into its block row's rectangle, of data's dtype.
@@ -471,19 +447,18 @@ def _fill_kernel(data, prefix, epsilon, tiles, tail, source):
     """
     floor = np.finfo(np.float32).tiny if data.dtype == np.float32 else 0.0
     panels = _panels(data, prefix.shape[0])
-    for i, (rows, wide_rows, at_rows) in enumerate(tiles):
+    for i, (rows, out_rows, at_rows) in enumerate(tiles):
         if rows.start % _BLOCK == 0:
             s, _, panel = next(panels)
-        tail_rows = source[at_rows]
-        for j, (cols, wide_cols, at_cols) in enumerate(tiles[: i + 1]):
+        for j, (cols, out_cols, at_cols) in enumerate(tiles[: i + 1]):
             block = cdist(prefix[rows], prefix[cols], "sqeuclidean")
-            if wide_rows.size or wide_cols.size:
+            if out_rows.size or out_cols.size:
                 block += tail[rows, None] + tail[cols]
-            if wide_rows.size and wide_cols.size:
+            if out_rows.size and out_cols.size:
                 # on a diagonal tile numpy's product of the tails with
                 # their own transpose is one syrk, half a gemm's work
-                gram = tail_rows @ (tail_rows if j == i else source[at_cols]).T
-                block[np.ix_(wide_rows, wide_cols)] -= 2.0 * gram
+                gram = tails[at_rows] @ tails[at_cols].T
+                block[np.ix_(out_rows, out_cols)] -= 2.0 * gram
                 np.maximum(block, 0.0, out=block)
             # exp(-d2 / (4 epsilon)) in place, bitwise equal to the
             # out-of-place expression: IEEE division is sign-symmetric

@@ -74,6 +74,7 @@ class Dataset:
         n = self.t.shape[0]
         if self.clean_points.shape[0] != n:
             raise ValueError("t and clean_points disagree on n")
+        _check_unit_interval(self.t)
         if not _finite(self.clean_points):
             raise ValueError("clean_points must be finite")
         if (self.outlier_points is None) != (self.outlier_flags is None):

@@ -198,7 +198,7 @@ class TestPointwise:
 
 class TestPdistEquivalence:
     """The pipeline on build_affinity's kernel against the pipeline on the
-    full-width pdist kernel, whose entries with a wide row differ in the
+    full-width pdist kernel, whose entries with an outlier differ in the
     last bits (see ``sinklap.kernel``).  The reference is stored as
     build_affinity stores its kernel, in float32 when float32 holds every
     entry as a normal number, so both pipelines multiply in one precision

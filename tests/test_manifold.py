@@ -237,6 +237,13 @@ class TestDataset:
                         outlier_flags=np.array([True, False, False]),
                         outlier_points=np.ones((1, 5)))
 
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.1, 1.0])
+    def test_t_checked(self, bad):
+        # an intrinsic coordinate outside [0, 1) fails by name, before
+        # noise is drawn for it or a reference is evaluated at it
+        with pytest.raises(ValueError, match=r"^t must lie in \[0, 1\)$"):
+            Dataset(t=[bad, 0.5, 0.2], clean_points=np.zeros((3, 2)))
+
     def test_outlier_rows_checked(self):
         # each rule on the outlier rows fails by name
         flags = np.array([True, False, True])
