@@ -231,12 +231,11 @@ def _used(p, *names):
 
 def _cmd_generate(p):
     ds = noisy_dataset(p["n"], p["density"], _noise_model(p), p["seed"])
-    flags = ds.outlier_flags if ds.outlier_flags is not None else np.zeros(ds.n, bool)
     points = ds.points
     write_table(
         p["out"],
         ("t",) + tuple(f"x{j + 1}" for j in range(points.shape[1])) + ("outlier",),
-        ([t, *x, int(f)] for t, x, f in zip(ds.t, points, flags)),
+        ([t, *x, int(f)] for t, x, f in zip(ds.t, points, ds.outlier_flags)),
     )
     return _used(p, "n")
 

@@ -2,7 +2,8 @@
 
 Each rule that bad input breaks has one owner here and raises a
 ``ValueError`` that names the input: ``positive_finite``,
-``finite_nonnegative``, ``integer_at_least`` and ``member``.  The
+``finite_nonnegative``, ``integer_at_least`` and ``member``; an object
+of the wrong class fails ``instance_of``, which raises a ``TypeError``.  The
 command line only turns option text into values and leaves every value
 to these rules, so a bad option fails with the library's message,
 named after the parameter; n and seed are judged before any draw.
@@ -64,3 +65,11 @@ def member(enum, x, name):
     """Raise unless x is a member of the Enum class enum."""
     if not isinstance(x, enum):
         raise ValueError(f"unknown {name}: {x!r}")
+
+
+def instance_of(name, x, cls):
+    """Raise a TypeError naming x's type unless x is an instance of cls."""
+    if not isinstance(x, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{name} must be {article} {cls.__name__}, "
+                        f"not {type(x).__name__}")

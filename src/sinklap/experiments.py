@@ -156,9 +156,12 @@ def _replicate(job, replicas, threads):
 
 
 def rel_errors(est, ref):
-    """Relative 2-norm and sup-norm errors of est against a nonzero ref."""
+    """Relative 2-norm and sup-norm errors of est against a nonzero ref
+    of the same shape."""
     est = np.asarray(est, dtype=float)
     ref = np.asarray(ref, dtype=float)
+    if est.shape != ref.shape:
+        raise ValueError("est and ref must have the same shape")
     ref2 = np.linalg.norm(ref)
     refinf = np.max(np.abs(ref))
     if ref2 == 0 or refinf == 0:
@@ -174,8 +177,8 @@ def noisy_dataset(n, spec, noise_model, seed):
 
     The noise stream uses seed + NOISE_SEED_OFFSET; without a noise
     model the clean dataset is returned.  The clean points keep their
-    native width; only the outlier rows are m wide.  seed is checked
-    before the first draw.
+    native width; only the outliers' noise vectors are m wide.  seed is
+    checked before the first draw.
     """
     integer_at_least("seed", seed, 0)
     ds = sample_dataset(n, spec, seed)
@@ -212,8 +215,7 @@ def _pointwise_on(ds, spec, epsilon, kind, sk_config):
     if scaling is None:
         return PointwiseResult(relerr2=relerr2, relerrinf=relerrinf, sk_iters=0)
     eta_norm = scaling.eta / np.sqrt(normalized_prefactor(ds.n, aff.epsilon, 1))
-    if ds.outlier_flags is not None:
-        eta_norm = eta_norm[~ds.outlier_flags]
+    eta_norm = eta_norm[~ds.outlier_flags]
     return PointwiseResult(
         relerr2=relerr2,
         relerrinf=relerrinf,

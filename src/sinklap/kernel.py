@@ -57,21 +57,21 @@ exports, its C signature checked on import, and called through
 beside the other thread's Python work; ``scipy.linalg.blas``'s f2py
 wrappers hold the GIL for the whole call.
 
-One split reads each input as it declares itself.  An array, or a
-clean ``Dataset``, is one cloud: its squared distances are scipy's
-"sqeuclidean" ``cdist`` over all its columns, tile by tile, so A is
-bitwise the kernel of ``pdist`` (its float32 rounding where A is
-float32).  A noisy ``Dataset`` declares its clean rows (n, k), its
-outlier flags and its outlier rows in R^m, and every squared distance
-is the paper's split
+One split reads each input as it declares itself.  An array is one
+cloud: its squared distances are scipy's "sqeuclidean" ``cdist`` over
+all its columns, tile by tile, so A is bitwise the kernel of ``pdist``
+(its float32 rounding where A is float32).  A ``Dataset`` declares its
+clean rows x^c (n, k), its outlier flags and its outliers' noise
+vectors xi in R^m, and every squared distance is the paper's split
 
     ||x_i - x_j||^2 = c_ij + (t_i + t_j) - 2 g_ij,  clamped at 0,
 
 with c_ij the ``cdist`` over the first k columns (an inlier's clean
-row, an outlier's first k coordinates), t_i the squares of an outlier's
-row past column k (0 for an inlier) and g_ij the dot product of two
+row, an outlier's x^c + xi[:k]), t_i the squares of an outlier's xi
+past column k (0 for an inlier) and g_ij the dot product of two
 outliers' tails, one BLAS product per pair of tiles.  The tails are
-views of the outlier rows, so the n x m cloud is never built.  Inlier
+views of xi, so the n x m cloud is never built.  A clean dataset has
+no outlier, so its A is its clean rows' ``pdist`` kernel.  Inlier
 coordinates stay in ``cdist``: on-manifold distances are the small
 ones, where a Gram form cancels; g holds the noise inner products that
 the paper's outlier term bounds (``noise.cross_term_stats``).
@@ -345,10 +345,9 @@ def build_affinity(points, epsilon):
     """Assemble the zero-diagonal Gaussian kernel of a point cloud.
 
     ``_split`` reads the input as it declares itself (module docstring):
-    an array or a clean dataset is one cloud, and a noisy dataset is its
-    rows' first k columns, k its clean width, plus its outliers' tails
-    past column k, views of its outlier rows, so the n x m cloud is
-    never built.
+    an array is one cloud, and a dataset is its rows' first k columns,
+    k its clean width, plus its outliers' tails past column k, views of
+    its noise vectors, so the n x m cloud is never built.
 
     Each lower pair of 128-row tiles is then a ``cdist`` of those
     columns, plus t_i + t_j on a tile with an outlier, minus 2 g_ij
@@ -362,7 +361,7 @@ def build_affinity(points, epsilon):
     ----------
     points : Dataset, or ndarray of shape (n, m)
         A dataset, read through its clean_points, outlier_flags and
-        outlier_points (this module imports no dataset type); or finite
+        outlier_offsets (this module imports no dataset type); or finite
         coordinates.  n >= 2 and m >= 1.
     epsilon : float
         Kernel bandwidth, positive and finite.
@@ -406,27 +405,26 @@ def _split(points):
     """The columns every pair's ``cdist`` reads, the outliers' row
     indices and their tails, one row per outlier.
 
-    points is an array or a dataset, read as its clean rows (n, k) and,
-    if noisy, its outlier flags and outlier rows (n_out, m), which
-    ``Dataset`` has checked.  An array or a clean dataset is one cloud:
-    its rows as they are, no outlier and no tail.  A noisy dataset's
-    first columns are its clean rows with each outlier's first k
-    coordinates in place, and its tails are the view of the outlier
-    rows past column k.
+    points is an array or a dataset, read as its clean rows (n, k), its
+    outlier flags and its noise vectors xi (n_out, m), which ``Dataset``
+    has checked; an array is its rows with no outlier.  The first
+    columns are the clean rows with each outlier's first k coordinates,
+    clean + xi[:, :k], in place, and the tails are the view of xi past
+    column k: an outlier's row there is 0 + xi, xi exactly.
     """
     clean = np.ascontiguousarray(getattr(points, "clean_points", points), dtype=float)
-    flags, out = getattr(points, "outlier_flags", None), getattr(points, "outlier_points", None)
-    m = clean.shape[-1] if out is None else out.shape[1]
-    if clean.ndim != 2 or clean.shape[0] < 2 or m < 1:
+    xi = getattr(points, "outlier_offsets", clean[:0])
+    if clean.ndim != 2 or clean.shape[0] < 2 or xi.shape[-1] < 1:
         raise ValueError("points must be (n, m) with n >= 2 and m >= 1")
-    if out is None:
-        if not np.all(np.isfinite(clean)):
-            raise ValueError("points must be finite")
-        return clean, np.arange(0), clean[:0]
+    if not np.all(np.isfinite(clean)):
+        raise ValueError("points must be finite")
     k = clean.shape[1]
-    prefix = clean.copy()
-    prefix[flags] = out[:, :k]
-    return prefix, np.flatnonzero(flags), out[:, k:]
+    outliers = np.flatnonzero(getattr(points, "outlier_flags", ()))
+    prefix = clean
+    if outliers.size:
+        prefix = clean.copy()
+        prefix[outliers] += xi[:, :k]
+    return prefix, outliers, xi[:, k:]
 
 
 def _fill_kernel(data, prefix, epsilon, tiles, tail, tails):

@@ -24,6 +24,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from .errors import (
     DegenerateInputError,
     NumericalFailureError,
+    instance_of,
     integer_at_least,
     member,
     positive_finite,
@@ -81,8 +82,7 @@ def laplacian_from_affinity(a, form, scale):
     -------
     LaplacianOp
     """
-    if not isinstance(a, Affinity):
-        raise TypeError(f"kernel must be an Affinity, not {type(a).__name__}")
+    instance_of("kernel", a, Affinity)
     member(LaplacianForm, form, "form")
     s = np.asarray(scale, dtype=float)
     if s.shape != (a.n,):

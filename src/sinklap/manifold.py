@@ -36,34 +36,35 @@ class DensitySpec(Enum):
 
 @dataclass
 class Dataset:
-    """A sampled manifold dataset.
+    """A sampled manifold dataset, split as the paper writes each
+    observed sample: x_i = x_i^c + xi_i, its clean point plus its noise
+    vector, which is exactly 0 for an inlier.
 
     Attributes
     ----------
     t : ndarray, shape (n,)
         Intrinsic coordinates in [0, 1).
     clean_points : ndarray, shape (n, k)
-        On-manifold coordinates, finite.
-    outlier_flags : ndarray of bool, shape (n,), or None
-        Which samples are outliers; None for clean datasets.
-    outlier_points : ndarray, shape (n_out, m) with m >= k, or None
-        The observed rows of the flagged samples, in row order: each is
-        its clean row zero-padded to R^m plus its displacement.  Comes
-        with ``outlier_flags``, one row per set flag, finite.  An
-        inlier is observed at its clean row padded to R^m, so a noisy
+        On-manifold coordinates x^c, finite.
+    outlier_flags : ndarray of bool, shape (n,)
+        Which samples are outliers; none, if not given.
+    outlier_offsets : ndarray, shape (n_out, m) with m >= k
+        The noise vectors xi of the flagged samples in R^m, in row order,
+        one row per set flag, finite; (0, k), if not given.  A sample is
+        observed at its clean row zero-padded to R^m plus its xi, so a
         dataset never stores the n x m cloud (``points`` builds it).
     seed : int
         Seed the dataset was drawn with.
 
-    The dataset holds read-only views of the given arrays, so the
-    caller's own arrays stay writeable and are not copied; treat
-    instances as immutable values.
+    A clean dataset is one with no flag set.  The dataset holds
+    read-only views of the given arrays, so the caller's own arrays stay
+    writeable and are not copied; treat instances as immutable values.
     """
 
     t: np.ndarray
     clean_points: np.ndarray
     outlier_flags: np.ndarray | None = None
-    outlier_points: np.ndarray | None = None
+    outlier_offsets: np.ndarray | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -71,30 +72,30 @@ class Dataset:
         self.clean_points = np.asarray(self.clean_points, dtype=float).view()
         if self.t.ndim != 1 or self.clean_points.ndim != 2:
             raise ValueError("t must be (n,) and clean_points (n, m)")
-        n = self.t.shape[0]
-        if self.clean_points.shape[0] != n:
+        n, k = self.clean_points.shape
+        if self.t.shape[0] != n:
             raise ValueError("t and clean_points disagree on n")
         _check_unit_interval(self.t)
         if not _finite(self.clean_points):
             raise ValueError("clean_points must be finite")
-        if (self.outlier_points is None) != (self.outlier_flags is None):
-            raise ValueError("outlier_points and outlier_flags must come together")
-        if self.outlier_points is not None:
-            self.outlier_flags = np.asarray(self.outlier_flags, dtype=bool).view()
-            self.outlier_points = np.asarray(self.outlier_points, dtype=float).view()
-            if self.outlier_flags.shape != (n,):
-                raise ValueError("outlier_flags must be (n,)")
-            flagged = int(np.count_nonzero(self.outlier_flags))
-            if self.outlier_points.ndim != 2 or self.outlier_points.shape[0] != flagged:
-                raise ValueError(f"outlier_points must be (n_out, m) with one row per "
-                                 f"set outlier flag, {flagged}")
-            if self.outlier_points.shape[1] < self.clean_points.shape[1]:
-                raise ValueError("outlier_points must be at least as wide as clean_points")
-            if not _finite(self.outlier_points):
-                raise ValueError("outlier_points must be finite")
-        for arr in (self.t, self.clean_points, self.outlier_flags, self.outlier_points):
-            if arr is not None:
-                arr.setflags(write=False)
+        # the arguments as given: one left out is a clean dataset's
+        flags, xi = self.outlier_flags, self.outlier_offsets
+        self.outlier_flags = np.asarray(np.zeros(n, bool) if flags is None else flags,
+                                        dtype=bool).view()
+        self.outlier_offsets = np.asarray(np.zeros((0, k)) if xi is None else xi,
+                                          dtype=float).view()
+        if self.outlier_flags.shape != (n,):
+            raise ValueError("outlier_flags must be (n,)")
+        flagged = int(np.count_nonzero(self.outlier_flags))
+        if self.outlier_offsets.ndim != 2 or self.outlier_offsets.shape[0] != flagged:
+            raise ValueError(f"outlier_offsets must be (n_out, m) with one row per "
+                             f"set outlier flag, {flagged}")
+        if self.outlier_offsets.shape[1] < k:
+            raise ValueError("outlier_offsets must be at least as wide as clean_points")
+        if not _finite(self.outlier_offsets):
+            raise ValueError("outlier_offsets must be finite")
+        for arr in (self.t, self.clean_points, self.outlier_flags, self.outlier_offsets):
+            arr.setflags(write=False)
 
     @property
     def n(self):
@@ -102,13 +103,10 @@ class Dataset:
 
     @property
     def points(self):
-        """Observed coordinates: the clean points of a clean dataset, else
-        a new (n, m) array, the clean points zero-padded to R^m with the
-        outlier rows in place."""
-        if self.outlier_points is None:
-            return self.clean_points
-        pts = embed_ambient(self.clean_points, self.outlier_points.shape[1])
-        pts[self.outlier_flags] = self.outlier_points
+        """Observed coordinates x^c + xi, a new (n, m) array: the clean
+        points zero-padded to R^m, each outlier's xi added to its row."""
+        pts = embed_ambient(self.clean_points, self.outlier_offsets.shape[1])
+        pts[self.outlier_flags] += self.outlier_offsets
         return pts
 
 

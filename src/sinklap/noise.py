@@ -1,8 +1,9 @@
 """Outlier noise models for embedded manifold data.
 
 Each sample is independently marked an outlier with probability p_i and,
-if marked, displaced by an isotropic Gaussian z_i ~ N(0, (sigma_i^2/m) I_m)
-in the ambient R^m, so ||z_i|| concentrates near sigma_i regardless of m.
+if marked, displaced by its noise vector, an isotropic Gaussian
+xi_i ~ N(0, (sigma_i^2/m) I_m) in the ambient R^m, so ||xi_i||
+concentrates near sigma_i regardless of m.
 Three regimes:
 
 * SIMPLE          : p_i = p_out, sigma_i = sigma_out.
@@ -21,12 +22,12 @@ and IID) followed by the m Gaussian components.  Gaussians come from
 the inverse CDF of uniforms, so a (seed, order) pair pins every byte of
 the output.
 
-An inlier's displacement is exactly 0, so a noisy dataset stores only
-its outliers' rows in R^m (``Dataset.outlier_points``), and the
-diagnostics read xi from those rows and the clean points, without the
-n x m cloud.  For n_out outliers and k clean columns, ``attenuation``
-costs O(n_out m) and ``cross_term_stats`` O(n n_out) memory beside
-the outlier rows, and O(n n_out k + n_out^2 m) time.
+An inlier's noise vector is exactly 0, so a noisy dataset stores only
+its outliers' noise vectors xi in R^m (``Dataset.outlier_offsets``),
+and the diagnostics read them in place, without the n x m cloud.  For
+n_out outliers and k clean columns, ``attenuation`` costs O(n) and
+``cross_term_stats`` O(n n_out) memory beside the dataset, and
+O(n n_out k + n_out^2 m) time.
 """
 
 from dataclasses import dataclass
@@ -35,7 +36,8 @@ from enum import Enum
 import numpy as np
 
 from ._rng import make_rng, standard_normal
-from .errors import finite_nonnegative, integer_at_least, member, positive_finite
+from .errors import (finite_nonnegative, instance_of, integer_at_least, member,
+                     positive_finite)
 from .manifold import Dataset
 
 
@@ -74,11 +76,12 @@ def _gamma1(t):
 def add_noise(ds, model, seed):
     """Return a noisy copy of a clean dataset, observed in R^m.
 
-    The clean points may be k <= m = model.m columns wide and are kept
-    as given.  Only the outliers' rows are stored (``outlier_points``):
-    each is its clean row zero-padded to R^m plus its Gaussian
-    displacement.  An inlier is observed at its padded clean row, which
-    ``Dataset.points`` rebuilds on demand.
+    model is a ``NoiseModel``.  The clean points may be k <= m = model.m
+    columns wide and are kept as given.  Only the outliers' noise
+    vectors xi are stored (``outlier_offsets``), each its scaled
+    Gaussian block in R^m; ``Dataset.points`` adds them to the padded
+    clean rows on demand.  A dataset with an outlier already flagged is
+    refused.
 
     Draws follow the module's order.  The heteroskedastic phase makes
     the outlier probability a randomly rotated sawtooth along the
@@ -86,33 +89,32 @@ def add_noise(ds, model, seed):
     the degree-normalized pipeline in the embedding experiment.
     """
     integer_at_least("seed", seed, 0)
-    if ds.outlier_points is not None:
+    instance_of("noise model", model, NoiseModel)
+    if ds.outlier_flags.any():
         raise ValueError("dataset already carries noise")
-    clean = ds.clean_points
-    n, k = clean.shape
+    n, k = ds.clean_points.shape
     m = model.m
     if k > m:
         raise ValueError(f"dataset is {k}-dimensional, wider than the model's m={m}")
     # a first pass finds the outliers, stepping over each one's m
-    # uniforms (PCG64 spends one output on each), so the rows are
-    # allocated once at their exact size; a second pass from the same
-    # seed fills them with the same draws
+    # uniforms (PCG64 spends one output on each), so xi is allocated
+    # once at its exact size; a second pass from the same seed fills it
+    # with the same draws
     rng = make_rng(seed)
     flags = np.zeros(n, dtype=bool)
     for i, _ in _outliers(ds.t, model, rng):
         flags[i] = True
         rng.bit_generator.advance(m)
-    rows = np.zeros((int(flags.sum()), m))
+    xi = np.empty((int(flags.sum()), m))
     rng = make_rng(seed)
     root_m = np.sqrt(m)
-    for row, (i, sigma) in zip(rows, _outliers(ds.t, model, rng)):
-        row[:k] = clean[i]
-        row += (sigma / root_m) * standard_normal(rng, m)
+    for row, (_, sigma) in zip(xi, _outliers(ds.t, model, rng)):
+        row[:] = (sigma / root_m) * standard_normal(rng, m)
     return Dataset(
         t=ds.t,
-        clean_points=clean,
+        clean_points=ds.clean_points,
         outlier_flags=flags,
-        outlier_points=rows,
+        outlier_offsets=xi,
         seed=ds.seed,
     )
 
@@ -141,26 +143,16 @@ def _outliers(t, model, rng):
         yield i, model.sigma_out * np.sqrt(gam)
 
 
-def _outlier_offsets(ds):
-    """The displacements xi of the outliers, (n_out, m): a copy of the
-    outlier rows with their clean rows subtracted from the first
-    columns.  An inlier's xi is exactly 0."""
-    if ds.outlier_points is None:
-        raise ValueError("needs a noisy dataset")
-    xi = ds.outlier_points.copy()
-    xi[:, : ds.clean_points.shape[1]] -= ds.clean_points[ds.outlier_flags]
-    return xi
-
-
 def attenuation(ds, epsilon):
     """Per-sample kernel attenuation exp(-||xi_i||^2 / (4 epsilon)).
 
     xi_i is the sample's displacement off the manifold; the factor is
     how much every affinity touching i shrinks relative to the clean
-    kernel (up to cross terms).  Inliers, with xi_i = 0, get exactly 1.
+    kernel (up to cross terms).  Inliers, with xi_i = 0, get exactly 1,
+    so every sample of a clean dataset does.
     """
     positive_finite("epsilon", epsilon)
-    xi = _outlier_offsets(ds)
+    xi = ds.outlier_offsets
     sq = np.zeros(ds.n)
     sq[ds.outlier_flags] = np.einsum("ij,ij->i", xi, xi)
     return np.exp(-sq / (4.0 * epsilon))
@@ -179,17 +171,15 @@ def cross_term_stats(ds):
     clean distance plus per-sample offsets; it shrinks like 1/sqrt(m)
     as the ambient dimension grows.  Returns the largest |r_ij| over
     off-diagonal pairs (the empirical cross-term bound) and the
-    fraction of inlier samples.
+    fraction of inlier samples: (0.0, 1.0) for a clean dataset.
 
     A pair of inliers has r_ij = 0 exactly, so r is formed only on the
     (n, n_out) pairs with an outlier j, from the products x_i^c . xi_j
     over the k clean columns, the outliers' own x_j^c . xi_j and the
-    outliers' Gram matrix: O(n n_out) memory beside a copy of the
-    outlier rows, and O(n n_out k + n_out^2 m) time, with no n x m or
-    n x n array.
+    outliers' Gram matrix, reading xi in place: O(n n_out) memory and
+    O(n n_out k + n_out^2 m) time, with no n x m or n x n array.
     """
-    xi = _outlier_offsets(ds)
-    flags, clean = ds.outlier_flags, ds.clean_points
+    xi, flags, clean = ds.outlier_offsets, ds.outlier_flags, ds.clean_points
     head = xi[:, : clean.shape[1]]  # xi over the clean columns
     own = np.einsum("ij,ij->i", clean[flags], head)
     # r[i, j] for each outlier j, from cross[i, j] = x_i^c . xi_j; an inlier

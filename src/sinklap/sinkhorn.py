@@ -40,6 +40,7 @@ from .errors import (
     DegenerateInputError,
     NumericalFailureError,
     finite_nonnegative,
+    instance_of,
     integer_at_least,
     positive_finite,
 )
@@ -127,7 +128,8 @@ def approx_sym_sk(a, config=None):
     a : Affinity or ndarray
         Square, symmetric, entrywise non-negative, no zero rows.
     config : SkConfig, optional
-        Solver knobs; defaults to ``SkConfig()``.
+        Solver knobs; defaults to ``SkConfig()``.  Any other object
+        raises a TypeError.
 
     Returns
     -------
@@ -144,8 +146,9 @@ def approx_sym_sk(a, config=None):
     NumericalFailureError
         If an update produces non-positive or non-finite values.
     """
+    cfg = SkConfig() if config is None else config
+    instance_of("config", cfg, SkConfig)
     packed = packed_kernel(a)
-    cfg = config if config is not None else SkConfig()
     eta, hits = _project(_inverse_root_degrees(packed), cfg.c_sk)
     history = []
     for k in range(1, cfg.max_iter + 1):

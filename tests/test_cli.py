@@ -457,8 +457,7 @@ def assert_csv_holds(ds, path):
     assert all(len(row) == m + 2 for row in rows) and len(rows) == ds.n
     assert np.array_equal([float(row[0]) for row in rows], ds.t)
     assert np.array_equal([[float(v) for v in row[1:-1]] for row in rows], ds.points)
-    flags = ds.outlier_flags if ds.outlier_flags is not None else np.zeros(ds.n)
-    assert [row[-1] for row in rows] == [str(int(f)) for f in flags]
+    assert [row[-1] for row in rows] == [str(int(f)) for f in ds.outlier_flags]
 
 
 class TestUnconvergedWarning:

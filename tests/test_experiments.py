@@ -14,6 +14,7 @@ from sinklap import (
     SkConfig,
     add_noise,
     align_pair,
+    approx_sym_sk,
     embedding_experiment,
     epsilon_sweep,
     noisy_dataset,
@@ -41,6 +42,17 @@ class TestMetrics:
         assert r2 == 0.0 and rinf == 0.0
         with pytest.raises(ValueError):
             rel_errors([1.0], [0.0])
+
+    @pytest.mark.parametrize(
+        "est, ref",
+        [(np.array([[1.0], [2.0], [4.0]]), np.array([1.0, 2.0, 3.0])),
+         (np.array([1.0, 2.0, 3.0]), np.array([1.0]))],
+        ids=["column-against-vector", "vector-against-one"],
+    )
+    def test_rel_errors_shapes_must_match(self, est, ref):
+        # numpy would broadcast est - ref into a 3 x 3 or a 3-vector difference
+        with pytest.raises(ValueError, match="^est and ref must have the same shape$"):
+            rel_errors(est, ref)
 
     def test_slope_fit(self):
         x = np.linspace(-3.0, -1.0, 7)
@@ -366,6 +378,37 @@ def test_bad_seed_rejected_before_sampling(sample_calls, run):
     with pytest.raises(ValueError, match="^seed must be an integer >= 0$"):
         run()
     assert sample_calls == []
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda: pointwise_experiment(50, DensitySpec.UNIFORM_CIRCLE, 1e-3,
+                                      LaplacianKind.BISTOCH_RW,
+                                      noise_model=NoiseKind.SIMPLE),
+         "noise model must be a NoiseModel, not NoiseKind"),
+        (lambda: pointwise_experiment(50, DensitySpec.UNIFORM_CIRCLE, 1e-3,
+                                      LaplacianKind.BISTOCH_RW, noise_model="simple"),
+         "noise model must be a NoiseModel, not str"),
+        (lambda: embedding_experiment(20, "simple", 1e-3),
+         "noise model must be a NoiseModel, not str"),
+        (lambda: add_noise(sample_dataset(10, DensitySpec.UNIFORM_CIRCLE, 0),
+                           {"m": 8}, 0),
+         "noise model must be a NoiseModel, not dict"),
+        (lambda: approx_sym_sk(np.ones((3, 3)), "x"), "config must be a SkConfig, not str"),
+        (lambda: pointwise_experiment(50, DensitySpec.UNIFORM_CIRCLE, 1e-3,
+                                      LaplacianKind.BISTOCH_RW, sk_config={"c_sk": 0.0}),
+         "config must be a SkConfig, not dict"),
+    ],
+    ids=["pointwise-kind", "pointwise-str", "embedding-str", "add-noise-dict",
+         "sk-str", "pointwise-sk-dict"],
+)
+def test_config_objects_checked_by_type(run, message):
+    # each would fail later as an AttributeError on a missing field;
+    # laplacian_from_affinity's kernel check, the same rule, is tested
+    # with the Laplacian
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        run()
 
 
 def test_density_rejected_before_any_kernel(monkeypatch):

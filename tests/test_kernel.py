@@ -107,10 +107,9 @@ def assert_matches_split(ds, eps):
     ref = np.exp(-d2 / (4.0 * eps))
     np.fill_diagonal(ref, 0.0)
     assert a.dtype == stored(ref).dtype
-    n, m = pts.shape
+    m = pts.shape[1]
     k = ds.clean_points.shape[1]
-    flags = np.zeros(n, dtype=bool) if ds.outlier_flags is None else ds.outlier_flags
-    inliers, outliers = np.flatnonzero(~flags), np.flatnonzero(flags)
+    inliers, outliers = np.flatnonzero(~ds.outlier_flags), np.flatnonzero(ds.outlier_flags)
     u = np.finfo(float).eps / 2
     # the float32 rounding of a float32 matrix; none in a float64 one
     u_store = np.finfo(np.float32).eps / 2 if a.dtype == np.float32 else 0.0
@@ -143,7 +142,7 @@ def dense_path_kernel(ds, eps):
     clean width, and its outliers' tails past them."""
     pts = ds.points
     n, k = ds.clean_points.shape
-    outlier = np.zeros(n, dtype=bool) if ds.outlier_flags is None else ds.outlier_flags
+    outlier = ds.outlier_flags
     tail = np.einsum("ij,ij->i", pts[:, k:], pts[:, k:])
     mat = np.empty((n, n))
     for a in range(0, n, _TILE):
@@ -214,9 +213,9 @@ def noisy_datasets(draw):
 
     Up to 600 samples, so the distance blocks can number more than one,
     with k <= 6 clean columns, each clean row zero (or -0.0) past its
-    own width, observed in R^m with m <= 13.  An outlier's row is its
-    clean row plus noise in its first reach columns, so an outlier's
-    nonzero columns can end before some inliers' do.  Seven patterns:
+    own width, observed in R^m with m <= 13.  An outlier's noise vector
+    xi fills its first reach columns, so an outlier's nonzero columns
+    can end before some inliers' do.  Seven patterns:
     "random" draws the outliers and their reaches, "equal" gives every
     outlier one reach, "one_outlier" makes one outlier reaching R^m,
     "zero_noise" puts every outlier at its clean row, "sorted" puts the
@@ -251,18 +250,18 @@ def noisy_datasets(draw):
         flags = np.arange(n) >= rng.integers(0, n + 1)
     elif pattern == "near_duplicate":
         flags = rng.random(n) < 0.5
-    noise = rng.normal(size=(int(flags.sum()), m)) * scale
-    noise[np.arange(m) >= reach[flags][:, None]] = 0.0
-    rows = embed_ambient(clean[flags], m) + noise
+    xi = rng.normal(size=(int(flags.sum()), m)) * scale
+    xi[np.arange(m) >= reach[flags][:, None]] = 0.0
     if pattern == "near_duplicate":
-        rows = rng.normal(size=m) * scale + noise * 10.0 ** rng.uniform(-12.0, -4.0)
+        rows = rng.normal(size=m) * scale + xi * 10.0 ** rng.uniform(-12.0, -4.0)
+        xi = rows - embed_ambient(clean[flags], m)
     if pattern == "tiny_tail":
-        rows[:, k:] *= 10.0 ** rng.uniform(-8.0, -2.0)
-    for part in (clean, rows):
+        xi[:, k:] *= 10.0 ** rng.uniform(-8.0, -2.0)
+    for part in (clean, xi):
         part[(part == 0.0) & (rng.random(part.shape) < 0.5)] = -0.0
         part[rng.random(part.shape) < 0.05] = -0.0
     return Dataset(t=np.zeros(n), clean_points=clean, outlier_flags=flags,
-                   outlier_points=rows)
+                   outlier_offsets=xi)
 
 
 class TestGaussianKernel:
@@ -656,16 +655,16 @@ class TestPackedTriangle:
 def rows_dataset(seed, reach):
     """A dataset of 40 samples in R^3, every fifth clean row ending in a
     zero, observed in R^10: a third of the rows are outliers whose noise
-    fills the first reach[i % 2] columns."""
+    vector fills the first reach[i % 2] columns."""
     rng = np.random.default_rng(seed)
     clean = rng.normal(size=(40, 3))
     clean[::5, 2] = 0.0
     flags = np.arange(40) % 3 == 0
-    rows = embed_ambient(clean[flags], 10)
-    for i, row in enumerate(rows):
-        row[: reach[i % 2]] += rng.normal(size=reach[i % 2])
+    xi = np.zeros((flags.sum(), 10))
+    for i, row in enumerate(xi):
+        row[: reach[i % 2]] = rng.normal(size=reach[i % 2])
     return Dataset(t=np.zeros(40), clean_points=clean, outlier_flags=flags,
-                   outlier_points=rows)
+                   outlier_offsets=xi)
 
 
 class TestRowSplit:
@@ -695,14 +694,14 @@ class TestRowSplit:
     def test_no_outlier_drawn(self):
         ds = noisy_dataset(300, DensitySpec.SINUSOIDAL_1D,
                            NoiseModel(NoiseKind.SIMPLE, m=50, p_out=0.0), 10)
-        assert ds.outlier_points.shape == (0, 50)
+        assert ds.outlier_offsets.shape == (0, 50)
         assert assert_matches_split(ds, 5e-4) == 0
 
     def test_all_outliers_full_width(self):
         # every sample an outlier, as wide as R^40: no inlier pair, and
         # every entry takes the tail Gram form
         ds = noisy_dataset(16, DensitySpec.UNIFORM_CIRCLE, NoiseModel(NoiseKind.IID, m=40), 5)
-        assert ds.outlier_flags.all() and np.all(ds.outlier_points[:, -1] != 0)
+        assert ds.outlier_flags.all() and np.all(ds.outlier_offsets[:, -1] != 0)
         assert assert_matches_split(ds, 1e-2) == 16 * 16
 
     @pytest.mark.parametrize(
@@ -888,7 +887,7 @@ class TestMemory:
 
     def test_noisy_pipeline_keeps_outlier_rows(self):
         # noise, kernel, scaling and apply at n = 1000 in R^2000: the peak is
-        # the stored float32 triangle, the outlier rows and 2 MiB, where
+        # the stored float32 triangle, the outliers' noise vectors and 2 MiB, where
         # the n x m cloud alone is 16 MB
         n, m, seed = 1000, 2000, 5
         model = NoiseModel(NoiseKind.SIMPLE, m=m)

@@ -85,6 +85,36 @@ def test_padded_cloud_has_one_builder():
     assert callers == []
 
 
+def test_dataset_has_one_form():
+    # a dataset's flags and noise vectors xi are arrays for clean and
+    # noisy data alike, so no reader branches on a None state; and xi is
+    # stored, so no module other than manifold subtracts the clean points
+    # from an outlier array to rebuild it
+    fields = {"outlier_flags", "outlier_offsets"}
+
+    def names_none(node):
+        return isinstance(node, ast.Constant) and node.value is None
+
+    def reads(node, attr):
+        return any(isinstance(sub, ast.Attribute) and sub.attr == attr
+                   for sub in ast.walk(node))
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                compared = {side.attr for side in sides if isinstance(side, ast.Attribute)}
+                if compared & fields and any(names_none(side) for side in sides):
+                    found.append(f"{path.stem} compares {sorted(compared & fields)} with None")
+            subtrahend = (node.right if isinstance(node, ast.BinOp)
+                          else node.value if isinstance(node, ast.AugAssign) else None)
+            if (path.stem != "manifold" and isinstance(getattr(node, "op", None), ast.Sub)
+                    and reads(subtrahend, "clean_points")):
+                found.append(f"{path.stem} subtracts clean_points")
+    assert found == []
+
+
 def test_sweep_slope_branches_have_one_owner():
     # which grid points each slope branch fits is experiments.sweep_slopes'
     # rule; a caller that fits slopes itself restates it

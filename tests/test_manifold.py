@@ -199,16 +199,22 @@ class TestDataset:
     def test_readonly_and_props(self):
         ds = sample_dataset(10, SIN, 2)
         assert ds.n == 10
-        assert ds.points is ds.clean_points
-        with pytest.raises(ValueError):
-            ds.t[0] = 0.5
+        # a clean dataset is one form with the noisy: no flag set, xi (0, k)
+        assert ds.outlier_flags.shape == (10,) and not ds.outlier_flags.any()
+        assert ds.outlier_offsets.shape == (0, 4)
+        # points is a new array, equal to the clean points
+        assert np.array_equal(ds.points, ds.clean_points)
+        assert ds.points is not ds.clean_points and ds.points.flags.writeable
+        for arr in (ds.t, ds.outlier_flags, ds.outlier_offsets):
+            with pytest.raises(ValueError):
+                arr[:1] = 0
 
     def test_callers_arrays_stay_writeable(self):
         t, pts = np.zeros(3), np.zeros((3, 2))
-        flags, rows = np.array([False, True, False]), np.ones((1, 5))
-        ds = Dataset(t=t, clean_points=pts, outlier_flags=flags, outlier_points=rows)
-        given = (t, pts, flags, rows)
-        held = (ds.t, ds.clean_points, ds.outlier_flags, ds.outlier_points)
+        flags, xi = np.array([False, True, False]), np.ones((1, 5))
+        ds = Dataset(t=t, clean_points=pts, outlier_flags=flags, outlier_offsets=xi)
+        given = (t, pts, flags, xi)
+        held = (ds.t, ds.clean_points, ds.outlier_flags, ds.outlier_offsets)
         assert all(arr.flags.writeable for arr in given)
         assert not any(arr.flags.writeable for arr in held)
         # views, not copies
@@ -218,11 +224,12 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(t=np.zeros(3), clean_points=np.zeros((4, 2)))
         flags = np.array([True, False, True])
-        rows = np.arange(10.0).reshape(2, 5)
+        xi = np.arange(10.0).reshape(2, 5)
         wide = Dataset(t=np.zeros(3), clean_points=np.ones((3, 2)),
-                       outlier_flags=flags, outlier_points=rows)
-        # points: the clean rows padded to R^5, the outlier rows in place
-        assert np.array_equal(wide.points, [rows[0], [1, 1, 0, 0, 0], rows[1]])
+                       outlier_flags=flags, outlier_offsets=xi)
+        # points: the clean rows padded to R^5, each outlier's xi added
+        assert np.array_equal(wide.points, [[1, 2, 2, 3, 4], [1, 1, 0, 0, 0],
+                                            [6, 7, 7, 8, 9]])
 
     def test_clean_points_checked(self):
         # a non-finite clean row fails by name, in a clean or a noisy
@@ -235,7 +242,7 @@ class TestDataset:
             with pytest.raises(ValueError, match="^clean_points must be finite$"):
                 Dataset(t=np.zeros(3), clean_points=clean,
                         outlier_flags=np.array([True, False, False]),
-                        outlier_points=np.ones((1, 5)))
+                        outlier_offsets=np.ones((1, 5)))
 
     @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.1, 1.0])
     def test_t_checked(self, bad):
@@ -245,25 +252,29 @@ class TestDataset:
             Dataset(t=[bad, 0.5, 0.2], clean_points=np.zeros((3, 2)))
 
     def test_outlier_rows_checked(self):
-        # each rule on the outlier rows fails by name
+        # each rule on the noise vectors fails by name
         flags = np.array([True, False, True])
         for bad, message in (
-            (np.zeros((3, 5)), r"^outlier_points must be \(n_out, m\) with one row per "
+            (np.zeros((3, 5)), r"^outlier_offsets must be \(n_out, m\) with one row per "
                                r"set outlier flag, 2$"),
             (np.zeros((1, 5)), r"one row per set outlier flag, 2$"),
             (np.zeros(2), r"one row per set outlier flag, 2$"),
-            (np.zeros((2, 1)), "^outlier_points must be at least as wide as clean_points$"),
-            (np.array([[0.0] * 5, [np.nan] * 5]), "^outlier_points must be finite$"),
-            (np.array([[0.0] * 5, [-np.inf] * 5]), "^outlier_points must be finite$"),
+            (np.zeros((2, 1)), "^outlier_offsets must be at least as wide as clean_points$"),
+            (np.array([[0.0] * 5, [np.nan] * 5]), "^outlier_offsets must be finite$"),
+            (np.array([[0.0] * 5, [-np.inf] * 5]), "^outlier_offsets must be finite$"),
         ):
             with pytest.raises(ValueError, match=message):
                 Dataset(t=np.zeros(3), clean_points=np.zeros((3, 2)),
-                        outlier_flags=flags, outlier_points=bad)
+                        outlier_flags=flags, outlier_offsets=bad)
         with pytest.raises(ValueError, match=r"^outlier_flags must be \(n,\)$"):
             Dataset(t=np.zeros(3), clean_points=np.zeros((3, 2)),
-                    outlier_flags=np.zeros(4, bool), outlier_points=np.zeros((0, 5)))
-        with pytest.raises(ValueError, match="^outlier_points and outlier_flags must come"):
+                    outlier_flags=np.zeros(4, bool), outlier_offsets=np.zeros((0, 5)))
+        # flags without xi, or xi without flags, break the row count
+        with pytest.raises(ValueError, match="one row per set outlier flag, 2$"):
             Dataset(t=np.zeros(3), clean_points=np.zeros((3, 2)), outlier_flags=flags)
+        with pytest.raises(ValueError, match="one row per set outlier flag, 0$"):
+            Dataset(t=np.zeros(3), clean_points=np.zeros((3, 2)),
+                    outlier_offsets=np.ones((2, 5)))
 
     def test_embed_ambient(self):
         ds = sample_dataset(12, SIN, 3)
