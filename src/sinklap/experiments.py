@@ -208,8 +208,9 @@ def _pointwise_on(ds, spec, epsilon, kind, sk_config):
     """The pipeline of ``pointwise_experiment`` on a sampled dataset."""
     aff = build_affinity(ds, epsilon)
     scaling = approx_sym_sk(aff, sk_config) if kind.bistochastic else None
-    scale = dm_scale(aff) if scaling is None else scaling.eta
-    lap = laplacian_from_affinity(aff, kind.form, scale)
+    scale, product = ((dm_scale(aff), None) if scaling is None
+                      else (scaling.eta, scaling.product))
+    lap = laplacian_from_affinity(aff, kind.form, scale, product)
     est = apply_rescaled(lap, test_function(ds.t))
     relerr2, relerrinf = rel_errors(est, delta_p_f(ds.t, spec))
     if scaling is None:
@@ -347,8 +348,9 @@ def _embed_one(n, noise_model, epsilon, sk_config, seed):
     scaling = approx_sym_sk(aff, sk_config)
     mse = {}
     eigs = {}
-    for method, scale in (("sk", scaling.eta), ("dm", dm_scale(aff))):
-        lap = laplacian_from_affinity(aff, LaplacianForm.RANDOM_WALK, scale)
+    for method, scale, product in (("sk", scaling.eta, scaling.product),
+                                   ("dm", dm_scale(aff), None)):
+        lap = laplacian_from_affinity(aff, LaplacianForm.RANDOM_WALK, scale, product)
         eig = smallest_eigenpairs(lap, EMBEDDING_EIGENPAIRS)
         eigs[method] = eig
         for pair, (lo, k) in ((1, (1, 1)), (2, (3, 2))):

@@ -13,41 +13,55 @@ that constant, eta(kappa A) = eta(A) / sqrt(kappa), so normalized
 quantities are one division away and need no second kernel.
 
 The affinity is the pipeline's only array of order n^2, and it is
-stored once, as its lower block triangle: for each block of 256 rows
-s:e, the C-ordered rectangle A[s:e, :e], one after another in one
-array (``PackedTriangle``), at most n^2 / 2 + 128 n entries.  An entry
-left of the diagonal blocks is stored once, for itself and its mirror,
-and each 256 x 256 diagonal block whole, its upper half a copy of its
-lower half, so A is symmetric by construction.  One loop over the lower
-pairs of 128-row tiles turns each tile into kernel values in place and
-writes it once, into its block row's rectangle; no panel, no n x n
-temporary and no mirror write outside the diagonal blocks.
+stored once, as A = diag(w) B diag(w): an n-vector w of float64
+factors and the symmetric matrix B as its lower block triangle, for
+each block of 256 rows s:e the C-ordered rectangle B[s:e, :e], one
+after another in one array (``PackedTriangle``), at most
+n^2 / 2 + 128 n entries.  An entry left of the diagonal blocks is
+stored once, for itself and its mirror, and each 256 x 256 diagonal
+block whole, its upper half a copy of its lower half, so A is
+symmetric by construction.  One loop over the lower pairs of 128-row
+tiles turns each tile into kernel values in place and writes it once,
+into its block row's rectangle; no panel, no n x n temporary and no
+mirror write outside the diagonal blocks.
 ``sinklap.sinkhorn`` makes both scale vectors s from A; a Laplacian
 reaches diag(s) A diag(s) through matvecs with A.  ``Affinity`` owns
 the square, non-empty, finite, symmetric, non-negative A that scaling
-needs: it checks outside data once and packs it, ``build_affinity``'s
-A holds it by construction, and ``packed_kernel`` reads any kernel
-argument, checking and packing an ndarray.  ``Affinity.dense`` rebuilds
-the n x n matrix for tests.
+needs: it checks outside data once and packs it, with w = 1,
+``build_affinity``'s A holds it by construction, and ``packed_kernel``
+reads any kernel argument, checking and packing an ndarray.
+``Affinity.dense`` rebuilds the n x n matrix A for tests.
 
-Storage rule: every tile is computed in float64 and stored in float32,
-the float32 rounding of the float64 kernel, off by at most 2^-24
-relative per entry.  If a tile holds an entry below float32's smallest
-normal, 1.18e-38, the loop restarts into float64 and A is the float64
-kernel itself: as float32 subnormals such entries would slow every
+Storage rule.  An outlier's noise past the clean columns adds its
+squares t_i to every squared distance in its row (see the split
+below), so it scales row and column i of A by one factor,
+w_i = exp(-t_i / (4 epsilon)), a diagonal scaling that Sinkhorn-Knopp
+scaling absorbs.  ``build_affinity`` keeps that factor out of the
+stored entries: B_ij = exp(-(c_ij - 2 g_ij) / (4 epsilon)), and w_i = 1
+for an inlier and for every array.  Every tile is computed in float64
+and B stored in float32, the float32 rounding of its float64 value,
+off by at most 2^-24 relative per entry, while w keeps the magnitude
+in float64.  Far outliers put A itself below float32's smallest
+normal, 1.18e-38 (down to about exp(-130) under heteroskedastic noise
+at n = 1000, m = 2000, epsilon = 5e-4), but their w_i (down to about
+3e-22 there) and B's entries (exponents within about [-63, 8]) are
+float32 normals.  If a w_i or an entry of
+B is not a float32 normal, the loop restarts into float64 and stores
+A itself, w = 1: as float32 subnormals such entries would slow every
 product with A many times over, and flushed to zero they would drop
 weight that Sinkhorn-Knopp scaling multiplies back by up to ~1e11 on
-far outliers.  Heteroskedastic outliers fill whole rows with such
-entries, so the restart comes within the first blocks; at worst, one
-such entry in the last block, the build costs twice its time.  An
-outside kernel stays float32 if it is float32 and is float64 otherwise.
+far outliers.  A w_i below the normals skips the float32 attempt; an
+entry found late in the loop costs at worst twice the build time.  An
+outside kernel is stored with w = 1 and stays float32 if it is float32
+and is float64 otherwise.
 
 Every pass over A, row sums included, is a product through ``_matvec``,
-in A's precision, returning float64: two ``gemv`` per block row, its
-rectangle times x[:e] into y[s:e] and the transpose of its part left
-of the diagonal tile times x[s:e] into y[:s].  Each entry of y is thus
-one row's dot product over its own rectangle plus one 256-term sum per
-later block row, which keeps float32 products as close to exact
+w * (B (w * x)) in B's precision, returning float64: two ``gemv`` per
+block row, its rectangle times (w * x)[:e] into y[s:e] and the
+transpose of its part left of the diagonal tile times (w * x)[s:e]
+into y[:s].  Each entry of y is thus one row's dot product over its
+own rectangle plus one 256-term sum per later block row, which keeps
+float32 products as close to exact
 arithmetic as a dense ``sgemv``'s (median 3.0e-7 vs 6.5e-7 relative on
 a clean n=3000 kernel), where BLAS's packed ``sspmv`` sums each row
 in sequence (2.5e-6).  The BLAS routine is scipy's own OpenBLAS,
@@ -83,7 +97,9 @@ Inlier-outlier d^2 reorders a sum of non-negative terms, within about
 m = 2000).  Outliers a, b are within about
 2 (m + 1) u (||a||^2 + ||b||^2) + 2 (m + 3) u d^2 of it; the first term
 matters only for near-coincident outliers.  These bounds hold for the
-float64 kernel; a float32 A rounds each entry once more.  A noisy
+float64 kernel.  A float32 B rounds each entry once more, and w_i B_ij
+w_j splits the exponent into three, each rounded on its own, which adds
+about u (|c_ij - 2 g_ij| + t_i + t_j) / (4 epsilon) relative.  A noisy
 (n, m) array is one cloud like any array, an m-column ``cdist`` for
 every pair; callers that want the split pass the ``Dataset``.
 """
@@ -115,20 +131,25 @@ _UPPER.setflags(write=False)
 
 
 class PackedTriangle:
-    """A symmetric n x n matrix stored as its lower block triangle.
+    """A symmetric n x n matrix A = diag(w) B diag(w), B stored as its
+    lower block triangle.
 
     Block row s:e (``_BLOCK`` rows, fewer in the last) is the C-ordered
-    rectangle A[s:e, :e]; ``data`` holds the rectangles one after
-    another, read-only.  ``dense()`` rebuilds the n x n matrix.
+    rectangle B[s:e, :e]; ``data`` holds the rectangles one after
+    another, read-only.  ``weights`` is w, n positive float64 factors,
+    read-only: ones where nothing is factored, so that B is A.
+    ``dense()`` rebuilds A.
     """
 
-    __slots__ = ("data", "n", "_calls")
+    __slots__ = ("data", "weights", "n", "_calls")
 
-    def __init__(self, data, n):
+    def __init__(self, data, weights):
+        n = weights.shape[0]
         if data.shape != (_stored_size(n),):
             raise ValueError(f"a triangle of order {n} holds {_stored_size(n)} entries")
         data.setflags(write=False)
-        self.data, self.n = data, n
+        weights.setflags(write=False)
+        self.data, self.weights, self.n = data, weights, n
         # ``_matvec``'s BLAS arguments for each block row, made once: rows,
         # width, the width left of the diagonal block (None on the first
         # block row), the rectangle's address and s in bytes
@@ -140,19 +161,25 @@ class PackedTriangle:
 
     def __reduce__(self):
         # the BLAS arguments hold addresses, so a copy rebuilds them
-        return PackedTriangle, (self.data, self.n)
+        return PackedTriangle, (self.data, self.weights)
 
     def panels(self):
-        """Each block row as (s, e, its (e - s, e) rectangle)."""
+        """Each block row of B as (s, e, its (e - s, e) rectangle)."""
         return _panels(self.data, self.n)
 
     def dense(self):
-        """A as a new dense n x n array in its stored dtype."""
+        """A as a new dense n x n array: in B's dtype where w is all
+        ones, else in float64 as (w w^T) * B, the outer product formed
+        first so that A stays bitwise symmetric."""
         mat = np.empty((self.n, self.n), self.data.dtype)
         for s, e, panel in self.panels():
             mat[s:e, :e] = panel
             mat[:s, s:e] = panel[:, :s].T
-        return mat
+        if np.all(self.weights == 1.0):
+            return mat
+        outer = np.outer(self.weights, self.weights)
+        outer *= mat
+        return outer
 
 
 def _int_ref(value):
@@ -185,8 +212,8 @@ class Affinity:
     ``Affinity(matrix, epsilon)`` checks the given dense matrix, which
     must be square, non-empty, finite, bitwise symmetric and
     non-negative, and packs its lower block triangle into a read-only
-    copy, float32 if the matrix is and float64 otherwise.  epsilon is
-    positive and finite.
+    copy, float32 if the matrix is and float64 otherwise, with no
+    factor (w = 1).  epsilon is positive and finite.
     ``dense()`` rebuilds the n x n matrix.
     """
 
@@ -203,18 +230,19 @@ class Affinity:
         return self.packed.n
 
     def dense(self):
-        """A as a new dense n x n array in its stored dtype."""
+        """A as a new dense n x n array (``PackedTriangle.dense``)."""
         return self.packed.dense()
 
 
 def _pack(mat):
     """The lower block triangle of a square matrix, in a new array of its
-    dtype: no n x n temporary and no index arrays."""
+    dtype, with no factor (w = 1): no n x n temporary and no index
+    arrays."""
     n = mat.shape[0]
     data = np.empty(_stored_size(n), mat.dtype)
     for s, e, panel in _panels(data, n):
         panel[...] = mat[s:e, :e]
-    return PackedTriangle(data, n)
+    return PackedTriangle(data, np.ones(n))
 
 
 def _checked_kernel(a):
@@ -297,21 +325,22 @@ _TRANS, _NO_TRANS = ctypes.c_char_p(b"T"), ctypes.c_char_p(b"N")
 
 
 def _matvec(packed, x):
-    """A x in A's precision, as a float64 vector: two ``gemv`` per block
-    row of A's stored triangle.
+    """A x = w * (B (w * x)) in B's precision, as a float64 vector: two
+    ``gemv`` per block row of B's stored triangle.
 
-    Block row s:e adds its rectangle A[s:e, :e] times x[:e] to y[s:e],
-    and the transpose of A[s:e, :s] times x[s:e] to y[:s].  The
-    rectangle is C-ordered, so to Fortran BLAS it is its transpose with
-    leading dimension e.  x is cast to A's dtype first.
+    w * x is cast to B's dtype first.  Block row s:e adds its rectangle
+    B[s:e, :e] times it to y[s:e], and the transpose of B[s:e, :s]
+    times its part s:e to y[:s].  The rectangle is C-ordered, so to
+    Fortran BLAS it is its transpose with leading dimension e.  Where w
+    is 1 both products by w are exact, and A x is B x bit for bit.
     """
-    n, data = packed.n, packed.data
+    n, data, w = packed.n, packed.data, packed.weights
     x = np.asarray(x)
     if x.shape != (n,):
         raise ValueError(f"vector must have shape ({n},)")
-    # x in A's dtype, then y, in one buffer: one address to look up
+    # w * x in B's dtype, then y, in one buffer: one address to look up
     xy = np.zeros(2 * n, data.dtype)
-    xy[:n] = x
+    np.multiply(w, x, out=xy[:n])
     gemv, one = _GEMV[data.dtype]
     x_at = xy.ctypes.data
     y_at = x_at + n * data.itemsize
@@ -322,7 +351,7 @@ def _matvec(packed, x):
         if left is not None:
             gemv(_NO_TRANS, left, rows, one, at, width, ctypes.c_void_p(x_at + shift),
                  _UNIT_STRIDE, one, y_all, _UNIT_STRIDE)
-    return xy[n:].astype(float)
+    return w * xy[n:]
 
 
 def gaussian_kernel(xi, d):
@@ -349,13 +378,16 @@ def build_affinity(points, epsilon):
     k its clean width, plus its outliers' tails past column k, views of
     its noise vectors, so the n x m cloud is never built.
 
-    Each lower pair of 128-row tiles is then a ``cdist`` of those
-    columns, plus t_i + t_j on a tile with an outlier, minus 2 g_ij
-    between its outliers; it is turned into kernel values in float64
-    and stored, once, into its block row of A's float32 lower block
-    triangle.  One entry below float32's smallest normal restarts the
-    loop into a float64 triangle (module docstring), at worst doubling
-    the build time.
+    A is stored as diag(w) B diag(w) (module docstring): w_i =
+    exp(-t_i / (4 epsilon)) with t_i the squares of outlier i's tail
+    (w_i = 1 for an inlier), and B the kernel with those squares left
+    out.  Each lower pair of 128-row tiles of B is a ``cdist`` of the
+    first columns, minus 2 g_ij between its outliers; it is turned into
+    kernel values in float64 and stored, once, into its block row of
+    B's float32 lower block triangle.  A w_i or an entry of B that is
+    not a float32 normal restarts the loop into the float64 triangle of
+    A itself, with w = 1, which adds t_i + t_j to each tile: at worst
+    double the build time.
 
     Parameters
     ----------
@@ -370,14 +402,14 @@ def build_affinity(points, epsilon):
     -------
     Affinity
         The symmetric non-negative matrix exp(-d2 / (4 epsilon)) with a
-        zero diagonal, stored as its lower block triangle, float32 when
-        float32 holds every entry as a normal number and float64
-        otherwise.  An array's entries, and those between two inliers,
-        are bitwise equal to the kernel of full-width ``pdist``
-        distances, or to its float32 rounding in float32.  Entries with
-        an outlier take d2 from the tail norms and the tail Gram
-        product, within the bounds of the module docstring (before
-        rounding).
+        zero diagonal, stored as diag(w) B diag(w), B's lower block
+        triangle float32 when float32 holds every w_i and every entry
+        of B as a normal number, and float64 (w = 1) otherwise.  An
+        array's entries, and those between two inliers, are bitwise
+        equal to the kernel of full-width ``pdist`` distances, or to its
+        float32 rounding in float32.  Entries with an outlier take d2
+        from the tail norms and the tail Gram product, within the bounds
+        of the module docstring.
     """
     prefix, outliers, tails = _split(points)
     positive_finite("epsilon", epsilon)
@@ -390,14 +422,20 @@ def build_affinity(points, epsilon):
         rows = slice(a, min(a + _TILE, n))
         lo, hi = np.searchsorted(outliers, (rows.start, rows.stop))
         tiles.append((rows, outliers[lo:hi] - a, slice(lo, hi)))
-    for dtype in (np.float32, np.float64):
+    # a float32 B factors the tail squares out into w; a float64 one
+    # keeps them in, with w = 1
+    factors = np.exp(np.divide(tail, -4.0 * epsilon))
+    attempts = [(np.float64, np.ones(n))]
+    if factors.min() >= np.finfo(np.float32).tiny:
+        attempts.insert(0, (np.float32, factors))
+    for dtype, weights in attempts:
         data = None  # free a float32 attempt before the float64 triangle
         data = np.empty(_stored_size(n), dtype)
         if _fill_kernel(data, prefix, epsilon, tiles, tail, tails):
             break
     # one triangle, so symmetric by construction; non-negative by exp
     aff = object.__new__(Affinity)
-    aff.packed, aff.epsilon = PackedTriangle(data, n), float(epsilon)
+    aff.packed, aff.epsilon = PackedTriangle(data, weights), float(epsilon)
     return aff
 
 
@@ -428,41 +466,50 @@ def _split(points):
 
 
 def _fill_kernel(data, prefix, epsilon, tiles, tail, tails):
-    """Write the kernel's lower block triangle into data, one row of
-    tiles at a time; False once a float32 triangle meets an entry below
-    float32's smallest normal.  prefix holds the columns of each pair's
+    """Write the lower block triangle of B into data, one row of tiles
+    at a time: B = A in float64, and B = A with each outlier's tail
+    squares t_i factored out in float32; False once a float32 entry
+    is not a float32 normal.  prefix holds the columns of each pair's
     ``cdist``, tail each row's squares past them, and tiles each tile's
     rows, its outliers' offsets in it and the slice of their rows in
     tails, read as a view.
 
     Each tile left of and on the diagonal is computed in float64 and
     stored by rounding into its block row's rectangle, of data's dtype.
-    A float32 triangle thus holds the float32 rounding of the float64
-    kernel.  A tile inside a diagonal block is also stored transposed
-    into the block's upper half, and a diagonal tile is made symmetric
-    first, whatever order the tails' Gram product summed its two halves
-    in.
+    Its exponent is c - 2 g in float32, clamped at -(t_i + t_j) (d2 at
+    0), and c + (t_i + t_j) - 2 g in float64, clamped at 0.  An
+    outlier's own pair is zeroed first: in float32 it would be
+    exp(t_i / (2 epsilon)), outside every range, and A_ii is 0.  A tile
+    inside a diagonal block is also stored transposed into the block's
+    upper half, and a diagonal tile is made symmetric first, whatever
+    order the tails' Gram product summed its two halves in.
     """
-    floor = np.finfo(np.float32).tiny if data.dtype == np.float32 else 0.0
+    single = data.dtype == np.float32
+    tiny, huge = np.finfo(np.float32).tiny, np.finfo(np.float32).max
     panels = _panels(data, prefix.shape[0])
     for i, (rows, out_rows, at_rows) in enumerate(tiles):
         if rows.start % _BLOCK == 0:
             s, _, panel = next(panels)
         for j, (cols, out_cols, at_cols) in enumerate(tiles[: i + 1]):
             block = cdist(prefix[rows], prefix[cols], "sqeuclidean")
-            if out_rows.size or out_cols.size:
+            if not single and (out_rows.size or out_cols.size):
                 block += tail[rows, None] + tail[cols]
-            if out_rows.size and out_cols.size:
+            # only a pair of outliers can have c - 2 g < 0, so B > 1
+            both = out_rows.size and out_cols.size
+            if both:
                 # on a diagonal tile numpy's product of the tails with
                 # their own transpose is one syrk, half a gemm's work
                 gram = tails[at_rows] @ tails[at_cols].T
                 block[np.ix_(out_rows, out_cols)] -= 2.0 * gram
-                np.maximum(block, 0.0, out=block)
+                low = -(tail[rows, None] + tail[cols]) if single else 0.0
+                np.maximum(block, low, out=block)
+                if j == i:
+                    np.fill_diagonal(block, 0.0)
             # exp(-d2 / (4 epsilon)) in place, bitwise equal to the
             # out-of-place expression: IEEE division is sign-symmetric
             np.divide(block, -4.0 * epsilon, out=block)
             np.exp(block, out=block)
-            if block.min() < floor:
+            if single and (block.min() < tiny or both and block.max() > huge):
                 return False
             if j == i:
                 np.fill_diagonal(block, 0.0)

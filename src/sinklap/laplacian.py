@@ -63,7 +63,7 @@ class EigenPairs:
     vectors: np.ndarray
 
 
-def laplacian_from_affinity(a, form, scale):
+def laplacian_from_affinity(a, form, scale, product=None):
     """The Laplacian of the scaled affinity diag(s) A diag(s).
 
     Parameters
@@ -77,6 +77,9 @@ def laplacian_from_affinity(a, form, scale):
     scale : ndarray, shape (n,)
         Positive finite scale vector s, from ``sinklap.sinkhorn``
         (ones give the Laplacian of A itself).
+    product : ndarray, shape (n,), optional
+        A s, where the caller has it (``ScalingResult.product``), so the
+        degrees s * (A s) take no product of their own.
 
     Returns
     -------
@@ -88,7 +91,11 @@ def laplacian_from_affinity(a, form, scale):
     if s.shape != (a.n,):
         raise ValueError("scale must have shape (n,)")
     positive_finite("scale", s)
-    deg = s * _matvec(a.packed, s)
+    if product is None:
+        product = _matvec(a.packed, s)
+    elif np.shape(product) != (a.n,):
+        raise ValueError("product must have shape (n,)")
+    deg = s * product
     if form is LaplacianForm.RANDOM_WALK and np.any(deg <= 0):
         raise DegenerateInputError("random-walk form needs positive degrees")
     return LaplacianOp(kernel=a, scale=s, form=form, degrees=deg)

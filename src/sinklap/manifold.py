@@ -59,6 +59,9 @@ class Dataset:
     A clean dataset is one with no flag set.  The dataset holds
     read-only views of the given arrays, so the caller's own arrays stay
     writeable and are not copied; treat instances as immutable values.
+    Two datasets are equal when their seeds are and their four arrays
+    are bitwise equal; like any mutable dataclass, a dataset is not
+    hashable.
     """
 
     t: np.ndarray
@@ -97,6 +100,14 @@ class Dataset:
         for arr in (self.t, self.clean_points, self.outlier_flags, self.outlier_offsets):
             arr.setflags(write=False)
 
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self.seed == other.seed and all(
+            _same_bits(getattr(self, name), getattr(other, name))
+            for name in ("t", "clean_points", "outlier_flags", "outlier_offsets")
+        )
+
     @property
     def n(self):
         return self.t.shape[0]
@@ -108,6 +119,11 @@ class Dataset:
         pts = embed_ambient(self.clean_points, self.outlier_offsets.shape[1])
         pts[self.outlier_flags] += self.outlier_offsets
         return pts
+
+
+def _same_bits(a, b):
+    """Whether two arrays have one dtype, one shape and the same bytes."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _finite(arr):

@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._rng import make_rng, standard_normal
+from ._rng import make_rng, normals_in_place
 from .errors import (finite_nonnegative, instance_of, integer_at_least, member,
                      positive_finite)
 from .manifold import Dataset
@@ -96,20 +96,27 @@ def add_noise(ds, model, seed):
     m = model.m
     if k > m:
         raise ValueError(f"dataset is {k}-dimensional, wider than the model's m={m}")
-    # a first pass finds the outliers, stepping over each one's m
-    # uniforms (PCG64 spends one output on each), so xi is allocated
-    # once at its exact size; a second pass from the same seed fills it
-    # with the same draws
+    # a first pass finds the outliers and where each one's m Gaussian
+    # uniforms start in the stream, stepping over them (PCG64 spends one
+    # output on each), so xi is allocated once at its exact size; a second
+    # generator from the same seed jumps from block to block and draws
+    # each into its row of xi, which is then turned into the noise in place
     rng = make_rng(seed)
     flags = np.zeros(n, dtype=bool)
-    for i, _ in _outliers(ds.t, model, rng):
+    starts, sigmas = [], []
+    for i, sigma, drawn in _outliers(ds.t, model, rng):
         flags[i] = True
+        starts.append(drawn + m * len(sigmas))
+        sigmas.append(sigma)
         rng.bit_generator.advance(m)
-    xi = np.empty((int(flags.sum()), m))
-    rng = make_rng(seed)
-    root_m = np.sqrt(m)
-    for row, (_, sigma) in zip(xi, _outliers(ds.t, model, rng)):
-        row[:] = (sigma / root_m) * standard_normal(rng, m)
+    xi = np.empty((len(starts), m))
+    rng, at = make_rng(seed), 0
+    for row, start in zip(xi, starts):
+        rng.bit_generator.advance(start - at)
+        rng.random(out=row)
+        at = start + m
+    normals_in_place(xi)
+    xi *= (np.array(sigmas) / np.sqrt(m))[:, None]
     return Dataset(
         t=ds.t,
         clean_points=ds.clean_points,
@@ -120,11 +127,12 @@ def add_noise(ds, model, seed):
 
 
 def _outliers(t, model, rng):
-    """Yield (i, sigma_i) for each outlier in row order, drawing the
-    phase, the coins and the gammas from rng in the module's order; the
-    caller draws or skips the outlier's m Gaussian uniforms before it
-    asks for the next."""
+    """Yield (i, sigma_i, drawn) for each outlier in row order, drawing
+    the phase, the coins and the gammas from rng in the module's order,
+    drawn the number of those draws so far; the caller draws or skips
+    the outlier's m Gaussian uniforms before it asks for the next."""
     u = rng.random() if model.kind is NoiseKind.HETEROSKEDASTIC else 0.0
+    drawn = int(model.kind is NoiseKind.HETEROSKEDASTIC)
     for i, ti in enumerate(t):
         if model.kind is NoiseKind.HETEROSKEDASTIC:
             p_i = 0.05 + 0.9 * ((1.0 - ti + u) % 1.0)
@@ -132,6 +140,7 @@ def _outliers(t, model, rng):
             p_i = model.p_out
         else:
             p_i = 0.95
+        drawn += 1
         if rng.random() >= p_i:
             continue
         if model.kind is NoiseKind.SIMPLE:
@@ -140,7 +149,8 @@ def _outliers(t, model, rng):
             gam = 0.9 * _gamma1(ti) + 0.1 * (3.0 * rng.random())
         else:
             gam = 3.0 * rng.random()
-        yield i, model.sigma_out * np.sqrt(gam)
+        drawn += model.kind is not NoiseKind.SIMPLE
+        yield i, model.sigma_out * np.sqrt(gam), drawn
 
 
 def attenuation(ds, epsilon):

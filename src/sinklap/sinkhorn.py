@@ -79,6 +79,9 @@ class ScalingResult:
         including the clamp applied to the initial guess.
     converged : True iff the last tested residual was below eps_sk;
         False means the budget ran out and the final eta is untested.
+    product : A eta for the final eta, the product its residual was
+        tested with, when converged (for ``laplacian_from_affinity``'s
+        degrees); None otherwise.
     """
 
     eta: np.ndarray
@@ -86,6 +89,7 @@ class ScalingResult:
     residual_history: np.ndarray = field(repr=False)
     projection_hits: int = 0
     converged: bool = False
+    product: np.ndarray | None = field(default=None, repr=False)
 
 
 def _inverse_root_degrees(packed):
@@ -166,10 +170,12 @@ def approx_sym_sk(a, config=None):
         eta, clamped = _project(np.sqrt(u * v), cfg.c_sk)
         hits += clamped
 
+    converged = history[-1] < cfg.eps_sk
     return ScalingResult(
         eta=eta,
         iterations=len(history),
         residual_history=np.asarray(history),
         projection_hits=hits,
-        converged=history[-1] < cfg.eps_sk,
+        converged=converged,
+        product=a_eta if converged else None,
     )

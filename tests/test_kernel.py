@@ -38,7 +38,7 @@ from sinklap import (
     pointwise_experiment,
     sample_dataset,
 )
-from sinklap.kernel import _BLOCK, _TILE, _matvec, _stored_size
+from sinklap.kernel import _BLOCK, _TILE, PackedTriangle, _matvec, _stored_size
 
 
 def pdist_kernel(pts, eps):
@@ -76,13 +76,17 @@ def assert_matches_split(ds, eps):
     points, split as the dataset declares it: its inliers, its outliers
     and k, the width of its clean rows.
 
-    The matrix is float32 exactly when the reference's off-diagonal
-    entries are float32 normals (``stored``).  Inlier-inlier entries are
-    bitwise equal to the stored reference.  Inlier-outlier entries are
-    bitwise equal to the stored tail-norm formula, a k-column ``cdist``
-    plus the outlier's squares past column k.  Summing that tail on its
-    own reorders a sum of m non-negative terms, so d2 moves by at most
-    2 (m - 1) u d2 from pdist's.
+    A is stored as diag(w) B diag(w), w_i = exp(-t_i / (4 eps)) with t_i
+    outlier i's squares past column k (0 for an inlier), and B the
+    kernel of d2 - t_i - t_j.  B is float32 exactly when every w_i and
+    every off-diagonal entry of that B is a float32 normal; otherwise
+    it is A itself in float64, with w = 1.  Inlier-inlier entries are
+    bitwise the reference rounded to B's dtype.  Inlier-outlier entries
+    are bitwise the stored tail-norm formula: w_j times the kernel of
+    the k-column ``cdist`` in float32, the kernel of that ``cdist`` plus
+    the outlier's squares past column k in float64.  Summing that tail
+    on its own reorders a sum of m non-negative terms, so d2 moves by at
+    most 2 (m - 1) u d2 from pdist's.
 
     Outlier-outlier entries take d2 = c + (t_i + t_j) - 2 g_ij, with c
     the k-column distance, t the tail squares and g the tail dot product
@@ -94,41 +98,64 @@ def assert_matches_split(ds, eps):
     2 (m + 1) u (||a||^2 + ||b||^2) + 2 (m + 3) u d2 of pdist's.
 
     On either side the division adds u of d2 / (4 eps) and exp about one
-    ulp.  A float32 matrix rounds that entry once more, by at most
-    u32 = 2^-24 of it.  Subnormal kernels get an absolute floor.  The
-    matrix is also bitwise symmetric, non-negative and at most 1, as d2
-    is clamped at 0.  Returns the number of entries with an outlier.
+    ulp.  A float32 B rounds that entry once more, by at most
+    u32 = 2^-24 of it, and w_i B_ij w_j divides and exponentiates three
+    exponents apart, u (|c - 2 g| + t_i + t_j) / (4 eps) relative, with
+    about one ulp for each exp and each product: 6 u.  Subnormal
+    kernels get an absolute floor.  The matrix is also bitwise
+    symmetric and non-negative, and at most 1, as d2 is clamped at 0;
+    in float32, where two coincident outliers' B_ij is the rounding of
+    1 / (w_i w_j), at most 1 + 2 u32.  Returns the number of entries
+    with an outlier.
     """
-    a = build_affinity(ds, eps).dense()
-    assert np.array_equal(a, a.T) and a.min() >= 0.0 and a.max() <= 1.0
+    aff = build_affinity(ds, eps)
+    a, weights = aff.dense(), aff.packed.weights
+    single = aff.packed.data.dtype == np.float32
+    # the float32 rounding of a float32 B; none in a float64 A
+    u_store = np.finfo(np.float32).eps / 2 if single else 0.0
+    assert np.array_equal(a, a.T) and a.min() >= 0.0 and a.max() <= 1.0 + 2 * u_store
     pts = ds.points
     # pdist_kernel's reference, from distances computed once
     d2 = squareform(pdist(pts, "sqeuclidean"))
     ref = np.exp(-d2 / (4.0 * eps))
     np.fill_diagonal(ref, 0.0)
-    assert a.dtype == stored(ref).dtype
-    m = pts.shape[1]
+    n, m = pts.shape
     k = ds.clean_points.shape[1]
     inliers, outliers = np.flatnonzero(~ds.outlier_flags), np.flatnonzero(ds.outlier_flags)
     u = np.finfo(float).eps / 2
-    # the float32 rounding of a float32 matrix; none in a float64 one
-    u_store = np.finfo(np.float32).eps / 2 if a.dtype == np.float32 else 0.0
     tiny = np.finfo(float).tiny
 
-    assert np.array_equal(a[np.ix_(inliers, inliers)], stored(ref)[np.ix_(inliers, inliers)])
+    # the storage rule, read off the reference split
+    t = np.einsum("ij,ij->i", pts[:, k:], pts[:, k:])
+    w = np.exp(t / (-4.0 * eps))
+    with np.errstate(over="ignore"):
+        b = np.exp(-(d2 - t[:, None] - t) / (4.0 * eps))[~np.eye(n, dtype=bool)]
+    info = np.finfo(np.float32)
+    assert single == (w.min() >= info.tiny and info.tiny <= b.min() and b.max() <= info.max)
+    assert np.array_equal(weights, w if single else np.ones(n))
+    # the split's exponents rounded apart, where B is factored
+    split = np.zeros((n, n))
+    if single:
+        split += u * (np.abs(d2 - t[:, None] - t) + t[:, None] + t) / (4.0 * eps) + 6 * u
+
+    dtype = aff.packed.data.dtype
+    assert np.array_equal(a[np.ix_(inliers, inliers)],
+                          ref[np.ix_(inliers, inliers)].astype(dtype))
 
     cross = np.ix_(inliers, outliers)
-    tail = np.einsum("ij,ij->i", pts[outliers, k:], pts[outliers, k:])
-    tail_d2 = cdist(pts[inliers, :k], pts[outliers, :k], "sqeuclidean") + tail
-    assert np.array_equal(a[cross], np.exp(-tail_d2 / (4.0 * eps)).astype(a.dtype))
-    bound = ref[cross] * (2 * (m + 1) * u * d2[cross] / (4.0 * eps) + 4 * u)
+    tail_d2 = cdist(pts[inliers, :k], pts[outliers, :k], "sqeuclidean")
+    if not single:
+        tail_d2 += t[outliers]
+    want = (weights[inliers, None] * weights[outliers]) * np.exp(-tail_d2 / (4.0 * eps)).astype(dtype)
+    assert np.array_equal(a[cross], want)
+    bound = ref[cross] * (2 * (m + 1) * u * d2[cross] / (4.0 * eps) + 4 * u + split[cross])
     bound += u_store * (ref[cross] + bound)
     assert np.all(np.abs(a[cross] - ref[cross]) <= bound + tiny)
 
     both = np.ix_(outliers, outliers)
     sq = np.einsum("ij,ij->i", pts[outliers], pts[outliers])
     delta = 2 * (m + 1) * u * (sq[:, None] + sq) + 2 * (m + 4) * u * d2[both]
-    bound = ref[both] * (np.expm1(delta / (4.0 * eps)) + 4 * u)
+    bound = ref[both] * (np.expm1(delta / (4.0 * eps)) + 4 * u + split[both])
     bound += u_store * (ref[both] + bound)
     assert np.all(np.abs(a[both] - ref[both]) <= bound + tiny)
     return a.size - inliers.size**2
@@ -137,29 +164,48 @@ def assert_matches_split(ds, eps):
 def dense_path_kernel(ds, eps):
     """A dataset's kernel as the dense n x n build made it, the reference
     for the packed triangle: upper tiles written with their mirrors, the
-    outlier tails' Gram product symmetrized on diagonal tiles, the same
-    storage rule.  The split is the dataset's: its first k columns, k its
-    clean width, and its outliers' tails past them."""
+    outlier tails' Gram product symmetrized on diagonal tiles, and the
+    same storage rule, so the result is (w, B).  The split is the
+    dataset's: its first k columns, k its clean width, and its outliers'
+    tails past them.  B leaves the tails' squares t out, clamped where
+    d2 is, and is float32 with w = exp(-t / (4 eps)) when float32 holds
+    every w_i and every off-diagonal entry of B as a normal number;
+    otherwise B is A in float64 and w = 1."""
     pts = ds.points
     n, k = ds.clean_points.shape
     outlier = ds.outlier_flags
     tail = np.einsum("ij,ij->i", pts[:, k:], pts[:, k:])
-    mat = np.empty((n, n))
-    for a in range(0, n, _TILE):
-        rows = slice(a, a + _TILE)
-        out_rows = np.flatnonzero(outlier[rows])
-        tail_rows = pts[rows][out_rows, k:]
-        for b in range(a, n, _TILE):
-            cols = slice(b, b + _TILE)
-            out_cols = np.flatnonzero(outlier[cols])
-            block = cdist(pts[rows, :k], pts[cols, :k], "sqeuclidean")
-            block += tail[rows, None] + tail[cols]
-            gram = tail_rows @ (tail_rows if a == b else pts[cols][out_cols, k:]).T
-            block[np.ix_(out_rows, out_cols)] -= gram + gram.T if a == b else 2.0 * gram
-            mat[rows, cols] = np.exp(-np.maximum(block, 0.0) / (4.0 * eps))
-            mat[cols, rows] = mat[rows, cols].T
-    np.fill_diagonal(mat, 0.0)
-    return stored(mat)
+    weights = np.exp(tail / (-4.0 * eps))
+    info = np.finfo(np.float32)
+    for single in (True, False):
+        mat = np.empty((n, n))
+        for a in range(0, n, _TILE):
+            rows = slice(a, a + _TILE)
+            out_rows = np.flatnonzero(outlier[rows])
+            tail_rows = pts[rows][out_rows, k:]
+            for b in range(a, n, _TILE):
+                cols = slice(b, b + _TILE)
+                out_cols = np.flatnonzero(outlier[cols])
+                block = cdist(pts[rows, :k], pts[cols, :k], "sqeuclidean")
+                if not single:
+                    block += tail[rows, None] + tail[cols]
+                gram = tail_rows @ (tail_rows if a == b else pts[cols][out_cols, k:]).T
+                block[np.ix_(out_rows, out_cols)] -= gram + gram.T if a == b else 2.0 * gram
+                low = -(tail[rows, None] + tail[cols]) if single else 0.0
+                with np.errstate(over="ignore"):
+                    mat[rows, cols] = np.exp(-np.maximum(block, low) / (4.0 * eps))
+                mat[cols, rows] = mat[rows, cols].T
+        np.fill_diagonal(mat, 0.0)
+        if not single:
+            return np.ones(n), mat
+        off = mat[~np.eye(n, dtype=bool)]
+        if weights.min() >= info.tiny and info.tiny <= off.min() and off.max() <= info.max:
+            return weights, mat.astype(np.float32)
+
+
+def stored_matrix(packed):
+    """B of a packed kernel A = diag(w) B diag(w), as a dense array."""
+    return PackedTriangle(packed.data, np.ones(packed.n)).dense()
 
 
 @st.composite
@@ -523,8 +569,9 @@ class TestRowSupport:
 
 
 class TestStorage:
-    """A is float32 exactly when float32 holds every entry as a normal
-    number; otherwise the block loop restarts into the float64 A."""
+    """A = diag(w) B diag(w) is stored with a float32 B exactly when
+    float32 holds every w_i and every entry of B as a normal number;
+    otherwise the block loop restarts into the float64 A, w = 1."""
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-2])
     def test_clean_is_float32(self, eps):
@@ -539,10 +586,29 @@ class TestStorage:
         assert build_affinity(ds, 5e-4).packed.data.dtype == np.float32
         assert assert_matches_split(ds, 5e-4) > 0
 
-    def test_heteroskedastic_is_float64(self):
+    def test_heteroskedastic_is_float32(self):
+        # the far outliers' factors w_i hold A's magnitude, down to about
+        # exp(-129) here, and B is float32: half a float64 A's bytes
         noise = NoiseModel(NoiseKind.HETEROSKEDASTIC, m=2000)
+        ds = noisy_dataset(2000, DensitySpec.UNIFORM_CIRCLE, noise, 3)
+        a = build_affinity(ds, 5e-4)
+        assert a.packed.data.dtype == np.float32
+        assert a.packed.data.nbytes == 4 * _stored_size(2000)
+        assert a.packed.weights.min() < np.finfo(np.float32).tiny ** 0.5
+        assert assert_matches_split(noisy_dataset(400, DensitySpec.UNIFORM_CIRCLE, noise, 3),
+                                    5e-4) > 0
+
+    def test_heteroskedastic_is_float64(self):
+        # at sigma_out = 1 the far outliers' w_i fall below float32's
+        # smallest normal, so A is the float64 kernel, w = 1, bit for bit
+        # the dense build's
+        noise = NoiseModel(NoiseKind.HETEROSKEDASTIC, m=2000, sigma_out=1.0)
         ds = noisy_dataset(400, DensitySpec.UNIFORM_CIRCLE, noise, 3)
-        assert build_affinity(ds, 5e-4).packed.data.dtype == np.float64
+        a = build_affinity(ds, 5e-4)
+        assert a.packed.data.dtype == np.float64
+        assert np.array_equal(a.packed.weights, np.ones(400))
+        _, ref = dense_path_kernel(ds, 5e-4)
+        assert ref.dtype == np.float64 and np.array_equal(a.dense(), ref)
         assert assert_matches_split(ds, 5e-4) > 0
 
     @pytest.mark.parametrize("step, dtype", [(-1e-6, np.float32), (1e-6, np.float64)])
@@ -566,19 +632,19 @@ class TestStorage:
 
     def test_float64_kernel_keeps_its_products(self, monkeypatch):
         # on a float64 kernel the packed product is a float64 product:
-        # the heteroskedastic embedding matches a run whose products are a
-        # dense float64 ``mat @ x``.  The two sum in different orders, so
-        # each product moves within n u relative (1.1e-13 at n = 1000,
-        # u = 2^-53), and the errors follow.  Measured: alignment errors
-        # 5.4e-12 relative, eigenvalues 2.2e-16 and eigenvectors 1.2e-12
-        # absolute
-        noise = NoiseModel(NoiseKind.HETEROSKEDASTIC, m=2000)
+        # the iid embedding at epsilon = 3e-4, where float32 does not hold
+        # every w_i and entry of B and the build restarts into float64,
+        # matches a run whose products are a dense float64 ``mat @ x``.
+        # The two sum in different orders, so each product moves within
+        # n u relative (1.1e-13 at n = 1000, u = 2^-53), and the errors
+        # follow.  Measured: alignment errors 1.7e-13 relative
+        noise = NoiseModel(NoiseKind.IID, m=2000)
         for seed in (0, 1):
             ds = noisy_dataset(1000, DensitySpec.UNIFORM_CIRCLE, noise, seed)
-            assert build_affinity(ds, 5e-4).packed.data.dtype == np.float64
+            assert build_affinity(ds, 3e-4).packed.data.dtype == np.float64
 
         def run():
-            return embedding_experiment(1000, noise, 5e-4, replicas=2, threads=1)
+            return embedding_experiment(1000, noise, 3e-4, replicas=2, threads=1)
 
         res = run()
         dense = {}
@@ -631,6 +697,18 @@ class TestPackedTriangle:
             assert np.array_equal(other.dense(), mat) and other.epsilon == 1.0
             assert not other.packed.data.flags.writeable
             assert np.array_equal(_matvec(other.packed, np.ones(3)), mat.sum(axis=1))
+
+    def test_copies_keep_the_factors(self):
+        # w travels with B: a copy of a factored kernel has the same
+        # read-only factors and the same products, bit for bit
+        noise = NoiseModel(NoiseKind.HETEROSKEDASTIC, m=200)
+        aff = build_affinity(noisy_dataset(300, DensitySpec.UNIFORM_CIRCLE, noise, 1), 5e-4)
+        assert aff.packed.weights.min() < 1.0
+        x = np.random.default_rng(0).uniform(0.5, 1.5, aff.n)
+        for other in (pickle.loads(pickle.dumps(aff)), copy.deepcopy(aff)):
+            assert np.array_equal(other.packed.weights, aff.packed.weights)
+            assert not other.packed.weights.flags.writeable
+            assert np.array_equal(_matvec(other.packed, x), _matvec(aff.packed, x))
 
     @pytest.mark.parametrize("n", [1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
     def test_product(self, n):
@@ -726,55 +804,67 @@ class TestRowSplit:
 
 class TestDensePath:
     """The packed triangle against the dense build it replaced
-    (``dense_path_kernel``): the same entries, each stored once, and
-    products within float rounding of a float64 dense product."""
+    (``dense_path_kernel``): the same w and entries of B, each stored
+    once, and products within float rounding of a float64 dense
+    product."""
 
     @staticmethod
-    def dataset(kind, n=1001):
+    def dataset(kind, n=1001, sigma_out=0.1):
         if kind is None:
             return sample_dataset(n, DensitySpec.SINUSOIDAL_1D, 10)
-        return noisy_dataset(n, DensitySpec.UNIFORM_CIRCLE, NoiseModel(kind, m=2000), 10)
+        noise = NoiseModel(kind, m=2000, sigma_out=sigma_out)
+        return noisy_dataset(n, DensitySpec.UNIFORM_CIRCLE, noise, 10)
 
     @pytest.mark.parametrize("kind", [None, NoiseKind.SIMPLE], ids=["clean", "simple"])
     def test_bitwise_lower_triangle(self, kind):
-        # clean data and scattered outliers: each stored block row is
-        # the dense build's A[s:e, :e], bit for bit
+        # clean data and scattered outliers: w is the dense build's, each
+        # stored block row is its B[s:e, :e] and A is (w w^T) * B, bit for
+        # bit
         ds = self.dataset(kind)
-        a, ref = build_affinity(ds, 5e-4), dense_path_kernel(ds, 5e-4)
+        a, (weights, ref) = build_affinity(ds, 5e-4), dense_path_kernel(ds, 5e-4)
         assert a.packed.data.dtype == ref.dtype
+        assert np.array_equal(a.packed.weights, weights)
         for s, e, panel in a.packed.panels():
             assert np.array_equal(panel, ref[s:e, :e])
-        assert np.array_equal(a.dense(), ref)
+        dense = ref if np.all(weights == 1.0) else np.outer(weights, weights) * ref
+        assert np.array_equal(a.dense(), dense)
 
     @pytest.mark.parametrize("kind", [NoiseKind.HETEROSKEDASTIC, NoiseKind.IID])
     def test_outlier_entries_within_tolerance(self, kind):
         # a lower tile's tail product is a gemm with its operands swapped,
         # which may sum each g_ij in another order: with k tail columns
         # both are within k u |tail_i| |tail_j| <= k u (t_i + t_j) / 2 of
-        # it, so d2 moves by at most 2 k u (t_i + t_j) and the entry by
-        # expm1 of that over 4 epsilon, plus one ulp where A is float32
-        # (measured: bitwise)
+        # it, so B's exponent moves by at most 2 k u (t_i + t_j) / (4
+        # epsilon) and the entry by expm1 of that, plus one ulp where B is
+        # float32 (measured: bitwise).  w is the dense build's, bit for bit
         ds = self.dataset(kind, 700)
-        a, ref = build_affinity(ds, 5e-4), dense_path_kernel(ds, 5e-4)
+        a, (weights, ref) = build_affinity(ds, 5e-4), dense_path_kernel(ds, 5e-4)
         pts = ds.points
         assert a.packed.data.dtype == ref.dtype
+        assert np.array_equal(a.packed.weights, weights)
         tail = np.einsum("ij,ij->i", pts, pts)
         u = np.finfo(float).eps / 2
         delta = 2 * pts.shape[1] * u * (tail[:, None] + tail)
         rel = np.expm1(delta / (4.0 * 5e-4)) + np.finfo(a.packed.data.dtype).eps
-        got, want = a.dense().astype(float), ref.astype(float)
+        got, want = stored_matrix(a.packed).astype(float), ref.astype(float)
         assert np.all(np.abs(got - want) <= rel * want + np.finfo(float).tiny)
 
-    @pytest.mark.parametrize("kind", [None, NoiseKind.HETEROSKEDASTIC],
-                             ids=["float32", "float64"])
-    def test_products(self, kind):
-        # each entry of A x in A's precision against exact float64
-        # arithmetic on the same entries: a sum of n non-negative terms
-        # errs by at most (n - 1) u, each term by 2 u (x's rounding and
-        # the product), so (n + 1) u relative in all: 6.0e-5 in float32
-        # (u = 2^-24), where 6.9e-7 was measured.  The float64 reference
-        # errs the same way in its own u, 2^-53, which the bound adds
-        a = build_affinity(self.dataset(kind), 5e-4)
+    @pytest.mark.parametrize(
+        "kind, sigma_out",
+        [(None, 0.1), (NoiseKind.HETEROSKEDASTIC, 1.0), (NoiseKind.SIMPLE, 0.1),
+         (NoiseKind.HETEROSKEDASTIC, 0.1), (NoiseKind.IID, 0.1)],
+        ids=["float32", "float64", "simple", "heteroskedastic", "iid"],
+    )
+    def test_products(self, kind, sigma_out):
+        # each entry of A x = w * (B (w * x)) in B's precision against
+        # exact float64 arithmetic on A's entries: a sum of n non-negative
+        # terms errs by at most (n - 1) u, each term by 2 u (w * x's
+        # rounding and the product), so (n + 1) u relative in all: 6.0e-5
+        # in float32 (u = 2^-24), where 6.9e-7 was measured.  The float64
+        # reference errs the same way in its own u, 2^-53, which the bound
+        # adds, and covers the roundings of w w^T B and of the product by w
+        a = build_affinity(self.dataset(kind, sigma_out=sigma_out), 5e-4)
+        assert a.packed.data.dtype == (np.float64 if sigma_out == 1.0 else np.float32)
         x = np.random.default_rng(0).uniform(0.5, 1.5, a.n)
         want = a.dense().astype(float) @ x
         u = (np.finfo(a.packed.data.dtype).eps + np.finfo(float).eps) / 2

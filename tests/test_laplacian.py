@@ -138,6 +138,17 @@ class TestScaledAffinities:
         with pytest.raises(ValueError):
             laplacian_from_affinity(self.aff, "random_walk", np.ones(self.aff.n))
 
+    def test_degrees_from_the_scalings_product(self):
+        # the converged scaling's product A eta gives the degrees bit for
+        # bit; a product of the wrong shape is refused
+        res = approx_sym_sk(self.aff)
+        form = LaplacianForm.UNNORMALIZED
+        given = laplacian_from_affinity(self.aff, form, res.eta, res.product)
+        made = laplacian_from_affinity(self.aff, form, res.eta)
+        assert np.array_equal(given.degrees, made.degrees)
+        with pytest.raises(ValueError, match=r"^product must have shape \(n,\)$"):
+            laplacian_from_affinity(self.aff, form, res.eta, res.product[1:])
+
     def test_kernel_must_be_affinity(self):
         with pytest.raises(TypeError, match="must be an Affinity, not ndarray"):
             laplacian_from_affinity(self.aff.dense(), LaplacianForm.UNNORMALIZED,

@@ -142,6 +142,21 @@ def test_products_with_the_kernel_have_one_helper():
     assert bare == []
 
 
+def test_only_the_kernel_reads_the_stored_triangle():
+    # A = diag(w) B diag(w) is stored as B's triangle (``data``) and w
+    # (``weights``), and kernel._matvec is the one product with A: a
+    # module that reads either could multiply by B and skip the factor
+    fields = {"data", "weights"}
+    found = [
+        f"{path.stem} reads .{node.attr}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "kernel"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in fields
+    ]
+    assert found == []
+
+
 def raised_texts(tree):
     """The string arguments of each raised exception, a formatted value
     read as {}."""

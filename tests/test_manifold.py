@@ -276,6 +276,28 @@ class TestDataset:
             Dataset(t=np.zeros(3), clean_points=np.zeros((3, 2)),
                     outlier_offsets=np.ones((2, 5)))
 
+    def test_value_equality(self):
+        # equal draws are equal values; a seed or one noise vector entry
+        # apart they are not, and datasets stay unhashable
+        ds = sample_dataset(5, SIN, 0)
+        assert ds == sample_dataset(5, SIN, 0)
+        assert ds != sample_dataset(5, SIN, 1)
+        relabelled = Dataset(t=ds.t, clean_points=ds.clean_points, seed=1)
+        assert ds != relabelled and ds != "dataset"
+        flags = np.array([False, True, False, False, True])
+        xi = np.arange(8.0).reshape(2, 4)
+        noisy = Dataset(t=ds.t, clean_points=ds.clean_points, outlier_flags=flags,
+                        outlier_offsets=xi)
+        assert noisy == Dataset(t=ds.t, clean_points=ds.clean_points,
+                                outlier_flags=flags.copy(), outlier_offsets=xi.copy())
+        moved = xi.copy()
+        moved[1, 3] = np.nextafter(moved[1, 3], np.inf)
+        assert noisy != Dataset(t=ds.t, clean_points=ds.clean_points, outlier_flags=flags,
+                                outlier_offsets=moved)
+        assert noisy != ds
+        with pytest.raises(TypeError):
+            hash(ds)
+
     def test_embed_ambient(self):
         ds = sample_dataset(12, SIN, 3)
         wide = embed_ambient(ds.clean_points, 9)

@@ -18,6 +18,7 @@ from sinklap import (
     sample_dataset,
     scaling_residual,
 )
+from sinklap.kernel import _matvec
 
 PERM2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -128,8 +129,10 @@ class TestProperties:
         a = build_affinity(ds.points, 1e-3)
         good = approx_sym_sk(a, SkConfig(eps_sk=1e-6, max_iter=50))
         assert good.converged == (good.residual_history[-1] < 1e-6)
+        # the residual's product comes with a converged eta, bitwise
+        assert np.array_equal(good.product, _matvec(a.packed, good.eta))
         starved = approx_sym_sk(a, SkConfig(eps_sk=1e-300, max_iter=4))
-        assert not starved.converged
+        assert not starved.converged and starved.product is None
         assert starved.iterations == 4
         assert starved.residual_history.shape == (4,)
 
