@@ -56,8 +56,9 @@ def finite_nonnegative(name, x):
 
 
 def integer_at_least(name, x, low):
-    """Raise unless x is an integer (Python or numpy) no smaller than low."""
-    if not isinstance(x, numbers.Integral) or x < low:
+    """Raise unless x is an integer (Python or numpy) no smaller than low;
+    a bool is a truth value, not a count or a seed, and is rejected."""
+    if not isinstance(x, numbers.Integral) or isinstance(x, bool) or x < low:
         raise ValueError(f"{name} must be an integer >= {low}")
 
 

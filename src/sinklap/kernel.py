@@ -83,8 +83,13 @@ vectors xi in R^m, and every squared distance is the paper's split
 with c_ij the ``cdist`` over the first k columns (an inlier's clean
 row, an outlier's x^c + xi[:k]), t_i the squares of an outlier's xi
 past column k (0 for an inlier) and g_ij the dot product of two
-outliers' tails, one BLAS product per pair of tiles.  The tails are
-views of xi, so the n x m cloud is never built.  A clean dataset has
+outliers' tails, one BLAS product per pair of tiles.  Only a pair of
+outliers has a g term, so only those entries, about 1 % of them at
+10 % outliers, are corrected: each tile's outlier x outlier sub-block
+is taken out once, has 2 g subtracted, is clamped and range-checked
+alone and is written back; every other entry has d^2 = c + (t_i + t_j)
+>= 0 and takes the clean tiles' path.  The tails are views of xi, so
+the n x m cloud is never built.  A clean dataset has
 no outlier, so its A is its clean rows' ``pdist`` kernel.  Inlier
 coordinates stay in ``cdist``: on-manifold distances are the small
 ones, where a Gram form cancels; g holds the noise inner products that
@@ -382,9 +387,11 @@ def build_affinity(points, epsilon):
     exp(-t_i / (4 epsilon)) with t_i the squares of outlier i's tail
     (w_i = 1 for an inlier), and B the kernel with those squares left
     out.  Each lower pair of 128-row tiles of B is a ``cdist`` of the
-    first columns, minus 2 g_ij between its outliers; it is turned into
-    kernel values in float64 and stored, once, into its block row of
-    B's float32 lower block triangle.  A w_i or an entry of B that is
+    first columns, minus 2 g_ij on its outlier x outlier sub-block
+    alone, which is also the only part clamped and checked against
+    float32's largest value; it is turned into kernel values in float64
+    and stored, once, into its block row of B's float32 lower block
+    triangle.  A w_i or an entry of B that is
     not a float32 normal restarts the loop into the float64 triangle of
     A itself, with w = 1, which adds t_i + t_j to each tile: at worst
     double the build time.
@@ -416,12 +423,14 @@ def build_affinity(points, epsilon):
     n = prefix.shape[0]
     tail = np.zeros(n)
     tail[outliers] = np.einsum("ij,ij->i", tails, tails)
-    # each tile's rows, its outliers' offsets in it and their tails' rows
+    # each tile's rows, its outliers' offsets in it, as a vector and as a
+    # column, their tails' rows and their tail squares
     tiles = []
     for a in range(0, n, _TILE):
         rows = slice(a, min(a + _TILE, n))
         lo, hi = np.searchsorted(outliers, (rows.start, rows.stop))
-        tiles.append((rows, outliers[lo:hi] - a, slice(lo, hi)))
+        out = outliers[lo:hi] - a
+        tiles.append((rows, out, out[:, None], slice(lo, hi), tail[outliers[lo:hi]]))
     # a float32 B factors the tail squares out into w; a float64 one
     # keeps them in, with w = 1
     factors = np.exp(np.divide(tail, -4.0 * epsilon))
@@ -471,14 +480,19 @@ def _fill_kernel(data, prefix, epsilon, tiles, tail, tails):
     squares t_i factored out in float32; False once a float32 entry
     is not a float32 normal.  prefix holds the columns of each pair's
     ``cdist``, tail each row's squares past them, and tiles each tile's
-    rows, its outliers' offsets in it and the slice of their rows in
-    tails, read as a view.
+    rows, its outliers' offsets in it (a vector and a column), the slice
+    of their rows in tails, read as a view, and their tail squares.
 
     Each tile left of and on the diagonal is computed in float64 and
     stored by rounding into its block row's rectangle, of data's dtype.
-    Its exponent is c - 2 g in float32, clamped at -(t_i + t_j) (d2 at
-    0), and c + (t_i + t_j) - 2 g in float64, clamped at 0.  An
-    outlier's own pair is zeroed first: in float32 it would be
+    Its exponent is c in float32 and c + (t_i + t_j) in float64, except
+    on its outlier x outlier sub-block, the only entries with a tail
+    Gram term: that sub-block is taken out once and alone has 2 g
+    subtracted, is clamped (at -(t_i + t_j) in float32, d2 at 0, and at
+    0 in float64), and is checked against float32's largest value, the
+    one bound an entry can pass only there (c - 2 g < 0).  Every other
+    entry has c >= 0 >= -(t_i + t_j), so the clamp would leave it as it
+    is.  An outlier's own pair is zeroed first: in float32 it would be
     exp(t_i / (2 epsilon)), outside every range, and A_ii is 0.  A tile
     inside a diagonal block is also stored transposed into the block's
     upper half, and a diagonal tile is made symmetric first, whatever
@@ -486,30 +500,35 @@ def _fill_kernel(data, prefix, epsilon, tiles, tail, tails):
     """
     single = data.dtype == np.float32
     tiny, huge = np.finfo(np.float32).tiny, np.finfo(np.float32).max
+    scale = -4.0 * epsilon
     panels = _panels(data, prefix.shape[0])
-    for i, (rows, out_rows, at_rows) in enumerate(tiles):
+    for i, (rows, out_rows, pick_rows, at_rows, t_rows) in enumerate(tiles):
         if rows.start % _BLOCK == 0:
             s, _, panel = next(panels)
-        for j, (cols, out_cols, at_cols) in enumerate(tiles[: i + 1]):
+        for j, (cols, out_cols, _, at_cols, t_cols) in enumerate(tiles[: i + 1]):
             block = cdist(prefix[rows], prefix[cols], "sqeuclidean")
             if not single and (out_rows.size or out_cols.size):
                 block += tail[rows, None] + tail[cols]
-            # only a pair of outliers can have c - 2 g < 0, so B > 1
-            both = out_rows.size and out_cols.size
-            if both:
+            pairs = None
+            if out_rows.size and out_cols.size:
+                pairs = block[pick_rows, out_cols]
                 # on a diagonal tile numpy's product of the tails with
                 # their own transpose is one syrk, half a gemm's work
-                gram = tails[at_rows] @ tails[at_cols].T
-                block[np.ix_(out_rows, out_cols)] -= 2.0 * gram
-                low = -(tail[rows, None] + tail[cols]) if single else 0.0
-                np.maximum(block, low, out=block)
+                pairs -= 2.0 * (tails[at_rows] @ tails[at_cols].T)
+                np.maximum(pairs, -(t_rows[:, None] + t_cols) if single else 0.0, out=pairs)
                 if j == i:
-                    np.fill_diagonal(block, 0.0)
+                    np.fill_diagonal(pairs, 0.0)
+                np.divide(pairs, scale, out=pairs)
+                np.exp(pairs, out=pairs)
+                if single and pairs.max() > huge:
+                    return False
             # exp(-d2 / (4 epsilon)) in place, bitwise equal to the
             # out-of-place expression: IEEE division is sign-symmetric
-            np.divide(block, -4.0 * epsilon, out=block)
+            np.divide(block, scale, out=block)
             np.exp(block, out=block)
-            if single and (block.min() < tiny or both and block.max() > huge):
+            if pairs is not None:
+                block[pick_rows, out_cols] = pairs
+            if single and block.min() < tiny:
                 return False
             if j == i:
                 np.fill_diagonal(block, 0.0)

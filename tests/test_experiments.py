@@ -353,9 +353,10 @@ class TestSweep:
         with pytest.raises(ValueError):
             epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, good, 0,
                           LaplacianKind.BISTOCH_RW)
-        with pytest.raises(ValueError, match="replicas must be an integer >= 1"):
-            epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, good, 1.5,
-                          LaplacianKind.BISTOCH_RW)
+        for replicas in (1.5, True):
+            with pytest.raises(ValueError, match="replicas must be an integer >= 1"):
+                epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, good, replicas,
+                              LaplacianKind.BISTOCH_RW)
         with pytest.raises(ValueError, match="unknown laplacian kind"):
             epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, good, 1, "sk")
         assert sample_calls == []
@@ -378,8 +379,10 @@ class TestSweep:
                                       replicas=1), 6),
         (lambda: pointwise_experiment(10.5, DensitySpec.UNIFORM_CIRCLE, 1e-3,
                                       LaplacianKind.BISTOCH_RW), 2),
+        (lambda: pointwise_experiment(True, DensitySpec.UNIFORM_CIRCLE, 1e-3,
+                                      LaplacianKind.BISTOCH_RW), 2),
     ],
-    ids=["pointwise", "sweep", "embedding", "fractional"],
+    ids=["pointwise", "sweep", "embedding", "fractional", "bool"],
 )
 def test_small_n_rejected_before_sampling(sample_calls, run, least):
     with pytest.raises(ValueError, match=f"^n must be an integer >= {least}$"):
@@ -401,9 +404,13 @@ def test_small_n_rejected_before_sampling(sample_calls, run, least):
                               LaplacianKind.BISTOCH_RW, base_seed=-2, threads=1),
         lambda: embedding_experiment(10, NoiseModel(NoiseKind.SIMPLE, 8), 1e-3,
                                      replicas=2, base_seed=0.5, threads=1),
+        # True is an Integral equal to 1: it would draw seed 1's dataset
+        lambda: sample_dataset(5, DensitySpec.UNIFORM_CIRCLE, True),
+        lambda: pointwise_experiment(10, DensitySpec.UNIFORM_CIRCLE, 1e-3,
+                                     LaplacianKind.BISTOCH_RW, seed=True),
     ],
     ids=["sample-float", "noisy-float", "noise-negative", "pointwise-negative",
-         "sweep-negative", "embedding-float"],
+         "sweep-negative", "embedding-float", "sample-bool", "pointwise-bool"],
 )
 def test_bad_seed_rejected_before_sampling(sample_calls, run):
     with pytest.raises(ValueError, match="^seed must be an integer >= 0$"):
@@ -494,10 +501,11 @@ class TestEmbedding:
         self.assert_thread_invariant(301, NoiseModel(NoiseKind.HETEROSKEDASTIC, 600))
 
     def test_validation(self):
-        for replicas in (0, 2.0):
+        # True would run as 1 and be recorded as replicas=True
+        for replicas in (0, 2.0, True):
             with pytest.raises(ValueError, match="replicas must be an integer >= 1"):
                 embedding_experiment(50, None, 1e-3, replicas=replicas)
-        for threads in (0, 1.5):
+        for threads in (0, 1.5, True):
             with pytest.raises(ValueError, match="threads must be an integer >= 1"):
                 embedding_experiment(50, None, 1e-3, threads=threads)
 

@@ -630,6 +630,25 @@ class TestStorage:
         assert a.dtype == np.float64
         assert np.array_equal(a, pdist_kernel(pts, 0.1))
 
+    @pytest.mark.parametrize("exponent, dtype", [(60.0, np.float64), (40.0, np.float32)])
+    def test_coincident_outliers_overflow(self, exponent, dtype):
+        # two outliers at one point, each with tail squares t, t / (4 eps)
+        # = exponent: w = exp(-exponent) is a float32 normal, and B_01 =
+        # exp(2 exponent) is above float32's largest value at 60 (e^120)
+        # and below it at 40 (e^80), so only 60 restarts into float64
+        eps = 0.01
+        xi = np.array([[0.0, np.sqrt(4.0 * eps * exponent)]] * 2)
+        ds = Dataset(t=np.zeros(2), clean_points=np.zeros((2, 1)),
+                     outlier_flags=np.ones(2, bool), outlier_offsets=xi)
+        a = build_affinity(ds, eps)
+        assert a.packed.data.dtype == dtype
+        if dtype == np.float64:
+            assert np.array_equal(a.packed.weights, np.ones(2))
+            assert np.array_equal(a.dense(), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        else:
+            assert np.all(a.packed.weights == np.exp(xi[0, 1] ** 2 / (-4.0 * eps)))
+        assert assert_matches_split(ds, eps) == 4
+
     def test_float64_kernel_keeps_its_products(self, monkeypatch):
         # on a float64 kernel the packed product is a float64 product:
         # the iid embedding at epsilon = 3e-4, where float32 does not hold
@@ -809,18 +828,27 @@ class TestDensePath:
     product."""
 
     @staticmethod
-    def dataset(kind, n=1001, sigma_out=0.1):
+    def dataset(kind, n=1001, sigma_out=0.1, p_out=0.1):
         if kind is None:
             return sample_dataset(n, DensitySpec.SINUSOIDAL_1D, 10)
-        noise = NoiseModel(kind, m=2000, sigma_out=sigma_out)
+        noise = NoiseModel(kind, m=2000, sigma_out=sigma_out, p_out=p_out)
         return noisy_dataset(n, DensitySpec.UNIFORM_CIRCLE, noise, 10)
 
-    @pytest.mark.parametrize("kind", [None, NoiseKind.SIMPLE], ids=["clean", "simple"])
-    def test_bitwise_lower_triangle(self, kind):
+    @pytest.mark.parametrize(
+        "kind, p_out",
+        [(None, 0.1), (NoiseKind.SIMPLE, 0.1), (NoiseKind.SIMPLE, 0.01)],
+        ids=["clean", "simple", "sparse"],
+    )
+    def test_bitwise_lower_triangle(self, kind, p_out):
         # clean data and scattered outliers: w is the dense build's, each
         # stored block row is its B[s:e, :e] and A is (w w^T) * B, bit for
-        # bit
-        ds = self.dataset(kind)
+        # bit.  At p_out = 0.01 the tiles hold [4, 0, 2, 4, 1, 2, 1, 0]
+        # outliers, so tile pairs with none, with outliers on one side and
+        # on both sides all occur
+        ds = self.dataset(kind, p_out=p_out)
+        if p_out == 0.01:
+            counts = np.add.reduceat(ds.outlier_flags, np.arange(0, ds.t.size, _TILE))
+            assert counts.tolist() == [4, 0, 2, 4, 1, 2, 1, 0]
         a, (weights, ref) = build_affinity(ds, 5e-4), dense_path_kernel(ds, 5e-4)
         assert a.packed.data.dtype == ref.dtype
         assert np.array_equal(a.packed.weights, weights)
@@ -974,6 +1002,19 @@ class TestMemory:
         a, peak = traced_peak(lambda: build_affinity(ds, 5e-4))
         bound = self.bound(a)
         assert peak <= bound, f"peak {peak / 2**20:.1f} MiB > {bound / 2**20:.1f} MiB"
+
+    def test_outlier_work_is_not_tile_sized(self):
+        # the outlier correction runs on each tile's outlier x outlier
+        # entries alone, so scattered outliers, in every row tile here,
+        # add less than one float64 tile to the clean build's temporaries
+        # (measured: about 38 KiB, where whole-tile passes took 292 KiB)
+        extra = []
+        for make in (_MEMORY_CASES[0], _MEMORY_CASES[2]):
+            ds = make()
+            a, peak = traced_peak(lambda: build_affinity(ds, 5e-4))
+            assert a.packed.data.dtype == np.float32
+            extra.append(peak - a.packed.data.nbytes)
+        assert extra[1] - extra[0] <= 8 * _TILE**2, f"{extra[1] - extra[0]} B above clean"
 
     def test_noisy_pipeline_keeps_outlier_rows(self):
         # noise, kernel, scaling and apply at n = 1000 in R^2000: the peak is

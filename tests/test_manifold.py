@@ -183,8 +183,9 @@ class TestSampling:
     def test_n_validation(self):
         with pytest.raises(ValueError):
             sample_dataset(0, SIN, 1)
-        with pytest.raises(ValueError, match="^n must be an integer >= 1$"):
-            sample_dataset(2.5, SIN, 1)
+        for n in (2.5, True):
+            with pytest.raises(ValueError, match="^n must be an integer >= 1$"):
+                sample_dataset(n, SIN, 1)
 
     def test_density_must_be_a_spec(self):
         # a string would miss every identity test and read as p = 1
