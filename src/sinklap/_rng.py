@@ -21,11 +21,6 @@ def make_rng(seed):
     return Generator(PCG64(seed))
 
 
-def standard_normal(rng, size):
-    """size standard normal draws via inverse-CDF of uniforms from ``rng``."""
-    return normals_in_place(rng.random(size))
-
-
 def normals_in_place(u):
     """Turn an array of uniforms into standard normals in place, by the
     inverse CDF of each uniform floored at _U_FLOOR; returns the array."""

@@ -2,11 +2,13 @@
 
 Each rule that bad input breaks has one owner here and raises a
 ``ValueError`` that names the input: ``positive_finite``,
-``finite_nonnegative``, ``integer_at_least`` and ``member``; an object
-of the wrong class fails ``instance_of``, which raises a ``TypeError``.  The
-command line only turns option text into values and leaves every value
-to these rules, so a bad option fails with the library's message,
-named after the parameter; n and seed are judged before any draw.
+``finite_nonnegative``, ``integer_at_least`` and ``member``.  A value
+that is not a real number (a str, None or a bool) breaks the three
+number rules with the same message.  An object of the wrong class
+fails ``instance_of``, which raises a ``TypeError``.  The command line
+only turns option text into values and leaves every value to these
+rules, so a bad option fails with the library's message, named after
+the parameter; n and seed are judged before any draw.
 """
 
 import numbers
@@ -43,15 +45,23 @@ class UsageError(Exception):
     """Bad command line or config-file input (maps to exit code 1)."""
 
 
+def is_real(x):
+    """Whether x is a real number or an array of them: a str, None or a
+    bool is not, whatever it would compare as."""
+    return np.asarray(x).dtype.kind in "iuf"
+
+
 def positive_finite(name, x):
-    """Raise unless x, a number or every entry of an array, is in (0, inf)."""
-    if not np.all((0 < x) & (x < np.inf)):
+    """Raise unless x, a real number or every entry of an array of them,
+    is in (0, inf)."""
+    if not (is_real(x) and np.all((0 < x) & (x < np.inf))):
         raise ValueError(f"{name} must be positive and finite")
 
 
 def finite_nonnegative(name, x):
-    """Raise unless x, a number or every entry of an array, is in [0, inf)."""
-    if not np.all((0 <= x) & (x < np.inf)):
+    """Raise unless x, a real number or every entry of an array of them,
+    is in [0, inf)."""
+    if not (is_real(x) and np.all((0 <= x) & (x < np.inf))):
         raise ValueError(f"{name} must be finite and >= 0")
 
 

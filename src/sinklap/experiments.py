@@ -298,11 +298,13 @@ def slope_fit(log_eps, log_err, index_range):
 def sweep_slopes(records, points):
     """Log-log slopes [("small_eps", s1), ("large_eps", s2)] of a sweep.
 
-    Each fits ``points`` records: log mean RelErr2 from the first, log mean
-    sup-norm error from its argmin, where the U turns (past the bias branch
-    it saturates and bends back down), but from len(records) - points at most.
+    Each fits ``points`` records, an integer in [2, len(records)]: log
+    mean RelErr2 from the first, log mean sup-norm error from its argmin,
+    where the U turns (past the bias branch it saturates and bends back
+    down), but from len(records) - points at most.
     """
-    if not 2 <= points <= len(records):
+    integer_at_least("points", points, 2)
+    if points > len(records):
         raise ValueError("points must lie in [2, len(records)]")
     log_eps = np.log([r.epsilon for r in records])
     errinf = [r.relerrinf_mean for r in records]

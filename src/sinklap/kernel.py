@@ -19,11 +19,15 @@ each block of 256 rows s:e the C-ordered rectangle B[s:e, :e], one
 after another in one array (``PackedTriangle``), at most
 n^2 / 2 + 128 n entries.  An entry left of the diagonal blocks is
 stored once, for itself and its mirror, and each 256 x 256 diagonal
-block whole, its upper half a copy of its lower half, so A is
+block whole, its upper half the transpose of its lower half, so A is
 symmetric by construction.  One loop over the lower pairs of 128-row
-tiles turns each tile into kernel values in place and writes it once,
-into its block row's rectangle; no panel, no n x n temporary and no
-mirror write outside the diagonal blocks.
+tiles turns each tile into kernel values in place, one division and
+one exponential per entry, and writes it once, into its block row's
+rectangle; no panel, no n x n temporary and no mirror write outside
+the diagonal blocks.  A tile on the diagonal needs no mirror write:
+``cdist``'s per-pair sum, t_i + t_j, g + g^T, the clamp and exp
+(below) are all symmetric in IEEE arithmetic, so it is symmetric as
+computed.
 ``sinklap.sinkhorn`` makes both scale vectors s from A; a Laplacian
 reaches diag(s) A diag(s) through matvecs with A.  ``Affinity`` owns
 the square, non-empty, finite, symmetric, non-negative A that scaling
@@ -86,9 +90,10 @@ past column k (0 for an inlier) and g_ij the dot product of two
 outliers' tails, one BLAS product per pair of tiles.  Only a pair of
 outliers has a g term, so only those entries, about 1 % of them at
 10 % outliers, are corrected: each tile's outlier x outlier sub-block
-is taken out once, has 2 g subtracted, is clamped and range-checked
-alone and is written back; every other entry has d^2 = c + (t_i + t_j)
->= 0 and takes the clean tiles' path.  The tails are views of xi, so
+is taken out once, has 2 g subtracted (g + g^T on a diagonal tile),
+is clamped and is written back before the tile's one exponentiation;
+every other entry has d^2 = c + (t_i + t_j) >= 0, which the clamp
+would leave as it is.  The tails are views of xi, so
 the n x m cloud is never built.  A clean dataset has
 no outlier, so its A is its clean rows' ``pdist`` kernel.  Inlier
 coordinates stay in ``cdist``: on-manifold distances are the small
@@ -129,10 +134,6 @@ _TILE = 128
 # faster, and 512 rows let products move with the BLAS thread count
 # (n = 1001, OpenBLAS 0.3.31)
 _BLOCK = 256
-# the strict upper triangle of a tile; its leading square is that of a
-# smaller last tile
-_UPPER = np.triu(np.ones((_TILE, _TILE), dtype=bool), 1)
-_UPPER.setflags(write=False)
 
 
 class PackedTriangle:
@@ -388,10 +389,10 @@ def build_affinity(points, epsilon):
     (w_i = 1 for an inlier), and B the kernel with those squares left
     out.  Each lower pair of 128-row tiles of B is a ``cdist`` of the
     first columns, minus 2 g_ij on its outlier x outlier sub-block
-    alone, which is also the only part clamped and checked against
-    float32's largest value; it is turned into kernel values in float64
-    and stored, once, into its block row of B's float32 lower block
-    triangle.  A w_i or an entry of B that is
+    alone, the only part clamped; then each entry is divided and
+    exponentiated once, in float64, and the tile is stored, once, into
+    its block row of B's float32 lower block triangle, a tile on the
+    diagonal symmetric as computed.  A w_i or an entry of B that is
     not a float32 normal restarts the loop into the float64 triangle of
     A itself, with w = 1, which adds t_i + t_j to each tile: at worst
     double the build time.
@@ -483,20 +484,25 @@ def _fill_kernel(data, prefix, epsilon, tiles, tail, tails):
     rows, its outliers' offsets in it (a vector and a column), the slice
     of their rows in tails, read as a view, and their tail squares.
 
-    Each tile left of and on the diagonal is computed in float64 and
-    stored by rounding into its block row's rectangle, of data's dtype.
-    Its exponent is c in float32 and c + (t_i + t_j) in float64, except
-    on its outlier x outlier sub-block, the only entries with a tail
-    Gram term: that sub-block is taken out once and alone has 2 g
-    subtracted, is clamped (at -(t_i + t_j) in float32, d2 at 0, and at
-    0 in float64), and is checked against float32's largest value, the
-    one bound an entry can pass only there (c - 2 g < 0).  Every other
-    entry has c >= 0 >= -(t_i + t_j), so the clamp would leave it as it
-    is.  An outlier's own pair is zeroed first: in float32 it would be
-    exp(t_i / (2 epsilon)), outside every range, and A_ii is 0.  A tile
-    inside a diagonal block is also stored transposed into the block's
-    upper half, and a diagonal tile is made symmetric first, whatever
-    order the tails' Gram product summed its two halves in.
+    Each tile left of and on the diagonal is computed in float64, in
+    one pass, and stored by rounding into its block row's rectangle, of
+    data's dtype.  Its exponent is c in float32 and c + (t_i + t_j) in
+    float64.  On a tile with outliers on both sides the outlier x
+    outlier sub-block, the only entries with a tail Gram term, is taken
+    out once, has 2 g subtracted (g + g^T on a diagonal tile: the same
+    bits where the product is symmetric), is clamped (at -(t_i + t_j)
+    in float32, d2 at 0, and at 0 in float64) and is written back;
+    every other entry has c >= 0 >= -(t_i + t_j), so the clamp would
+    leave it as it is.  A diagonal tile's diagonal is zeroed in
+    exponent space, so that an outlier's own pair, exp(t_i / (2
+    epsilon)) in float32, cannot pass float32's largest value, and
+    again after the exponential, as A_ii is 0.  The whole tile is then
+    divided and exponentiated once and range-checked in one test: below
+    float32's smallest normal, or above its largest value on a
+    two-sided tile, the only kind whose entries can exceed 1 (c - 2 g <
+    0).  A diagonal tile is symmetric as computed (module docstring);
+    one left of the diagonal inside a diagonal block is also stored
+    transposed into the block's upper half.
     """
     single = data.dtype == np.float32
     tiny, huge = np.finfo(np.float32).tiny, np.finfo(np.float32).max
@@ -509,31 +515,25 @@ def _fill_kernel(data, prefix, epsilon, tiles, tail, tails):
             block = cdist(prefix[rows], prefix[cols], "sqeuclidean")
             if not single and (out_rows.size or out_cols.size):
                 block += tail[rows, None] + tail[cols]
-            pairs = None
-            if out_rows.size and out_cols.size:
+            two_sided = out_rows.size and out_cols.size
+            if two_sided:
                 pairs = block[pick_rows, out_cols]
                 # on a diagonal tile numpy's product of the tails with
                 # their own transpose is one syrk, half a gemm's work
-                pairs -= 2.0 * (tails[at_rows] @ tails[at_cols].T)
+                gram = tails[at_rows] @ tails[at_cols].T
+                pairs -= gram + gram.T if j == i else 2.0 * gram
                 np.maximum(pairs, -(t_rows[:, None] + t_cols) if single else 0.0, out=pairs)
-                if j == i:
-                    np.fill_diagonal(pairs, 0.0)
-                np.divide(pairs, scale, out=pairs)
-                np.exp(pairs, out=pairs)
-                if single and pairs.max() > huge:
-                    return False
+                block[pick_rows, out_cols] = pairs
+            if j == i:
+                np.fill_diagonal(block, 0.0)
             # exp(-d2 / (4 epsilon)) in place, bitwise equal to the
             # out-of-place expression: IEEE division is sign-symmetric
             np.divide(block, scale, out=block)
             np.exp(block, out=block)
-            if pairs is not None:
-                block[pick_rows, out_cols] = pairs
-            if single and block.min() < tiny:
+            if single and (block.min() < tiny or two_sided and block.max() > huge):
                 return False
             if j == i:
                 np.fill_diagonal(block, 0.0)
-                size = block.shape[0]
-                np.copyto(block, block.T, where=_UPPER[:size, :size])
             panel[rows.start - s : rows.stop - s, cols] = block
             if j < i and cols.start >= s:
                 panel[cols.start - s : cols.stop - s, rows] = block.T

@@ -24,6 +24,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 from .errors import (
     DegenerateInputError,
     NumericalFailureError,
+    finite_nonnegative,
     instance_of,
     integer_at_least,
     member,
@@ -79,7 +80,8 @@ def laplacian_from_affinity(a, form, scale, product=None):
         (ones give the Laplacian of A itself).
     product : ndarray, shape (n,), optional
         A s, where the caller has it (``ScalingResult.product``), so the
-        degrees s * (A s) take no product of their own.
+        degrees s * (A s) take no product of their own; finite and
+        non-negative, as A s is.
 
     Returns
     -------
@@ -95,6 +97,8 @@ def laplacian_from_affinity(a, form, scale, product=None):
         product = _matvec(a.packed, s)
     elif np.shape(product) != (a.n,):
         raise ValueError("product must have shape (n,)")
+    else:
+        finite_nonnegative("product", product)
     deg = s * product
     if form is LaplacianForm.RANDOM_WALK and np.any(deg <= 0):
         raise DegenerateInputError("random-walk form needs positive degrees")

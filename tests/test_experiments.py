@@ -87,8 +87,11 @@ class TestMetrics:
         # argmin at the last record: the fit covers the last 3 records
         falling = records(np.where(np.arange(8) < 5, eps**-2.0, eps**-0.5))
         assert abs(sweep_slopes(falling, 3)[1][1] + 0.5) < 1e-12
-        for points in (1, 9):
-            with pytest.raises(ValueError, match=r"points must lie in \[2, "):
+        with pytest.raises(ValueError, match=r"points must lie in \[2, "):
+            sweep_slopes(turn, 9)
+        # a count below 2, a float or a bool is not a number of points
+        for points in (1, 2.0, 3.0, True):
+            with pytest.raises(ValueError, match="^points must be an integer >= 2$"):
                 sweep_slopes(turn, points)
 
     def test_noise_seed_offset(self):

@@ -379,8 +379,11 @@ class TestBuildAffinity:
             (10, np.inf, 1, "epsilon must be positive and finite"),
             (0, 1e-3, 1, "n must be an integer >= 1"),
             (10, 1e-3, 0, "d must be an integer >= 1"),
+            (10, None, 1, "epsilon must be positive and finite"),
+            (10, "5e-4", 1, "epsilon must be positive and finite"),
         ],
-        ids=["negative-eps", "zero-eps", "nan-eps", "inf-eps", "zero-n", "zero-d"],
+        ids=["negative-eps", "zero-eps", "nan-eps", "inf-eps", "zero-n", "zero-d",
+             "none-eps", "str-eps"],
     )
     def test_normalized_prefactor_rejects(self, n, eps, d, message):
         with pytest.raises(ValueError, match=message):
@@ -404,6 +407,10 @@ class TestBuildAffinity:
             build_affinity(self.ds.points[:1], 1e-3)
         with pytest.raises(ValueError):
             build_affinity(self.ds.points, -1e-3)
+        # an epsilon that is not a number fails by name, not in numpy
+        for eps in ("5e-4", None, True):
+            with pytest.raises(ValueError, match="^epsilon must be positive and finite$"):
+                build_affinity(self.ds.points, eps)
         # columnless points are named, not left to numpy's argmax
         with pytest.raises(ValueError, match=r"with n >= 2 and m >= 1$"):
             build_affinity(np.zeros((5, 0)), 1.0)
@@ -648,6 +655,21 @@ class TestStorage:
         else:
             assert np.all(a.packed.weights == np.exp(xi[0, 1] ** 2 / (-4.0 * eps)))
         assert assert_matches_split(ds, eps) == 4
+
+    def test_own_pair_cannot_overflow(self):
+        # one outlier with t / (4 eps) = 60 beside an inlier at its clean
+        # row: w_0 = exp(-60) is a float32 normal and B_01 = 1, while its
+        # own pair's exponent, 2 t / (4 eps) = 120, would put B_00 = e^120
+        # above float32's largest value had the diagonal not been zeroed
+        # before the exponential, so A stays float32 with a zero diagonal
+        eps = 0.01
+        xi = np.array([[0.0, np.sqrt(4.0 * eps * 60.0)]])
+        ds = Dataset(t=np.zeros(2), clean_points=np.zeros((2, 1)),
+                     outlier_flags=np.array([True, False]), outlier_offsets=xi)
+        a = build_affinity(ds, eps)
+        assert a.packed.data.dtype == np.float32
+        assert np.array_equal(a.packed.weights, [np.exp(xi[0, 1] ** 2 / (-4.0 * eps)), 1.0])
+        assert np.array_equal(stored_matrix(a.packed), np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_float64_kernel_keeps_its_products(self, monkeypatch):
         # on a float64 kernel the packed product is a float64 product:

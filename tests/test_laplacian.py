@@ -148,6 +148,15 @@ class TestScaledAffinities:
         assert np.array_equal(given.degrees, made.degrees)
         with pytest.raises(ValueError, match=r"^product must have shape \(n,\)$"):
             laplacian_from_affinity(self.aff, form, res.eta, res.product[1:])
+        # A s is finite and non-negative: a NaN entry would pass the
+        # random-walk form's degree check, and a negative one would give
+        # negative degrees
+        for value in (np.nan, -1.0, np.inf):
+            product = res.product.copy()
+            product[3] = value
+            for each in LaplacianForm:
+                with pytest.raises(ValueError, match="^product must be finite and >= 0$"):
+                    laplacian_from_affinity(self.aff, each, res.eta, product)
 
     def test_kernel_must_be_affinity(self):
         with pytest.raises(TypeError, match="must be an Affinity, not ndarray"):

@@ -198,3 +198,23 @@ def test_input_rules_have_one_owner():
         if imports_numbers(tree):
             found.append(f"{path.stem} imports numbers")
     assert found == []
+
+
+def test_every_definition_is_named_elsewhere():
+    # a module-level function or class that no other line of the package
+    # names is reached only from the tests, or from nowhere: library code
+    # that no library path runs
+    defined, named = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined += [f"{path.stem}.{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    unnamed = [name for name in defined if name.split(".")[1] not in named]
+    assert unnamed == []

@@ -16,7 +16,7 @@ from sinklap import (
     embed_ambient,
     sample_dataset,
 )
-from sinklap._rng import make_rng, standard_normal
+from sinklap._rng import make_rng, normals_in_place
 
 
 def embedded_dataset(n, m, spec=DensitySpec.SINUSOIDAL_1D, seed=0):
@@ -89,9 +89,12 @@ class TestAddNoise:
         # fall through to the IID branch
         with pytest.raises(ValueError, match="^unknown noise kind: 'simple'$"):
             NoiseModel("simple", m=8)
-        for sigma in (-0.1, np.nan, np.inf):
-            with pytest.raises(ValueError, match="sigma_out"):
+        for sigma in (-0.1, np.nan, np.inf, "0.1", None, True):
+            with pytest.raises(ValueError, match="^sigma_out must be finite and >= 0$"):
                 NoiseModel(NoiseKind.SIMPLE, 8, sigma_out=sigma)
+        for p_out in (-0.1, 1.0, np.nan, "0.1", None):
+            with pytest.raises(ValueError, match=r"^p_out must lie in \[0, 1\)$"):
+                NoiseModel(NoiseKind.SIMPLE, 8, p_out=p_out)
         ds = embedded_dataset(50, 8)
         with pytest.raises(ValueError, match="wider"):
             add_noise(ds, NoiseModel(NoiseKind.SIMPLE, 4), seed=0)
@@ -136,7 +139,7 @@ class TestAddNoise:
                 gam = 0.9 * gamma1 + 0.1 * (3.0 * rng.random())
             else:
                 gam = 3.0 * rng.random()
-            xi.append((0.2 * np.sqrt(gam) / np.sqrt(m)) * standard_normal(rng, m))
+            xi.append((0.2 * np.sqrt(gam) / np.sqrt(m)) * normals_in_place(rng.random(m)))
             points[i] += xi[-1]
         noisy = add_noise(ds, model, seed)
         assert 0 < flags.sum() < n

@@ -235,6 +235,12 @@ class TestValidation:
         for bad in (2.5, 2.0):
             with pytest.raises(ValueError, match="max_iter must be an integer"):
                 SkConfig(max_iter=bad)
+        # a value that is not a number fails the rule by name, not in numpy
+        for bad in ("0.1", None, True):
+            with pytest.raises(ValueError, match="^c_sk must be finite and >= 0$"):
+                SkConfig(c_sk=bad)
+            with pytest.raises(ValueError, match="^eps_sk must be positive and finite$"):
+                SkConfig(eps_sk=bad)
 
 
 class TestConventions:
