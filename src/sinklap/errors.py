@@ -52,16 +52,16 @@ def is_real(x):
 
 
 def positive_finite(name, x):
-    """Raise unless x, a real number or every entry of an array of them,
-    is in (0, inf)."""
-    if not (is_real(x) and np.all((0 < x) & (x < np.inf))):
+    """Raise unless x, a real number or every entry of an array (or a
+    list) of them, is in (0, inf)."""
+    if not (is_real(x) and np.all(np.less(0, x) & np.less(x, np.inf))):
         raise ValueError(f"{name} must be positive and finite")
 
 
 def finite_nonnegative(name, x):
-    """Raise unless x, a real number or every entry of an array of them,
-    is in [0, inf)."""
-    if not (is_real(x) and np.all((0 <= x) & (x < np.inf))):
+    """Raise unless x, a real number or every entry of an array (or a
+    list) of them, is in [0, inf)."""
+    if not (is_real(x) and np.all(np.less_equal(0, x) & np.less(x, np.inf))):
         raise ValueError(f"{name} must be finite and >= 0")
 
 

@@ -73,7 +73,9 @@ reached through the function pointer that ``scipy.linalg.cython_blas``
 exports, its C signature checked on import, and called through
 ``ctypes``, which releases the GIL, so a replica thread's product runs
 beside the other thread's Python work; ``scipy.linalg.blas``'s f2py
-wrappers hold the GIL for the whole call.
+wrappers hold the GIL for the whole call.  ``_roundoff`` gives the
+products' unit roundoff, that of B's dtype, where the eigensolve stops;
+this module alone names a precision.
 
 One split reads each input as it declares itself.  An array is one
 cloud: its squared distances are scipy's "sqeuclidean" ``cdist`` over
@@ -122,7 +124,7 @@ from scipy.linalg import cython_blas
 from scipy.spatial.distance import cdist
 from scipy.special import gamma
 
-from .errors import integer_at_least, positive_finite
+from .errors import finite_nonnegative, integer_at_least, positive_finite
 
 
 # rows per tile in ``build_affinity``, which bounds its temporaries
@@ -360,11 +362,18 @@ def _matvec(packed, x):
     return w * xy[n:]
 
 
+def _roundoff(packed):
+    """The unit roundoff of ``_matvec``'s products with packed: B's
+    precision, 2^-24 on a float32 triangle and 2^-53 on a float64 one."""
+    return float(np.finfo(packed.data.dtype).epsneg)
+
+
 def gaussian_kernel(xi, d):
-    """g(xi) = (4 pi)^(-d/2) exp(-xi/4) for xi >= 0."""
+    """g(xi) = (4 pi)^(-d/2) exp(-xi/4) for finite xi >= 0 and an
+    integer dimension d >= 1."""
+    finite_nonnegative("xi", xi)
+    integer_at_least("d", d, 1)
     xi = np.asarray(xi, dtype=float)
-    if np.any(xi < 0):
-        raise ValueError("xi must be non-negative")
     return (4.0 * np.pi) ** (-d / 2.0) * np.exp(-xi / 4.0)
 
 

@@ -9,10 +9,13 @@ the operator to a function sampled on the points approximates a
 weighted Laplace-Beltrami operator as the bandwidth shrinks.
 
 Neither K nor L is ever formed, so A's stored triangle is the only
-array of order n^2: applying L costs one matvec with A, and the
-random-walk eigenproblem is solved by Lanczos on the same matvec.  Each
-matvec runs in A's precision, float32 or float64 (see
-``sinklap.kernel``); vectors stay float64.
+array of order n^2: every step is a product with diag(r) A diag(r) for
+a scale r.  Applying L costs one such product, with r = s, and the
+random-walk eigenproblem is the top of M = diag(r) A diag(r) with
+r = s / sqrt(deg), found by Lanczos on the same product.  Each product
+runs in A's stored precision, float32 or float64 (see
+``sinklap.kernel``), which also sets the eigensolve's stopping
+tolerance; vectors stay float64.
 """
 
 from dataclasses import dataclass
@@ -30,7 +33,7 @@ from .errors import (
     member,
     positive_finite,
 )
-from .kernel import Affinity, _matvec
+from .kernel import Affinity, _matvec, _roundoff
 
 
 class LaplacianForm(Enum):
@@ -107,6 +110,7 @@ def laplacian_from_affinity(a, form, scale, product=None):
 
 def apply_rescaled(l, f):
     """Apply -(1/epsilon) L to a sampled function, shape (n,)."""
+    instance_of("laplacian", l, LaplacianOp)
     f = np.asarray(f, dtype=float)
     if f.shape != l.scale.shape:
         raise ValueError("f must have shape (n,)")
@@ -122,16 +126,20 @@ def smallest_eigenpairs(l, k):
     """Lowest k eigenpairs of a random-walk Laplacian, 1 <= k <= n - 1.
 
     With K the scaled affinity and D its degrees, the symmetric
-    I - D^-1/2 K D^-1/2 : x -> x - r * (A (r * x)), r = s / sqrt(deg),
-    has the eigenvalues of I - D^-1 K, and psi = D^-1/2 phi maps its
-    eigenvectors back.  Implicitly restarted Lanczos (ARPACK) solves it
-    through that matvec from the start 1 / sqrt(n), with restart vectors
-    from a fixed seed, so the result does not depend on the run; it
-    raises NumericalFailureError if Lanczos does not converge.
+    M = D^-1/2 K D^-1/2 : x -> r * (A (r * x)), r = s / sqrt(deg), is
+    diag(r) A diag(r), the pipeline's one product form; its top
+    eigenvalues mu give the lowest lambda = 1 - mu of I - D^-1 K, and
+    psi = D^-1/2 phi maps its eigenvectors back.  Implicitly restarted
+    Lanczos (ARPACK) finds them through that matvec from the start
+    1 / sqrt(n), with restart vectors from a fixed seed, so the result
+    does not depend on the run, and stops at the unit roundoff of A's
+    stored precision (``sinklap.kernel``), the accuracy its products
+    carry; it raises NumericalFailureError if Lanczos does not converge.
     Eigenvalues come back ascending (the first is ~0 for connected
     graphs); vectors have unit 2-norm with the largest-magnitude entry
     made positive.
     """
+    instance_of("laplacian", l, LaplacianOp)
     if l.form is not LaplacianForm.RANDOM_WALK:
         raise ValueError("eigensolve is defined for the random-walk form")
     n = l.kernel.n
@@ -141,18 +149,16 @@ def smallest_eigenpairs(l, k):
     root = 1.0 / np.sqrt(l.degrees)
     r = l.scale * root
     a = l.kernel.packed
-    op = LinearOperator(
-        (n, n), matvec=lambda x: x - r * _matvec(a, r * x), dtype=float
-    )
+    op = LinearOperator((n, n), matvec=lambda x: r * _matvec(a, r * x), dtype=float)
     v0 = np.full(n, 1.0 / np.sqrt(n))
     try:
-        vals, phi = eigsh(op, k, which="SA", v0=v0, tol=0, rng=0)
+        mu, phi = eigsh(op, k, which="LA", v0=v0, tol=_roundoff(a), rng=0)
     except ArpackNoConvergence as exc:
         raise NumericalFailureError(f"eigensolver did not converge: {exc}") from exc
-    psi = phi * root[:, None]
+    psi = phi[:, ::-1] * root[:, None]
     psi /= np.linalg.norm(psi, axis=0)
     # one sign per column, read at its largest-magnitude entry; the
     # product with +-1 is exact
     top = psi[np.argmax(np.abs(psi), axis=0), np.arange(k)]
     psi *= np.where(top < 0, -1.0, 1.0)
-    return EigenPairs(values=vals, vectors=psi)
+    return EigenPairs(values=1.0 - mu[::-1], vectors=psi)

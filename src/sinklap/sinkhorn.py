@@ -106,7 +106,9 @@ def dm_scale(a):
 
 
 def scaling_residual(a, eta):
-    """Row-sum residual vector D_eta A D_eta 1 - 1."""
+    """Row-sum residual vector D_eta A D_eta 1 - 1, for a positive
+    finite eta."""
+    positive_finite("eta", eta)
     eta = np.asarray(eta, dtype=float)
     return eta * _matvec(packed_kernel(a), eta) - 1.0
 

@@ -322,6 +322,13 @@ class TestGaussianKernel:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             gaussian_kernel(-0.5, 1)
+        # xi is a finite real number and d a dimension, by the errors rules
+        for xi in (np.nan, np.inf, "1", None, [0.0, -1.0]):
+            with pytest.raises(ValueError, match="^xi must be finite and >= 0$"):
+                gaussian_kernel(xi, 1)
+        for d in (0, -2, 1.5, True):
+            with pytest.raises(ValueError, match=r"^d must be an integer >= 1$"):
+                gaussian_kernel(1.0, d)
 
 
 class TestMoments:

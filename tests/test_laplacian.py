@@ -14,6 +14,8 @@ from sinklap import (
     DensitySpec,
     LaplacianForm,
     LaplacianKind,
+    NoiseKind,
+    NoiseModel,
     NumericalFailureError,
     SkConfig,
     align_pair,
@@ -26,6 +28,7 @@ from sinklap import (
     scaling_residual,
     smallest_eigenpairs,
 )
+from sinklap.experiments import noisy_dataset
 from sinklap.kernel import _matvec
 
 
@@ -118,6 +121,9 @@ class TestForms:
             assert np.allclose(apply_rescaled(lap, f), want, rtol=1e-13, atol=0)
         with pytest.raises(ValueError):
             apply_rescaled(lap, np.ones((5, 5)))
+        for wrong in (None, a):
+            with pytest.raises(TypeError, match="^laplacian must be a LaplacianOp, not "):
+                apply_rescaled(wrong, f)
 
 
 class TestScaledAffinities:
@@ -273,6 +279,9 @@ class TestEigensolve:
         for k in (2.0, 2.5):
             with pytest.raises(ValueError, match="k must be an integer"):
                 smallest_eigenpairs(self.lap, k)
+        for wrong in ("x", self.aff):
+            with pytest.raises(TypeError, match="^laplacian must be a LaplacianOp, not "):
+                smallest_eigenpairs(wrong, 3)
 
     def test_invariant_start_deterministic(self):
         # a complete graph has two distinct eigenvalues, so every Krylov
@@ -328,6 +337,89 @@ class TestEigensolve:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+def dense_spectrum(lap, count):
+    """The lowest count eigenvalues of the random-walk lap, 1 - the top of
+    M = diag(r) A diag(r), r = s / sqrt(deg), by eigh in float64 on the
+    stored A with lap's own scale and degrees."""
+    r = lap.scale / np.sqrt(lap.degrees)
+    n = lap.kernel.n
+    mu = eigh(lap.kernel.dense().astype(float) * np.multiply.outer(r, r),
+              eigvals_only=True, subset_by_index=[n - count, n - 1])
+    return 1.0 - mu[::-1]
+
+
+def heteroskedastic_affinity():
+    """The embedding's kernel: float32, factored as diag(w) B diag(w)."""
+    ds = noisy_dataset(1000, DensitySpec.UNIFORM_CIRCLE,
+                       NoiseModel(NoiseKind.HETEROSKEDASTIC, 2000), 3)
+    return build_affinity(ds, 5e-4)
+
+
+def float64_copy(aff):
+    """The same A, stored in float64 with no factor."""
+    return kernel(aff.dense().astype(float), aff.epsilon)
+
+
+class TestAgainstDenseSpectrum:
+    """Lanczos on the stored operator against eigh of the same operator in
+    float64.  It stops at the unit roundoff of A's stored precision, so a
+    float32 kernel's eigenvalues are good to about its products' error
+    (2.9e-8 measured) and a float64 kernel's to about float64's (2.0e-15
+    measured)."""
+
+    KERNELS = {
+        "circle-float32": lambda: circle_affinity()[1],
+        "circle-float64": lambda: float64_copy(circle_affinity()[1]),
+        "heteroskedastic-float32": heteroskedastic_affinity,
+        "heteroskedastic-float64": lambda: float64_copy(heteroskedastic_affinity()),
+    }
+
+    @pytest.mark.parametrize("method", ["sk", "dm"])
+    @pytest.mark.parametrize("name", list(KERNELS))
+    def test_eigenvalues(self, name, method):
+        aff = self.KERNELS[name]()
+        dtype = np.float32 if name.endswith("float32") else np.float64
+        assert aff.packed.data.dtype == dtype
+        scale = approx_sym_sk(aff).eta if method == "sk" else dm_scale(aff)
+        lap = laplacian_from_affinity(aff, LaplacianForm.RANDOM_WALK, scale)
+        got = smallest_eigenpairs(lap, 5).values
+        tol = 2e-7 if dtype == np.float32 else 1e-13
+        assert np.abs(got - dense_spectrum(lap, 5)).max() < tol
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (6, 5)])
+    def test_smallest_orders(self, n, k):
+        # the fewest points, and the most eigenpairs ARPACK may take
+        rng = np.random.default_rng(n)
+        lap = laplacian_from_affinity(random_kernel(rng, n), LaplacianForm.RANDOM_WALK,
+                                      rng.uniform(0.5, 2.0, size=n))
+        eig = smallest_eigenpairs(lap, k)
+        assert eig.vectors.shape == (n, k)
+        assert np.all(np.diff(eig.values) >= 0)
+        assert np.abs(eig.values - dense_spectrum(lap, k)).max() < 1e-13
+        for value, vec in zip(eig.values, eig.vectors.T):
+            lv = -lap.epsilon * apply_rescaled(lap, vec)
+            assert np.abs(lv - value * vec).max() < 1e-13
+
+
+def test_float32_solve_stops_at_float32_accuracy(monkeypatch):
+    # the embedding's SK solve on a float32 kernel: Lanczos stopped at
+    # float32's roundoff takes 49 products, and asked for float64
+    # residuals from float32 products it takes 108
+    aff = heteroskedastic_affinity()
+    assert aff.packed.data.dtype == np.float32
+    res = approx_sym_sk(aff, SkConfig())
+    lap = laplacian_from_affinity(aff, LaplacianForm.RANDOM_WALK, res.eta, res.product)
+    products = []
+
+    def counting(packed, x):
+        products.append(1)
+        return _matvec(packed, x)
+
+    monkeypatch.setattr(sinklap.laplacian, "_matvec", counting)
+    smallest_eigenpairs(lap, 5)
+    assert len(products) < 70
 
 
 class TestFloat32Memory:

@@ -157,6 +157,29 @@ def test_only_the_kernel_reads_the_stored_triangle():
     assert found == []
 
 
+def test_only_the_kernel_names_a_precision():
+    # kernel.py stores A and so owns its precision: which dtype B takes,
+    # the range checks of a float32 triangle and the roundoff of its
+    # products (kernel._roundoff); a module that names finfo or float32
+    # in code makes a precision decision beside it
+    # in code: a name, an attribute or a string such as dtype="float32",
+    # not the words of a docstring
+    def named(node):
+        if isinstance(node, ast.Constant):
+            return node.value
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    found = [
+        f"{path.stem} names {named(node)}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "kernel"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute, ast.Constant))
+        and named(node) in ("finfo", "float32")
+    ]
+    assert found == []
+
+
 def raised_texts(tree):
     """The string arguments of each raised exception, a formatted value
     read as {}."""

@@ -213,6 +213,16 @@ class TestValidation:
             with pytest.raises(ValueError, match=r"^vector must have shape \(5,\)$"):
                 scaling_residual(a, eta)
 
+    def test_residual_eta_checked(self):
+        # a NaN, negative or zero eta gave a residual of NaN, -2 or -1
+        a = random_spd_affinity(np.random.default_rng(6), 2)
+        for eta in ([np.nan, 1.0], [-1.0, 1.0], [0.0, 1.0], [np.inf, 1.0], "1"):
+            with pytest.raises(ValueError, match="^eta must be positive and finite$"):
+                scaling_residual(a, eta)
+        # a list of positive numbers is read as its array
+        assert np.array_equal(scaling_residual(a, [0.5, 2.0]),
+                              scaling_residual(a, np.array([0.5, 2.0])))
+
     def test_numerical_failure_flags_iteration(self):
         a = np.full((2, 2), 1e308)
         with np.errstate(over="ignore"):
