@@ -2,13 +2,14 @@
 
 Each rule that bad input breaks has one owner here and raises a
 ``ValueError`` that names the input: ``positive_finite``,
-``finite_nonnegative``, ``integer_at_least`` and ``member``.  A value
-that is not a real number (a str, None or a bool) breaks the three
-number rules with the same message.  An object of the wrong class
-fails ``instance_of``, which raises a ``TypeError``.  The command line
-only turns option text into values and leaves every value to these
-rules, so a bad option fails with the library's message, named after
-the parameter; n and seed are judged before any draw.
+``finite_nonnegative``, ``finite``, ``unit_interval``,
+``integer_at_least``, ``zero_or_one`` and ``member``.  A value that is
+not a real number (a str, None or a bool) breaks the five number rules
+with the same message.  An object of the wrong class fails
+``instance_of``, which raises a ``TypeError``.  The command line only
+turns option text into values and leaves every value to these rules,
+so a bad option fails with the library's message, named after the
+parameter; n and seed are judged before any draw.
 """
 
 import numbers
@@ -63,6 +64,36 @@ def finite_nonnegative(name, x):
     list) of them, is in [0, inf)."""
     if not (is_real(x) and np.all(np.less_equal(0, x) & np.less(x, np.inf))):
         raise ValueError(f"{name} must be finite and >= 0")
+
+
+def finite(name, x):
+    """Raise unless x, a real number or every entry of an array (or a
+    list) of them, is finite; return its least and greatest entries,
+    (inf, -inf) if it has none.  NaN propagates through min and max,
+    which read x without a temporary of its size."""
+    x = np.asarray(x)
+    real = is_real(x)
+    low, high = (x.min(), x.max()) if real and x.size else (np.inf, -np.inf)
+    if not real or x.size and not (np.isfinite(low) and np.isfinite(high)):
+        raise ValueError(f"{name} must be finite")
+    return low, high
+
+
+def unit_interval(name, x, closed=False):
+    """Raise unless x, a real number or every entry of an array (or a
+    list) of them, is in [0, 1), or in [0, 1] if closed; written as the
+    range itself, so that NaN, outside every range, fails."""
+    below_one = np.less_equal if closed else np.less
+    if not (is_real(x) and np.all(np.less_equal(0, x) & below_one(x, 1))):
+        raise ValueError(f"{name} must lie in [0, 1{']' if closed else ')'}")
+
+
+def zero_or_one(name, x):
+    """Raise unless every entry of x, an array (or a list), is a bool, 0
+    or 1: a flag, not a number that a cast to bool would read as one."""
+    x = np.asarray(x)
+    if not (x.dtype == bool or is_real(x) and np.all((x == 0) | (x == 1))):
+        raise ValueError(f"{name} must hold only bools, 0 or 1")
 
 
 def integer_at_least(name, x, low):

@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import svd
 
-from .errors import integer_at_least, member, positive_finite
+from .errors import finite, integer_at_least, member, positive_finite
 from .kernel import build_affinity, normalized_prefactor
 from .laplacian import (
     LaplacianForm,
@@ -156,12 +156,13 @@ def _replicate(job, replicas, threads):
 
 
 def rel_errors(est, ref):
-    """Relative 2-norm and sup-norm errors of est against a nonzero ref
-    of the same shape."""
+    """Relative 2-norm and sup-norm errors of est against a finite,
+    nonzero ref of the same shape."""
     est = np.asarray(est, dtype=float)
     ref = np.asarray(ref, dtype=float)
     if est.shape != ref.shape:
         raise ValueError("est and ref must have the same shape")
+    finite("ref", ref)
     ref2 = np.linalg.norm(ref)
     refinf = np.max(np.abs(ref))
     if ref2 == 0 or refinf == 0:

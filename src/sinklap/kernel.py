@@ -124,7 +124,7 @@ from scipy.linalg import cython_blas
 from scipy.spatial.distance import cdist
 from scipy.special import gamma
 
-from .errors import finite_nonnegative, integer_at_least, positive_finite
+from .errors import finite, finite_nonnegative, integer_at_least, positive_finite
 
 
 # rows per tile in ``build_affinity``, which bounds its temporaries
@@ -275,9 +275,7 @@ def _checked_kernel(a):
     for i in range(0, n, block):
         for j in range(i, n, block):
             upper = mat[i : i + block, j : j + block]
-            low, high = upper.min(), upper.max()
-            if not (np.isfinite(low) and np.isfinite(high)):
-                raise ValueError("matrix must be finite")
+            low, _ = finite("matrix", upper)
             if not np.array_equal(upper, mat[j : j + block, i : i + block].T):
                 raise ValueError("matrix must be symmetric")
             negative = negative or low < 0
@@ -473,8 +471,7 @@ def _split(points):
     xi = getattr(points, "outlier_offsets", clean[:0])
     if clean.ndim != 2 or clean.shape[0] < 2 or xi.shape[-1] < 1:
         raise ValueError("points must be (n, m) with n >= 2 and m >= 1")
-    if not np.all(np.isfinite(clean)):
-        raise ValueError("points must be finite")
+    finite("points", clean)
     k = clean.shape[1]
     outliers = np.flatnonzero(getattr(points, "outlier_flags", ()))
     prefix = clean

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from ._rng import make_rng
-from .errors import integer_at_least, member
+from .errors import finite, integer_at_least, member, unit_interval, zero_or_one
 
 _OMEGA = 2.0
 _CURVE_SCALE = 1.0 / (2.0 * np.pi * np.sqrt(5.0))
@@ -47,7 +47,8 @@ class Dataset:
     clean_points : ndarray, shape (n, k)
         On-manifold coordinates x^c, finite.
     outlier_flags : ndarray of bool, shape (n,)
-        Which samples are outliers; none, if not given.
+        Which samples are outliers, given as bools or 0/1; none, if not
+        given.
     outlier_offsets : ndarray, shape (n_out, m) with m >= k
         The noise vectors xi of the flagged samples in R^m, in row order,
         one row per set flag, finite; (0, k), if not given.  A sample is
@@ -78,13 +79,13 @@ class Dataset:
         n, k = self.clean_points.shape
         if self.t.shape[0] != n:
             raise ValueError("t and clean_points disagree on n")
-        _check_unit_interval(self.t)
-        if not _finite(self.clean_points):
-            raise ValueError("clean_points must be finite")
+        unit_interval("t", self.t)
+        finite("clean_points", self.clean_points)
         # the arguments as given: one left out is a clean dataset's
         flags, xi = self.outlier_flags, self.outlier_offsets
-        self.outlier_flags = np.asarray(np.zeros(n, bool) if flags is None else flags,
-                                        dtype=bool).view()
+        flags = np.zeros(n, bool) if flags is None else flags
+        zero_or_one("outlier_flags", flags)
+        self.outlier_flags = np.asarray(flags, dtype=bool).view()
         self.outlier_offsets = np.asarray(np.zeros((0, k)) if xi is None else xi,
                                           dtype=float).view()
         if self.outlier_flags.shape != (n,):
@@ -95,8 +96,7 @@ class Dataset:
                              f"set outlier flag, {flagged}")
         if self.outlier_offsets.shape[1] < k:
             raise ValueError("outlier_offsets must be at least as wide as clean_points")
-        if not _finite(self.outlier_offsets):
-            raise ValueError("outlier_offsets must be finite")
+        finite("outlier_offsets", self.outlier_offsets)
         for arr in (self.t, self.clean_points, self.outlier_flags, self.outlier_offsets):
             arr.setflags(write=False)
 
@@ -126,18 +126,6 @@ def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _finite(arr):
-    """Whether every entry is finite: NaN propagates through min and max,
-    which read the array without a temporary of its size."""
-    return arr.size == 0 or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
-
-
-def _check_unit_interval(t):
-    # written as the range itself, so that NaN, outside every range, fails
-    if not np.all((0.0 <= t) & (t < 1.0)):
-        raise ValueError("t must lie in [0, 1)")
-
-
 def curve_point(t):
     """Point(s) on the closed unit-speed curve in R^4.
 
@@ -147,7 +135,7 @@ def curve_point(t):
     with w = 2.  Returns shape ``t.shape + (4,)``.
     """
     t = np.asarray(t, dtype=float)
-    _check_unit_interval(t)
+    unit_interval("t", t)
     a = 2.0 * np.pi * t
     return _CURVE_SCALE * np.stack(
         [
@@ -163,7 +151,7 @@ def curve_point(t):
 def circle_point(t):
     """Point(s) on the circumference-1 circle in R^2, shape ``t.shape + (2,)``."""
     t = np.asarray(t, dtype=float)
-    _check_unit_interval(t)
+    unit_interval("t", t)
     a = 2.0 * np.pi * t
     return _CIRCLE_SCALE * np.stack([np.cos(a), np.sin(a)], axis=-1)
 
@@ -171,7 +159,7 @@ def circle_point(t):
 def density(t, spec):
     """Sampling density p(t) on [0, 1)."""
     t = np.asarray(t, dtype=float)
-    _check_unit_interval(t)
+    unit_interval("t", t)
     member(DensitySpec, spec, "density")
     if spec is DensitySpec.SINUSOIDAL_1D:
         return 1.0 - 0.6 * np.sin(6.0 * np.pi * t)
@@ -181,8 +169,7 @@ def density(t, spec):
 def density_cdf(t, spec):
     """CDF of ``density``; accepts t in [0, 1]."""
     t = np.asarray(t, dtype=float)
-    if not np.all((0.0 <= t) & (t <= 1.0)):
-        raise ValueError("t must lie in [0, 1]")
+    unit_interval("t", t, closed=True)
     member(DensitySpec, spec, "density")
     if spec is DensitySpec.SINUSOIDAL_1D:
         return t - (0.1 / np.pi) * (1.0 - np.cos(6.0 * np.pi * t))
@@ -197,8 +184,7 @@ def density_cdf_inverse(u, spec):
     1e-12.
     """
     u = np.asarray(u, dtype=float)
-    if not np.all((0.0 <= u) & (u < 1.0)):
-        raise ValueError("u must lie in [0, 1)")
+    unit_interval("u", u)
     if spec is DensitySpec.UNIFORM_CIRCLE:
         return u.copy()
     lo = np.zeros_like(u)
@@ -214,7 +200,7 @@ def density_cdf_inverse(u, spec):
 def test_function(t):
     """f(t) = sin(2 pi (t + 0.05)), the bundled smooth test function."""
     t = np.asarray(t, dtype=float)
-    _check_unit_interval(t)
+    unit_interval("t", t)
     return np.sin(2.0 * np.pi * (t + 0.05))
 
 
@@ -225,7 +211,7 @@ def delta_p_f(t, spec):
     uniform circle.
     """
     t = np.asarray(t, dtype=float)
-    _check_unit_interval(t)
+    unit_interval("t", t)
     phase = 2.0 * np.pi * (t + 0.05)
     fpp = -4.0 * np.pi**2 * np.sin(phase)
     if spec is DensitySpec.UNIFORM_CIRCLE:

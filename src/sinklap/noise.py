@@ -36,8 +36,8 @@ from enum import Enum
 import numpy as np
 
 from ._rng import make_rng, normals_in_place
-from .errors import (finite_nonnegative, instance_of, integer_at_least, is_real, member,
-                     positive_finite)
+from .errors import (finite_nonnegative, instance_of, integer_at_least, member,
+                     positive_finite, unit_interval)
 from .manifold import Dataset
 
 
@@ -64,8 +64,7 @@ class NoiseModel:
     def __post_init__(self):
         member(NoiseKind, self.kind, "noise kind")
         integer_at_least("m", self.m, 4)
-        if not (is_real(self.p_out) and 0.0 <= self.p_out < 1.0):
-            raise ValueError("p_out must lie in [0, 1)")
+        unit_interval("p_out", self.p_out)
         finite_nonnegative("sigma_out", self.sigma_out)
 
 

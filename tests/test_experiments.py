@@ -56,6 +56,12 @@ class TestMetrics:
         with pytest.raises(ValueError, match="^est and ref must have the same shape$"):
             rel_errors(est, ref)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rel_errors_reference_must_be_finite(self, bad):
+        # a non-finite reference norm gave (nan, nan) and numpy's warnings
+        with pytest.raises(ValueError, match="^ref must be finite$"):
+            rel_errors([1, 2], [bad, 1])
+
     def test_slope_fit(self):
         x = np.linspace(-3.0, -1.0, 7)
         y = 3.0 * x + 1.0

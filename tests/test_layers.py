@@ -195,11 +195,13 @@ def raised_texts(tree):
 
 
 def test_input_rules_have_one_owner():
-    # errors.py owns the four input rules and every other module calls the
+    # errors.py owns the input rules and every other module calls the
     # owner; the command line only turns option text into values, so a
     # range check of its own ("must be >= ") restates a rule too
     def restates_a_rule(text):
-        return (text.endswith(("must be positive and finite", "must be finite and >= 0"))
+        return (text.endswith(("must be positive and finite", "must be finite and >= 0",
+                               "must be finite"))
+                or "must lie in [0, 1" in text
                 or "must be an integer >=" in text
                 or "must be >= " in text
                 or text.startswith("unknown "))

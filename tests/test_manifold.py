@@ -277,6 +277,22 @@ class TestDataset:
             Dataset(t=np.zeros(3), clean_points=np.zeros((3, 2)),
                     outlier_offsets=np.ones((2, 5)))
 
+    @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
+    def test_outlier_flags_checked(self, bad):
+        # a cast to bool would read each of these as a set flag
+        with pytest.raises(ValueError, match="^outlier_flags must hold only bools, 0 or 1$"):
+            Dataset(t=np.zeros(2), clean_points=np.zeros((2, 2)),
+                    outlier_flags=np.array([bad, 0.0]), outlier_offsets=np.zeros((1, 3)))
+
+    def test_outlier_flags_zero_or_one(self):
+        # 0/1 flags, as ints, floats or a list, are the bool flags
+        xi = np.ones((1, 3))
+        ds = Dataset(t=np.zeros(2), clean_points=np.zeros((2, 2)),
+                     outlier_flags=np.array([True, False]), outlier_offsets=xi)
+        for flags in (np.array([1, 0]), np.array([1.0, -0.0]), [1, 0], [True, False]):
+            assert ds == Dataset(t=np.zeros(2), clean_points=np.zeros((2, 2)),
+                                 outlier_flags=flags, outlier_offsets=xi)
+
     def test_value_equality(self):
         # equal draws are equal values; a seed or one noise vector entry
         # apart they are not, and datasets stay unhashable
