@@ -5,6 +5,11 @@ resulting bistochastic graph Laplacians, the classical degree-based
 alternative, synthetic 1D-manifold datasets with outlier noise models,
 and reproducible convergence / robustness / spectral-embedding
 experiments on top of them.
+
+Importing sinklap sets the OpenBLAS that numpy and scipy bundle to one
+thread for the whole process, code outside sinklap included, and
+overrides ``OPENBLAS_NUM_THREADS``; it is not undone.  Replica threads
+are the library's only parallelism (``sinklap.kernel``).
 """
 
 from .errors import DegenerateInputError, NumericalFailureError, UsageError

@@ -2,10 +2,12 @@
 
 Each rule that bad input breaks has one owner here and raises a
 ``ValueError`` that names the input: ``positive_finite``,
-``finite_nonnegative``, ``finite``, ``unit_interval``,
+``finite_nonnegative``, ``finite``, ``unit_interval``, ``scalar``,
 ``integer_at_least``, ``zero_or_one`` and ``member``.  A value that is
 not a real number (a str, None or a bool) breaks the five number rules
-with the same message.  An object of the wrong class fails
+with the same message; a parameter that takes one number also keeps
+``scalar``, which a list, tuple or array breaks, so a bad value fails
+by its name before it is used.  An object of the wrong class fails
 ``instance_of``, which raises a ``TypeError``.  The command line only
 turns option text into values and leaves every value to these rules,
 so a bad option fails with the library's message, named after the
@@ -86,6 +88,14 @@ def unit_interval(name, x, closed=False):
     below_one = np.less_equal if closed else np.less
     if not (is_real(x) and np.all(np.less_equal(0, x) & below_one(x, 1))):
         raise ValueError(f"{name} must lie in [0, 1{']' if closed else ')'}")
+
+
+def scalar(name, x):
+    """Raise unless x is one value, not a list, a tuple or an array with
+    a dimension (a 0-d array is one value); whether it is a real number
+    in range is left to the number rules."""
+    if isinstance(x, (list, tuple)) or np.ndim(x):
+        raise ValueError(f"{name} must be a single number")
 
 
 def zero_or_one(name, x):

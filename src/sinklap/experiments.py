@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import svd
 
-from .errors import finite, integer_at_least, member, positive_finite
+from .errors import finite, instance_of, integer_at_least, member, positive_finite, scalar
 from .kernel import build_affinity, normalized_prefactor
 from .laplacian import (
     LaplacianForm,
@@ -43,7 +43,7 @@ from .laplacian import (
 )
 from .manifold import DensitySpec, delta_p_f, sample_dataset, test_function
 from .noise import add_noise
-from .sinkhorn import approx_sym_sk, dm_scale
+from .sinkhorn import SkConfig, approx_sym_sk, dm_scale
 
 NOISE_SEED_OFFSET = 2**32
 # eigenpairs per embedding Laplacian: the trivial one and two harmonic pairs
@@ -197,10 +197,13 @@ def pointwise_experiment(
     scaling (BISTOCH_* kinds, using sk_config) or the degree
     normalization (DM_* kinds); the reference is the closed-form
     weighted Laplacian evaluated at the clean intrinsic coordinates,
-    also when the observed points are noisy.
+    also when the observed points are noisy.  A given sk_config is an
+    ``SkConfig`` for every kind.
     """
     integer_at_least("n", n, 2)
     member(LaplacianKind, kind, "laplacian kind")
+    if sk_config is not None:
+        instance_of("config", sk_config, SkConfig)
     ds = noisy_dataset(n, spec, noise_model, seed)
     return _pointwise_on(ds, spec, epsilon, kind, sk_config)
 
@@ -242,7 +245,8 @@ def epsilon_sweep(
 ):
     """Replicated pointwise runs over a bandwidth grid.
 
-    epsilons must be positive, finite and non-decreasing.  Replica r
+    epsilons must be single numbers, positive, finite and
+    non-decreasing, each checked as given.  Replica r
     draws its dataset once, with seed base_seed + r (as
     ``pointwise_experiment`` would), and walks the whole grid on it, so
     per-epsilon aggregates are over the same family of datasets.  Means
@@ -251,13 +255,18 @@ def epsilon_sweep(
     """
     integer_at_least("n", n, 2)
     integer_at_least("seed", base_seed, 0)
-    epsilons = [float(e) for e in epsilons]
+    epsilons = list(epsilons)
     if len(epsilons) == 0:
         raise ValueError("epsilons must be non-empty")
-    positive_finite("epsilons", np.array(epsilons))
+    for eps in epsilons:
+        scalar("each epsilon", eps)
+        positive_finite("epsilons", eps)
+    epsilons = [float(e) for e in epsilons]
     if any(b < a for a, b in zip(epsilons, epsilons[1:])):
         raise ValueError("epsilons must be non-decreasing")
     member(LaplacianKind, kind, "laplacian kind")
+    if sk_config is not None:
+        instance_of("config", sk_config, SkConfig)
 
     def job(r):
         ds = noisy_dataset(n, spec, noise_model, base_seed + r)
@@ -377,6 +386,8 @@ def embedding_experiment(
     """
     integer_at_least("n", n, EMBEDDING_EIGENPAIRS + 1)
     integer_at_least("seed", base_seed, 0)
+    if sk_config is not None:
+        instance_of("config", sk_config, SkConfig)
     per_rep = _replicate(
         lambda r: _embed_one(n, noise_model, epsilon, sk_config, base_seed + r),
         replicas,

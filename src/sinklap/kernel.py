@@ -75,7 +75,10 @@ exports, its C signature checked on import, and called through
 beside the other thread's Python work; ``scipy.linalg.blas``'s f2py
 wrappers hold the GIL for the whole call.  ``_roundoff`` gives the
 products' unit roundoff, that of B's dtype, where the eigensolve stops;
-this module alone names a precision.
+this module alone names a precision.  Importing it also sets numpy's
+and scipy's bundled OpenBLAS to one thread (``_one_blas_thread``), so
+replica threads are the library's only parallelism and no BLAS call
+splits its sums by a thread count read from the environment.
 
 One split reads each input as it declares itself.  An array is one
 cloud: its squared distances are scipy's "sqeuclidean" ``cdist`` over
@@ -118,13 +121,15 @@ every pair; callers that want the split pass the ``Dataset``.
 
 import ctypes
 from dataclasses import InitVar, dataclass, field
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.linalg import cython_blas
 from scipy.spatial.distance import cdist
 from scipy.special import gamma
 
-from .errors import finite, finite_nonnegative, integer_at_least, positive_finite
+from .errors import finite, finite_nonnegative, integer_at_least, positive_finite, scalar
 
 
 # rows per tile in ``build_affinity``, which bounds its temporaries
@@ -133,8 +138,7 @@ _TILE = 128
 # the number of BLAS calls per product, each of which hands the GIL over
 # and back, which slows replica threads that share it.  256 rows make
 # half of 128's calls for 64 n more stored entries; 384 rows measured no
-# faster, and 512 rows let products move with the BLAS thread count
-# (n = 1001, OpenBLAS 0.3.31)
+# faster
 _BLOCK = 256
 
 
@@ -230,6 +234,7 @@ class Affinity:
     packed: PackedTriangle = field(init=False, repr=False)
 
     def __post_init__(self, matrix):
+        scalar("epsilon", self.epsilon)
         positive_finite("epsilon", self.epsilon)
         self.packed = _pack(_checked_kernel(matrix))
 
@@ -330,6 +335,23 @@ _UNIT_STRIDE = _int_ref(1)
 _TRANS, _NO_TRANS = ctypes.c_char_p(b"T"), ctypes.c_char_p(b"N")
 
 
+def _one_blas_thread():
+    """Set the OpenBLAS that numpy and scipy bundle in their ``.libs``
+    folders to one thread, through the setter each exports; a library or
+    a setter that is not found is left as it is."""
+    for module, name in ((np, "scipy_openblas_set_num_threads64_"),
+                         (scipy, "scipy_openblas_set_num_threads")):
+        libs = Path(module.__file__).parents[1] / f"{module.__name__}.libs"
+        for path in libs.glob("libscipy_openblas*"):
+            setter = getattr(ctypes.CDLL(str(path)), name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
+_one_blas_thread()
+
+
 def _matvec(packed, x):
     """A x = w * (B (w * x)) in B's precision, as a float64 vector: two
     ``gemv`` per block row of B's stored triangle.
@@ -377,6 +399,7 @@ def gaussian_kernel(xi, d):
 
 def normalized_prefactor(n, epsilon, d):
     """kappa = n^-1 (4 pi epsilon)^(-d/2), the normalized/unscaled kernel ratio."""
+    scalar("epsilon", epsilon)
     positive_finite("epsilon", epsilon)
     integer_at_least("n", n, 1)
     integer_at_least("d", d, 1)
@@ -427,6 +450,7 @@ def build_affinity(points, epsilon):
         of the module docstring.
     """
     prefix, outliers, tails = _split(points)
+    scalar("epsilon", epsilon)
     positive_finite("epsilon", epsilon)
     n = prefix.shape[0]
     tail = np.zeros(n)

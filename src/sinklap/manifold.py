@@ -55,7 +55,7 @@ class Dataset:
         observed at its clean row zero-padded to R^m plus its xi, so a
         dataset never stores the n x m cloud (``points`` builds it).
     seed : int
-        Seed the dataset was drawn with.
+        Seed the dataset was drawn with, an integer >= 0.
 
     A clean dataset is one with no flag set.  The dataset holds
     read-only views of the given arrays, so the caller's own arrays stay
@@ -97,6 +97,7 @@ class Dataset:
         if self.outlier_offsets.shape[1] < k:
             raise ValueError("outlier_offsets must be at least as wide as clean_points")
         finite("outlier_offsets", self.outlier_offsets)
+        integer_at_least("seed", self.seed, 0)
         for arr in (self.t, self.clean_points, self.outlier_flags, self.outlier_offsets):
             arr.setflags(write=False)
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from ._rng import make_rng, normals_in_place
 from .errors import (finite_nonnegative, instance_of, integer_at_least, member,
-                     positive_finite, unit_interval)
+                     positive_finite, scalar, unit_interval)
 from .manifold import Dataset
 
 
@@ -64,7 +64,9 @@ class NoiseModel:
     def __post_init__(self):
         member(NoiseKind, self.kind, "noise kind")
         integer_at_least("m", self.m, 4)
+        scalar("p_out", self.p_out)
         unit_interval("p_out", self.p_out)
+        scalar("sigma_out", self.sigma_out)
         finite_nonnegative("sigma_out", self.sigma_out)
 
 
@@ -160,6 +162,7 @@ def attenuation(ds, epsilon):
     kernel (up to cross terms).  Inliers, with xi_i = 0, get exactly 1,
     so every sample of a clean dataset does.
     """
+    scalar("epsilon", epsilon)
     positive_finite("epsilon", epsilon)
     xi = ds.outlier_offsets
     sq = np.zeros(ds.n)

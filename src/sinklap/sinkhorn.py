@@ -43,6 +43,7 @@ from .errors import (
     instance_of,
     integer_at_least,
     positive_finite,
+    scalar,
 )
 from .kernel import _matvec, packed_kernel
 
@@ -63,7 +64,9 @@ class SkConfig:
     max_iter: int = 50
 
     def __post_init__(self):
+        scalar("c_sk", self.c_sk)
         finite_nonnegative("c_sk", self.c_sk)
+        scalar("eps_sk", self.eps_sk)
         positive_finite("eps_sk", self.eps_sk)
         integer_at_least("max_iter", self.max_iter, 1)
 

@@ -1,5 +1,6 @@
-"""The finiteness and unit-interval rules of ``sinklap.errors``, against
-the checks they replaced, alone and through each module that calls them."""
+"""The finiteness, unit-interval and single-number rules of
+``sinklap.errors``, against the checks they replaced, alone and through
+each module that calls them."""
 
 import numpy as np
 import pytest
@@ -12,13 +13,17 @@ from sinklap import (
     DensitySpec,
     NoiseKind,
     NoiseModel,
+    SkConfig,
+    attenuation,
     build_affinity,
     curve_point,
     density_cdf,
     density_cdf_inverse,
+    normalized_prefactor,
     rel_errors,
+    sample_dataset,
 )
-from sinklap.errors import finite, unit_interval
+from sinklap.errors import finite, scalar, unit_interval
 
 # the edges of both rules: NaN and the infinities fail every range,
 # -0.0 is 0, 1.0 closes only the closed interval and the float below it
@@ -141,3 +146,36 @@ class TestCallers:
             or ("matrix must be non-negative" if edge < 0 else None))
         assert (raised(rel_errors, [1.0, 2.0], [edge, 1.0])
                 == raised(old_finite, "ref", np.array([edge, 1.0])))
+
+
+class TestScalar:
+    """A parameter that takes one number fails by its name on a list, a
+    tuple or an array of them, before the value is used."""
+
+    @pytest.mark.parametrize("one", [1e-3, np.float32(2.0), np.array(0.5), 3, "0.5", None, True])
+    def test_one_value_passes(self, one):
+        # whether it is a real number in range is the number rules' verdict
+        scalar("epsilon", one)
+
+    @pytest.mark.parametrize("many", [np.array([1e-3]), [1e-3, 2e-3], (1e-3,), [],
+                                      np.zeros((1, 1)), [1e-3, [2e-3]]], ids=repr)
+    def test_many_values_fail(self, many):
+        with pytest.raises(ValueError, match="^epsilon must be a single number$"):
+            scalar("epsilon", many)
+
+    @pytest.mark.parametrize("many", [np.array([1e-3]), [1e-3, 2e-3]], ids=repr)
+    def test_callers(self, many):
+        ds = sample_dataset(20, DensitySpec.UNIFORM_CIRCLE, 0)
+        calls = {
+            "epsilon": [lambda: build_affinity(ds, many), lambda: Affinity(np.ones((2, 2)), many),
+                        lambda: normalized_prefactor(20, many, 1),
+                        lambda: attenuation(ds, many)],
+            "c_sk": [lambda: SkConfig(c_sk=many)],
+            "eps_sk": [lambda: SkConfig(eps_sk=many)],
+            "sigma_out": [lambda: NoiseModel(NoiseKind.SIMPLE, 8, sigma_out=many)],
+            "p_out": [lambda: NoiseModel(NoiseKind.SIMPLE, 8, p_out=many)],
+        }
+        for name, runs in calls.items():
+            for run in runs:
+                with pytest.raises(ValueError, match=f"^{name} must be a single number$"):
+                    run()

@@ -368,7 +368,24 @@ class TestSweep:
                               LaplacianKind.BISTOCH_RW)
         with pytest.raises(ValueError, match="unknown laplacian kind"):
             epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, good, 1, "sk")
+        # each point is judged as given, not as float() would read it
+        for bad in (["1e-3"], [True], [1e-3, True], [1e-3, None]):
+            with pytest.raises(ValueError, match="^epsilons must be positive and finite$"):
+                epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, bad, 1,
+                              LaplacianKind.BISTOCH_RW)
+        for bad in (np.array([good]), [[1e-3], 2e-3]):
+            with pytest.raises(ValueError, match="^each epsilon must be a single number$"):
+                epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, bad, 1,
+                              LaplacianKind.BISTOCH_RW)
         assert sample_calls == []
+
+    def test_grid_as_array_or_iterator(self):
+        # the points float() reads, given as an array or an iterator
+        want = epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, [1e-2, 2e-2], 1,
+                             LaplacianKind.DM_UN, threads=1)
+        for grid in (np.array([1e-2, 2e-2]), iter([1e-2, 2e-2]), [np.float64(1e-2), 2e-2]):
+            assert epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, grid, 1,
+                                 LaplacianKind.DM_UN, threads=1) == want
 
     def test_threads_must_be_positive(self):
         for threads in (0, 2.0):
@@ -458,6 +475,27 @@ def test_config_objects_checked_by_type(run, message):
         run()
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: pointwise_experiment(50, DensitySpec.UNIFORM_CIRCLE, 1e-3,
+                                     LaplacianKind.DM_UN, sk_config="x"),
+        lambda: epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, [1e-3], 1,
+                              LaplacianKind.DM_RW, sk_config="x"),
+        lambda: pointwise_experiment(50, DensitySpec.UNIFORM_CIRCLE, 1e-3,
+                                     LaplacianKind.BISTOCH_UN, sk_config="x"),
+        lambda: embedding_experiment(20, NoiseModel(NoiseKind.SIMPLE, 8), 1e-3,
+                                     sk_config="x"),
+    ],
+    ids=["pointwise-dm", "sweep-dm", "pointwise-bistoch", "embedding"],
+)
+def test_sk_config_checked_before_sampling(sample_calls, run):
+    # the degree kinds make no scaling, yet a given config must be one
+    with pytest.raises(TypeError, match="^config must be a SkConfig, not str$"):
+        run()
+    assert sample_calls == []
+
+
 def test_density_rejected_before_any_kernel(monkeypatch):
     # a string density would read as p = 1 in the sample and the reference
     def no_kernel(*args):
@@ -504,9 +542,8 @@ class TestEmbedding:
         self.assert_thread_invariant(60, NoiseModel(NoiseKind.IID, 8, 0.05))
 
     def test_deterministic_gram_path(self):
-        # m = 600 and an odd n: the tail Gram products of build_affinity
-        # are large enough for the BLAS to thread, and row blocks are
-        # uneven
+        # m = 600 and an odd n: build_affinity takes tail Gram products
+        # in BLAS, and row blocks are uneven
         self.assert_thread_invariant(301, NoiseModel(NoiseKind.HETEROSKEDASTIC, 600))
 
     def test_validation(self):

@@ -931,13 +931,15 @@ class TestDensePath:
 
 
 class TestThreadCount:
-    """Products with A, and the scaling built on them, repeat bit for bit
-    under 1 and 2 BLAS threads."""
+    """Importing sinklap sets its BLAS to one thread, so kernels, products
+    with A and the scaling built on them repeat bit for bit whatever
+    OPENBLAS_NUM_THREADS says."""
 
     SCRIPT = """
 import hashlib
 import numpy as np
-from sinklap import Affinity, DensitySpec, approx_sym_sk, build_affinity, sample_dataset
+from sinklap import (Affinity, DensitySpec, NoiseKind, NoiseModel, approx_sym_sk,
+                     build_affinity, noisy_dataset, sample_dataset)
 from sinklap.kernel import _matvec
 
 # one block row, a one-row last block, and 3 full block rows plus 233 rows
@@ -946,27 +948,83 @@ singles = [
     for n in (255, 257, 1001)
 ]
 double = Affinity(singles[-1].dense().astype(float), singles[-1].epsilon)
-for a in (*singles, double):
+# a float64 kernel of a dataset, whose outlier x outlier entries come
+# from a BLAS product of the noise vectors
+iid = build_affinity(noisy_dataset(1000, DensitySpec.UNIFORM_CIRCLE,
+                                   NoiseModel(NoiseKind.IID, m=2000), 0), 3e-4)
+for a in (*singles, double, iid):
     x = np.random.default_rng(0).uniform(0.5, 1.5, a.n)
-    for v in (_matvec(a.packed, x), approx_sym_sk(a).eta):
+    for v in (a.packed.data, _matvec(a.packed, x), approx_sym_sk(a).eta):
         print(a.n, a.packed.data.dtype, hashlib.sha256(v.tobytes()).hexdigest())
 """
 
-    def test_products_and_scaling_repeat(self):
+    # README's embed line on iid data, whose float64 kernel takes a BLAS
+    # product of the noise vectors: each artifact's digest
+    EMBED = """
+import hashlib, sys
+from pathlib import Path
+from sinklap.cli import main
+
+out = Path(sys.argv[1])
+assert main(["embed", "--n", "1000", "--epsilon", "3e-4", "--noise", "iid", "--m", "2000",
+             "--replicas", "2", "--out", str(out / "mse.csv"),
+             "--eigen-out", str(out / "eig")]) == 0
+for name in ("mse.csv", "eig_sk.csv", "eig_dm.csv"):
+    print(name, hashlib.sha256((out / name).read_bytes()).hexdigest())
+"""
+
+    # each bundled OpenBLAS's thread count after the import
+    COUNTS = """
+import ctypes
+from pathlib import Path
+import numpy, scipy
+import sinklap
+
+for module, getter in ((numpy, "scipy_openblas_get_num_threads64_"),
+                       (scipy, "scipy_openblas_get_num_threads")):
+    libs = Path(module.__file__).parents[1] / f"{module.__name__}.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        count = getattr(ctypes.CDLL(str(path)), getter, None)
+        if count is not None:
+            print(path.name, count())
+"""
+
+    @staticmethod
+    def run(script, threads, *args):
+        """script's output lines, run with args on the source tree under
+        OPENBLAS_NUM_THREADS=threads."""
         src = str(Path(sinklap.kernel.__file__).parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    def test_products_and_scaling_repeat(self):
+        digests = [self.run(self.SCRIPT, threads) for threads in ("1", "2")]
+        kernels = [" ".join(line.split()[:2]) for line in digests[0][::3]]
+        assert kernels == ["255 float32", "257 float32", "1001 float32", "1001 float64",
+                           "1000 float64"]
+        assert digests[0] == digests[1]
+
+    def test_embed_artifacts_repeat(self, tmp_path):
         digests = []
         for threads in ("1", "2"):
-            proc = subprocess.run(
-                [sys.executable, "-c", self.SCRIPT],
-                capture_output=True, text=True, timeout=120,
-                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
-            )
-            assert proc.returncode == 0, proc.stderr
-            digests.append(proc.stdout.splitlines())
-        kernels = [" ".join(line.split()[:2]) for line in digests[0][::2]]
-        assert kernels == ["255 float32", "257 float32", "1001 float32", "1001 float64"]
+            (tmp_path / threads).mkdir()
+            digests.append(self.run(self.EMBED, threads, str(tmp_path / threads)))
+        assert len(digests[0]) == 3
         assert digests[0] == digests[1]
+
+    def test_import_sets_one_blas_thread(self):
+        counts = [line.split() for line in self.run(self.COUNTS, "2")]
+        if not counts:
+            pytest.skip("no bundled OpenBLAS with a thread-count getter")
+        # OpenBLAS caps the variable at the CPUs it sees, so a one-CPU
+        # host reads 1 either way; the pin is what is checked
+        assert [now for _, now in counts] == ["1"] * len(counts)
 
 
 _MEMORY_CASES = [

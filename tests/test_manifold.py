@@ -277,6 +277,11 @@ class TestDataset:
             Dataset(t=np.zeros(3), clean_points=np.zeros((3, 2)),
                     outlier_offsets=np.ones((2, 5)))
 
+    @pytest.mark.parametrize("seed", ["x", None, -1, 1.0, True])
+    def test_seed_checked(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0$"):
+            Dataset(t=np.zeros(2), clean_points=np.zeros((2, 2)), seed=seed)
+
     @pytest.mark.parametrize("bad", [0.5, 2.0, -1.0, np.nan])
     def test_outlier_flags_checked(self, bad):
         # a cast to bool would read each of these as a set flag
