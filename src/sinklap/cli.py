@@ -9,21 +9,22 @@ Subcommands::
     skdiag     scaling residual trace to CSV
     moments    kernel profile moments to stdout
 
-Every option can also be supplied through ``--config FILE``, a flat
-``key = value`` text file whose keys are the option names with
-underscores; explicit flags win over file values.  Exit codes: 0 on
-success, 1 on usage errors, 2 on numerical failure; a pointwise, sweep
-or embed run whose scalings ran out of ``max_iter`` exits 0 and says so
-in one ``warning:`` line on stderr (pointwise also names the last
-tested residual).  All floats in
-output files use 17 significant digits, so identical invocations
-produce byte-identical artifacts.
+Options can also come from a file: a word ``@FILE`` is replaced by the
+command-line words that FILE holds, split at white space, each line's
+``#`` comment dropped, so a later word wins over an earlier one, in the
+file or out of it.  Any word that starts with ``@`` is read as such a
+file.  Exit codes: 0 on success, 1 on usage errors, 2 on numerical
+failure; a pointwise, sweep or embed run whose scalings ran out of
+``max_iter`` exits 0 and says so in one ``warning:`` line on stderr
+(pointwise also names the last tested residual).  All floats in output
+files use 17 significant digits, so identical invocations produce
+byte-identical artifacts.
 
 Parsing turns option text into values and checks only what text alone
 decides: option syntax, the ``--eps-grid`` grammar, ``--slope-points``
 against the grid and ``--fixture``.  The library judges every value by
-name, n and seed before any draw, grid points included.  The closing
-stderr line names the sizes the run used.
+name, grid points included, and its drivers judge every argument,
+before any draw.  The closing stderr line names the sizes the run used.
 """
 
 import argparse
@@ -147,58 +148,41 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def convert_arg_line_to_args(self, arg_line):
+        return arg_line.split("#", 1)[0].split()
 
-def _read_config_file(path, allowed):
-    table = {}
-    try:
-        with open(path) as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read config file: {exc}")
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in allowed:
-            raise UsageError(f"{path}:{lineno}: unknown key '{key}'")
-        table[key] = value
-    return table
+
+def _typed(conv):
+    """conv as an argparse ``type``: its ValueError's text names the cause."""
+
+    def convert(text):
+        try:
+            return conv(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def parse_config(argv=None):
-    """Parse argv (and an optional config file) into a RunConfig."""
-    parser = _Parser(prog="sinklap", description=__doc__.splitlines()[0])
-    subs = parser.add_subparsers(dest="command", metavar="command")
+    """Parse argv, each ``@FILE`` word read as the words FILE holds, into
+    a RunConfig."""
+    parser = _Parser(
+        prog="sinklap", description=__doc__.splitlines()[0], fromfile_prefix_chars="@"
+    )
+    subs = parser.add_subparsers(dest="command", metavar="command", required=True)
     for command, (_handler, options) in _SUBCOMMANDS.items():
         sub = subs.add_parser(command, prog=f"sinklap {command}")
-        sub.add_argument("--config", default=None)
-        for name, _conv, _default in options:
-            sub.add_argument("--" + name.replace("_", "-"), dest=name, default=None)
-    ns = vars(parser.parse_args(argv))
-    command = ns.get("command")
-    if command is None:
-        raise UsageError("a command is required (see sinklap --help)")
-    options = _SUBCOMMANDS[command][1]
-    names = {name for name, _c, _d in options}
-    file_values = _read_config_file(ns["config"], names) if ns.get("config") else {}
-    params = {}
-    for name, conv, default in options:
-        raw = ns.get(name)
-        if raw is None:
-            raw = file_values.get(name)
-        if raw is None:
-            if default is _REQUIRED:
-                raise UsageError(f"--{name.replace('_', '-')} is required")
-            params[name] = default
-            continue
-        try:
-            params[name] = conv(raw)
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad value for --{name.replace('_', '-')}: {exc}")
-    return RunConfig(command=command, params=params)
+        for name, conv, default in options:
+            sub.add_argument(
+                "--" + name.replace("_", "-"),
+                dest=name,
+                type=_typed(conv),
+                default=None if default is _REQUIRED else default,
+                required=default is _REQUIRED,
+            )
+    params = vars(parser.parse_args(argv))
+    return RunConfig(command=params.pop("command"), params=params)
 
 
 def _noise_model(p):

@@ -11,7 +11,7 @@ by its name before it is used.  An object of the wrong class fails
 ``instance_of``, which raises a ``TypeError``.  The command line only
 turns option text into values and leaves every value to these rules,
 so a bad option fails with the library's message, named after the
-parameter; n and seed are judged before any draw.
+parameter; a driver judges every argument before any draw.
 """
 
 import numbers
@@ -45,7 +45,7 @@ class NumericalFailureError(RuntimeError):
 
 
 class UsageError(Exception):
-    """Bad command line or config-file input (maps to exit code 1)."""
+    """Bad command line or option-file input (maps to exit code 1)."""
 
 
 def is_real(x):

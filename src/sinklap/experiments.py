@@ -19,7 +19,7 @@ Replica r draws its dataset once, with dataset seed base_seed + r and
 noise seed base_seed + r + NOISE_SEED_OFFSET (disjoint streams for any
 desk-scale seed range); a sweep replica walks the whole grid on that
 one dataset, so sweep curves see the same datasets.  Every driver
-checks n and its seed, an integer >= 0, before the first draw.
+checks every argument, before any draw.
 
 Layer functions are called through this module's globals, which the
 benchmark wraps to time each layer: a call that bypasses them reads 0.
@@ -42,7 +42,7 @@ from .laplacian import (
     smallest_eigenpairs,
 )
 from .manifold import DensitySpec, delta_p_f, sample_dataset, test_function
-from .noise import add_noise
+from .noise import NoiseModel, add_noise
 from .sinkhorn import SkConfig, approx_sym_sk, dm_scale
 
 NOISE_SEED_OFFSET = 2**32
@@ -178,10 +178,13 @@ def noisy_dataset(n, spec, noise_model, seed):
 
     The noise stream uses seed + NOISE_SEED_OFFSET; without a noise
     model the clean dataset is returned.  The clean points keep their
-    native width; only the outliers' noise vectors are m wide.  seed is
-    checked before the first draw.
+    native width; only the outliers' noise vectors are m wide.  seed,
+    spec and a given noise model are checked before the first draw.
     """
     integer_at_least("seed", seed, 0)
+    member(DensitySpec, spec, "density")
+    if noise_model is not None:
+        instance_of("noise model", noise_model, NoiseModel)
     ds = sample_dataset(n, spec, seed)
     if noise_model is None:
         return ds
@@ -201,6 +204,8 @@ def pointwise_experiment(
     ``SkConfig`` for every kind.
     """
     integer_at_least("n", n, 2)
+    scalar("epsilon", epsilon)
+    positive_finite("epsilon", epsilon)
     member(LaplacianKind, kind, "laplacian kind")
     if sk_config is not None:
         instance_of("config", sk_config, SkConfig)
@@ -245,9 +250,9 @@ def epsilon_sweep(
 ):
     """Replicated pointwise runs over a bandwidth grid.
 
-    epsilons must be single numbers, positive, finite and
-    non-decreasing, each checked as given.  Replica r
-    draws its dataset once, with seed base_seed + r (as
+    epsilons is an iterable (a list, an array or an iterator) of single
+    numbers, positive, finite and non-decreasing, each checked as given.
+    Replica r draws its dataset once, with seed base_seed + r (as
     ``pointwise_experiment`` would), and walks the whole grid on it, so
     per-epsilon aggregates are over the same family of datasets.  Means
     and standard deviations are population-style (ddof=0);
@@ -255,7 +260,12 @@ def epsilon_sweep(
     """
     integer_at_least("n", n, 2)
     integer_at_least("seed", base_seed, 0)
-    epsilons = list(epsilons)
+    try:
+        epsilons = list(epsilons)
+    except TypeError:
+        raise ValueError(
+            f"epsilons must be an iterable of numbers, not {type(epsilons).__name__}"
+        ) from None
     if len(epsilons) == 0:
         raise ValueError("epsilons must be non-empty")
     for eps in epsilons:
@@ -386,6 +396,8 @@ def embedding_experiment(
     """
     integer_at_least("n", n, EMBEDDING_EIGENPAIRS + 1)
     integer_at_least("seed", base_seed, 0)
+    scalar("epsilon", epsilon)
+    positive_finite("epsilon", epsilon)
     if sk_config is not None:
         instance_of("config", sk_config, SkConfig)
     per_rep = _replicate(

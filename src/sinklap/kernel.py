@@ -127,7 +127,7 @@ import numpy as np
 import scipy
 from scipy.linalg import cython_blas
 from scipy.spatial.distance import cdist
-from scipy.special import gamma
+from scipy.special import gammaln, xlogy
 
 from .errors import finite, finite_nonnegative, integer_at_least, positive_finite, scalar
 
@@ -574,23 +574,27 @@ def kernel_moments(d):
     """Zeroth and second moments (m0, m2) of the kernel profile.
 
     m0 = integral of g(||u||^2) over R^d and m2 = (1/d) integral of
-    ||u||^2 g(||u||^2), computed by radial quadrature.  Both equal
-    (1, 2) for every d by the Gaussian's normalization.
+    ||u||^2 g(||u||^2), computed by radial quadrature over the whole
+    half-line, split at the integrand's peak.  The unit sphere's area
+    and g's prefactor enter with the radial power as one logarithm, so
+    no factor overflows or underflows at large d.  Both equal (1, 2)
+    for every d by the Gaussian's normalization.
     """
     # imported on call, so that importing the package skips scipy.integrate
     from scipy.integrate import quad
 
     integer_at_least("d", d, 1)
-    surf = 2.0 * np.pi ** (d / 2.0) / gamma(d / 2.0)
-    rmax = np.sqrt(200.0)
+    # log of the sphere's area 2 pi^(d/2) / Gamma(d/2) times (4 pi)^(-d/2)
+    log_c = (1 - d) * np.log(2.0) - gammaln(d / 2.0)
 
-    def radial(r, power):
-        return gaussian_kernel(r * r, d) * r ** (d - 1 + power)
+    def moment(power):
+        k = d - 1 + power
 
-    m0 = surf * quad(radial, 0.0, rmax, args=(0,), epsabs=1e-13, epsrel=1e-13)[0]
-    m2 = (
-        surf
-        / d
-        * quad(radial, 0.0, rmax, args=(2,), epsabs=1e-13, epsrel=1e-13)[0]
-    )
-    return m0, m2
+        def radial(r):
+            return np.exp(log_c + xlogy(k, r) - r * r / 4.0)
+
+        peak = np.sqrt(2.0 * k)
+        return sum(quad(radial, a, b, epsabs=1e-13, epsrel=1e-13)[0]
+                   for a, b in ((0.0, peak), (peak, np.inf)))
+
+    return moment(0), moment(2) / d

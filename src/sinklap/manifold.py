@@ -244,10 +244,12 @@ def sample_dataset(n, spec, seed):
 
     Uniforms come from a PCG64 stream seeded with ``seed`` and are
     pushed through the inverse CDF, so equal seeds give bitwise equal
-    datasets.  n is an integer >= 1 and seed an integer >= 0.
+    datasets.  n is an integer >= 1, seed an integer >= 0 and spec a
+    ``DensitySpec``, each checked before the draw.
     """
     integer_at_least("n", n, 1)
     integer_at_least("seed", seed, 0)
+    member(DensitySpec, spec, "density")
     rng = make_rng(seed)
     u = rng.random(n)
     t = density_cdf_inverse(u, spec)

@@ -1,4 +1,4 @@
-"""Command line interface: parsing, config files, exit codes, artifacts."""
+"""Command line interface: parsing, option files, exit codes, artifacts."""
 
 import csv
 import io
@@ -76,7 +76,8 @@ class TestParsing:
         }
         for name in required:
             flag = "--" + name.replace("_", "-")
-            with pytest.raises(UsageError, match=f"^{flag} is required$"):
+            msg = f"^the following arguments are required: {flag}$"
+            with pytest.raises(UsageError, match=msg):
                 parse_config(argv([other for other in required if other != name]))
 
     def test_grid(self):
@@ -115,12 +116,14 @@ class TestParsing:
             parse_config([])
 
     def test_bad_values(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(UsageError, match=re.escape(
+                "argument --epsilon: could not convert string to float: 'abc'")):
             parse_config(["pointwise", "--epsilon", "abc"])
         # an integer option's text must spell an integer; its range is the
         # library's rule
         for option, value in (("n", "1.5"), ("seed", "0.5"), ("seed", "x")):
-            with pytest.raises(UsageError, match=f"^bad value for --{option}: "):
+            msg = f"argument --{option}: invalid literal for int() with base 10: '{value}'"
+            with pytest.raises(UsageError, match=f"^{re.escape(msg)}$"):
                 parse_config(["pointwise", "--epsilon", "1e-3", f"--{option}", value])
         cfg = parse_config(["pointwise", "--epsilon", "1e-3", "--seed", "-1"])
         assert cfg.params["seed"] == -1
@@ -129,8 +132,8 @@ class TestParsing:
             ("lap", "foo", ["bistoch_rw", "bistoch_un", "dm_rw", "dm_un"]),
             ("noise", "gauss", ["heteroskedastic", "iid", "none", "simple"]),
         ):
-            msg = f"bad value for --{option}: must be one of {spellings}"
-            with pytest.raises(UsageError, match=re.escape(msg)):
+            msg = f"argument --{option}: must be one of {spellings}"
+            with pytest.raises(UsageError, match=f"^{re.escape(msg)}$"):
                 parse_config(["pointwise", "--epsilon", "1e-3", f"--{option}", value])
 
     def test_choices_parse_to_enum_members(self):
@@ -143,26 +146,32 @@ class TestParsing:
             NoiseKind.IID, DensitySpec.UNIFORM_CIRCLE, LaplacianKind.DM_RW
         )
 
-    def test_config_file(self, tmp_path):
-        conf = tmp_path / "run.conf"
-        conf.write_text("n = 60  # comment\nepsilon = 2e-3\n\n")
-        cfg = parse_config(["pointwise", "--config", str(conf)])
-        assert cfg.params["n"] == 60 and cfg.params["epsilon"] == 2e-3
-        # explicit flags win over file values
-        cfg = parse_config(["pointwise", "--config", str(conf), "--n", "40"])
-        assert cfg.params["n"] == 40
+    def test_option_file(self, tmp_path):
+        # an option file holds command-line words; # starts a comment
+        args = tmp_path / "run.args"
+        args.write_text("--n 60  # comment\n\n--epsilon 2e-3 --seed 4\n")
+        cfg = parse_config(["pointwise", f"@{args}"])
+        p = cfg.params
+        assert (p["n"], p["epsilon"], p["seed"]) == (60, 2e-3, 4)
+        # a later word wins: a flag after the file beats the file, and the
+        # file beats a flag before it
+        assert parse_config(["pointwise", f"@{args}", "--n", "40"]).params["n"] == 40
+        assert parse_config(["pointwise", "--n", "40", f"@{args}"]).params["n"] == 60
+        # the command itself may come from the file
+        args.write_text("pointwise --epsilon 1e-3\n")
+        assert parse_config([f"@{args}"]).command == "pointwise"
 
-    def test_config_file_errors(self, tmp_path):
-        conf = tmp_path / "bad.conf"
-        conf.write_text("bogus_key = 1\n")
-        with pytest.raises(UsageError):
-            parse_config(["pointwise", "--epsilon", "1e-3", "--config", str(conf)])
-        conf.write_text("just a line\n")
-        with pytest.raises(UsageError):
-            parse_config(["pointwise", "--epsilon", "1e-3", "--config", str(conf)])
-        with pytest.raises(UsageError):
-            parse_config(["pointwise", "--epsilon", "1e-3", "--config",
-                          str(tmp_path / "missing.conf")])
+    def test_option_file_errors(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.args")
+        with pytest.raises(UsageError, match="No such file or directory"):
+            parse_config(["pointwise", "--epsilon", "1e-3", f"@{missing}"])
+        unknown = tmp_path / "bad.args"
+        unknown.write_text("--bogus 1\n")
+        with pytest.raises(UsageError, match="^unrecognized arguments: --bogus 1$"):
+            parse_config(["pointwise", "--epsilon", "1e-3", f"@{unknown}"])
+        for path in (missing, unknown):
+            assert main(["pointwise", "--epsilon", "1e-3", f"@{path}"]) == 1
+            assert capsys.readouterr().err.startswith("sinklap: error: ")
 
 
 class TestExitCodes:
@@ -232,7 +241,7 @@ class TestExitCodes:
         [
             # a NaN start is not a positive one, so the grammar rejects it
             ("nan:1e-3:2log",
-             "sinklap: error: bad value for --eps-grid: a log grid needs positive endpoints"),
+             "sinklap: error: argument --eps-grid: a log grid needs positive endpoints"),
             ("1e-3:inf:3log", "sinklap sweep: error: epsilons must be positive and finite"),
         ],
         ids=["nan:1e-3:2log", "1e-3:inf:3log"],

@@ -1,5 +1,7 @@
 """Experiment drivers: error metrics, slope fits, alignment, sweeps."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist, squareform
@@ -475,23 +477,54 @@ def test_config_objects_checked_by_type(run, message):
         run()
 
 
+SK_STR = (TypeError, "config must be a SkConfig, not str")
+NOISE_STR = (TypeError, "noise model must be a NoiseModel, not str")
+BAD_EPSILON = (ValueError, "epsilon must be positive and finite")
+
+
 @pytest.mark.parametrize(
-    "run",
+    "run, error",
     [
-        lambda: pointwise_experiment(50, DensitySpec.UNIFORM_CIRCLE, 1e-3,
-                                     LaplacianKind.DM_UN, sk_config="x"),
-        lambda: epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, [1e-3], 1,
-                              LaplacianKind.DM_RW, sk_config="x"),
-        lambda: pointwise_experiment(50, DensitySpec.UNIFORM_CIRCLE, 1e-3,
-                                     LaplacianKind.BISTOCH_UN, sk_config="x"),
-        lambda: embedding_experiment(20, NoiseModel(NoiseKind.SIMPLE, 8), 1e-3,
-                                     sk_config="x"),
+        (lambda: pointwise_experiment(50, DensitySpec.UNIFORM_CIRCLE, 1e-3,
+                                      LaplacianKind.DM_UN, sk_config="x"), SK_STR),
+        (lambda: epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, [1e-3], 1,
+                               LaplacianKind.DM_RW, sk_config="x"), SK_STR),
+        (lambda: pointwise_experiment(50, DensitySpec.UNIFORM_CIRCLE, 1e-3,
+                                      LaplacianKind.BISTOCH_UN, sk_config="x"), SK_STR),
+        (lambda: embedding_experiment(20, NoiseModel(NoiseKind.SIMPLE, 8), 1e-3,
+                                      sk_config="x"), SK_STR),
+        (lambda: pointwise_experiment(50, DensitySpec.UNIFORM_CIRCLE, 1e-3,
+                                      LaplacianKind.DM_UN, noise_model="simple"),
+         NOISE_STR),
+        (lambda: epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, [1e-3], 2,
+                               LaplacianKind.DM_UN, noise_model="simple", threads=1),
+         NOISE_STR),
+        (lambda: embedding_experiment(20, "simple", 1e-3, replicas=2, threads=1),
+         NOISE_STR),
+        (lambda: pointwise_experiment(50, "circle", 1e-3, LaplacianKind.DM_UN),
+         (ValueError, "unknown density: 'circle'")),
+        (lambda: pointwise_experiment(50, DensitySpec.UNIFORM_CIRCLE, -1.0,
+                                      LaplacianKind.DM_UN), BAD_EPSILON),
+        (lambda: embedding_experiment(20, NoiseModel(NoiseKind.SIMPLE, 8), -1.0,
+                                      replicas=2, threads=1), BAD_EPSILON),
+        (lambda: pointwise_experiment(50, DensitySpec.UNIFORM_CIRCLE, [1e-3],
+                                      LaplacianKind.DM_UN),
+         (ValueError, "epsilon must be a single number")),
+        (lambda: epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, 1e-3, 1,
+                               LaplacianKind.DM_UN),
+         (ValueError, "epsilons must be an iterable of numbers, not float")),
     ],
-    ids=["pointwise-dm", "sweep-dm", "pointwise-bistoch", "embedding"],
+    ids=["pointwise-dm", "sweep-dm", "pointwise-bistoch", "embedding",
+         "pointwise-noise", "sweep-noise", "embedding-noise", "pointwise-density",
+         "pointwise-epsilon", "embedding-epsilon", "pointwise-epsilon-list",
+         "sweep-scalar-grid"],
 )
-def test_sk_config_checked_before_sampling(sample_calls, run):
-    # the degree kinds make no scaling, yet a given config must be one
-    with pytest.raises(TypeError, match="^config must be a SkConfig, not str$"):
+def test_sk_config_checked_before_sampling(sample_calls, run, error):
+    # a given config, noise model, density and bandwidth are each judged
+    # before the first draw; the degree kinds make no scaling, yet a
+    # given config must be one
+    kind, message = error
+    with pytest.raises(kind, match=f"^{re.escape(message)}$"):
         run()
     assert sample_calls == []
 

@@ -76,6 +76,12 @@ def calls(path, name):
     )
 
 
+def test_command_line_opens_no_file():
+    # artifacts are written through csvio and option files read by
+    # argparse, so a hand-written reader or writer in cli.py is a second one
+    assert not calls(SRC / "cli.py", "open")
+
+
 def test_padded_cloud_has_one_builder():
     # a noisy dataset is its clean rows plus its outlier rows, and only
     # Dataset.points pads the clean rows to the n x m cloud; any other
