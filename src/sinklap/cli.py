@@ -41,6 +41,8 @@ from .errors import (
     NumericalFailureError,
     UsageError,
     integer_at_least,
+    positive_finite,
+    scalar,
 )
 from .experiments import (
     LaplacianKind,
@@ -300,8 +302,11 @@ def _cmd_skdiag(p):
     else:
         if p["epsilon"] is None:
             raise UsageError("--epsilon is required without --fixture")
-        # the kernel needs n >= 2, judged before the draw
+        # the kernel needs n >= 2 and a positive bandwidth, judged before
+        # the draw
         integer_at_least("n", p["n"], 2)
+        scalar("epsilon", p["epsilon"])
+        positive_finite("epsilon", p["epsilon"])
         ds = noisy_dataset(p["n"], p["density"], _noise_model(p), p["seed"])
         target = build_affinity(ds, p["epsilon"])
         used = _used(p, "n", "epsilon")

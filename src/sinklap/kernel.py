@@ -13,11 +13,12 @@ that constant, eta(kappa A) = eta(A) / sqrt(kappa), so normalized
 quantities are one division away and need no second kernel.
 
 The affinity is the pipeline's only array of order n^2, and it is
-stored once, as A = diag(w) B diag(w): an n-vector w of float64
-factors and the symmetric matrix B as its lower block triangle, for
-each block of 256 rows s:e the C-ordered rectangle B[s:e, :e], one
-after another in one array (``PackedTriangle``), at most
-n^2 / 2 + 128 n entries.  An entry left of the diagonal blocks is
+stored once, as A = diag(w) B diag(w), and an ``Affinity`` is that
+storage with the bandwidth: an n-vector w of float64 factors
+(``weights``) and the symmetric matrix B as its lower block triangle,
+for each block of 256 rows s:e the C-ordered rectangle B[s:e, :e], one
+after another in one array (``data``), at most n^2 / 2 + 128 n
+entries.  An entry left of the diagonal blocks is
 stored once, for itself and its mirror, and each 256 x 256 diagonal
 block whole, its upper half the transpose of its lower half, so A is
 symmetric by construction.  One loop over the lower pairs of 128-row
@@ -31,10 +32,10 @@ computed.
 ``sinklap.sinkhorn`` makes both scale vectors s from A; a Laplacian
 reaches diag(s) A diag(s) through matvecs with A.  ``Affinity`` owns
 the square, non-empty, finite, symmetric, non-negative A that scaling
-needs: it checks outside data once and packs it, with w = 1,
-``build_affinity``'s A holds it by construction, and ``packed_kernel``
-reads any kernel argument, checking and packing an ndarray.
-``Affinity.dense`` rebuilds the n x n matrix A for tests.
+needs: ``Affinity(matrix, epsilon)`` checks outside data once and
+stores its triangle with w = 1, and ``build_affinity``'s A holds it by
+construction.  ``Affinity.dense`` rebuilds the n x n matrix A for
+tests.
 
 Storage rule.  An outlier's noise past the clean columns adds its
 squares t_i to every squared distance in its row (see the split
@@ -120,7 +121,6 @@ every pair; callers that want the split pass the ``Dataset``.
 """
 
 import ctypes
-from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -142,9 +142,15 @@ _TILE = 128
 _BLOCK = 256
 
 
-class PackedTriangle:
-    """A symmetric n x n matrix A = diag(w) B diag(w), B stored as its
-    lower block triangle.
+class Affinity:
+    """A kernel matrix A = diag(w) B diag(w) with its bandwidth, B stored
+    as its lower block triangle.
+
+    ``Affinity(matrix, epsilon)`` checks the given dense matrix, which
+    must be square, non-empty, finite, bitwise symmetric and
+    non-negative, and stores its lower block triangle in a read-only
+    copy, float32 if the matrix is and float64 otherwise, with no
+    factor (w = 1).  epsilon is positive and finite.
 
     Block row s:e (``_BLOCK`` rows, fewer in the last) is the C-ordered
     rectangle B[s:e, :e]; ``data`` holds the rectangles one after
@@ -153,15 +159,26 @@ class PackedTriangle:
     ``dense()`` rebuilds A.
     """
 
-    __slots__ = ("data", "weights", "n", "_calls")
+    __slots__ = ("data", "weights", "epsilon", "n", "_calls")
 
-    def __init__(self, data, weights):
-        n = weights.shape[0]
-        if data.shape != (_stored_size(n),):
-            raise ValueError(f"a triangle of order {n} holds {_stored_size(n)} entries")
+    def __init__(self, matrix, epsilon):
+        scalar("epsilon", epsilon)
+        positive_finite("epsilon", epsilon)
+        mat = _checked_kernel(matrix)
+        n = mat.shape[0]
+        # no n x n temporary and no index arrays
+        data = np.empty(_stored_size(n), mat.dtype)
+        for s, e, panel in _panels(data, n):
+            panel[...] = mat[s:e, :e]
+        self._store(data, np.ones(n), epsilon)
+
+    def _store(self, data, weights, epsilon):
+        """Hold B's triangle, w and epsilon, the arrays made read-only,
+        and return self."""
         data.setflags(write=False)
         weights.setflags(write=False)
-        self.data, self.weights, self.n = data, weights, n
+        self.data, self.weights, self.epsilon = data, weights, epsilon
+        self.n = weights.shape[0]
         # ``_matvec``'s BLAS arguments for each block row, made once: rows,
         # width, the width left of the diagonal block (None on the first
         # block row), the rectangle's address and s in bytes
@@ -170,10 +187,11 @@ class PackedTriangle:
              ctypes.c_void_p(panel.ctypes.data), s * data.itemsize)
             for s, e, panel in self.panels()
         ]
+        return self
 
     def __reduce__(self):
         # the BLAS arguments hold addresses, so a copy rebuilds them
-        return PackedTriangle, (self.data, self.weights)
+        return _stored, (self.data, self.weights, self.epsilon)
 
     def panels(self):
         """Each block row of B as (s, e, its (e - s, e) rectangle)."""
@@ -192,6 +210,12 @@ class PackedTriangle:
         outer = np.outer(self.weights, self.weights)
         outer *= mat
         return outer
+
+
+def _stored(data, weights, epsilon):
+    """The Affinity of a triangle and factors made here, unchecked:
+    ``build_affinity``'s, or a copy's."""
+    return object.__new__(Affinity)._store(data, weights, epsilon)
 
 
 def _int_ref(value):
@@ -214,48 +238,6 @@ def _panels(data, n):
         e = min(s + _BLOCK, n)
         yield s, e, data[start : start + (e - s) * e].reshape(e - s, e)
         start += (e - s) * e
-
-
-@dataclass
-class Affinity:
-    """A kernel matrix with its bandwidth, stored as its lower block
-    triangle (``PackedTriangle``).
-
-    ``Affinity(matrix, epsilon)`` checks the given dense matrix, which
-    must be square, non-empty, finite, bitwise symmetric and
-    non-negative, and packs its lower block triangle into a read-only
-    copy, float32 if the matrix is and float64 otherwise, with no
-    factor (w = 1).  epsilon is positive and finite.
-    ``dense()`` rebuilds the n x n matrix.
-    """
-
-    matrix: InitVar[np.ndarray]
-    epsilon: float
-    packed: PackedTriangle = field(init=False, repr=False)
-
-    def __post_init__(self, matrix):
-        scalar("epsilon", self.epsilon)
-        positive_finite("epsilon", self.epsilon)
-        self.packed = _pack(_checked_kernel(matrix))
-
-    @property
-    def n(self):
-        return self.packed.n
-
-    def dense(self):
-        """A as a new dense n x n array (``PackedTriangle.dense``)."""
-        return self.packed.dense()
-
-
-def _pack(mat):
-    """The lower block triangle of a square matrix, in a new array of its
-    dtype, with no factor (w = 1): no n x n temporary and no index
-    arrays."""
-    n = mat.shape[0]
-    data = np.empty(_stored_size(n), mat.dtype)
-    for s, e, panel in _panels(data, n):
-        panel[...] = mat[s:e, :e]
-    return PackedTriangle(data, np.ones(n))
 
 
 def _checked_kernel(a):
@@ -290,9 +272,9 @@ def _checked_kernel(a):
 
 
 def packed_kernel(a):
-    """An Affinity's stored triangle as is, or an ndarray checked like
-    one and packed."""
-    return a.packed if isinstance(a, Affinity) else _pack(_checked_kernel(a))
+    """An Affinity as it is, or an ndarray read as ``Affinity(a, 1.0)``,
+    checked and stored: no scaling reads the bandwidth."""
+    return a if isinstance(a, Affinity) else Affinity(a, 1.0)
 
 
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
@@ -352,7 +334,7 @@ def _one_blas_thread():
 _one_blas_thread()
 
 
-def _matvec(packed, x):
+def _matvec(a, x):
     """A x = w * (B (w * x)) in B's precision, as a float64 vector: two
     ``gemv`` per block row of B's stored triangle.
 
@@ -362,7 +344,7 @@ def _matvec(packed, x):
     Fortran BLAS it is its transpose with leading dimension e.  Where w
     is 1 both products by w are exact, and A x is B x bit for bit.
     """
-    n, data, w = packed.n, packed.data, packed.weights
+    n, data, w = a.n, a.data, a.weights
     x = np.asarray(x)
     if x.shape != (n,):
         raise ValueError(f"vector must have shape ({n},)")
@@ -373,7 +355,7 @@ def _matvec(packed, x):
     x_at = xy.ctypes.data
     y_at = x_at + n * data.itemsize
     x_all, y_all = ctypes.c_void_p(x_at), ctypes.c_void_p(y_at)
-    for rows, width, left, at, shift in packed._calls:
+    for rows, width, left, at, shift in a._calls:
         gemv(_TRANS, width, rows, one, at, width, x_all, _UNIT_STRIDE, one,
              ctypes.c_void_p(y_at + shift), _UNIT_STRIDE)
         if left is not None:
@@ -382,10 +364,10 @@ def _matvec(packed, x):
     return w * xy[n:]
 
 
-def _roundoff(packed):
-    """The unit roundoff of ``_matvec``'s products with packed: B's
+def _roundoff(a):
+    """The unit roundoff of ``_matvec``'s products with a: B's
     precision, 2^-24 on a float32 triangle and 2^-53 on a float64 one."""
-    return float(np.finfo(packed.data.dtype).epsneg)
+    return float(np.finfo(a.data.dtype).epsneg)
 
 
 def gaussian_kernel(xi, d):
@@ -475,9 +457,7 @@ def build_affinity(points, epsilon):
         if _fill_kernel(data, prefix, epsilon, tiles, tail, tails):
             break
     # one triangle, so symmetric by construction; non-negative by exp
-    aff = object.__new__(Affinity)
-    aff.packed, aff.epsilon = PackedTriangle(data, weights), float(epsilon)
-    return aff
+    return _stored(data, weights, float(epsilon))
 
 
 def _split(points):

@@ -97,7 +97,7 @@ def laplacian_from_affinity(a, form, scale, product=None):
         raise ValueError("scale must have shape (n,)")
     positive_finite("scale", s)
     if product is None:
-        product = _matvec(a.packed, s)
+        product = _matvec(a, s)
     elif np.shape(product) != (a.n,):
         raise ValueError("product must have shape (n,)")
     else:
@@ -114,7 +114,7 @@ def apply_rescaled(l, f):
     f = np.asarray(f, dtype=float)
     if f.shape != l.scale.shape:
         raise ValueError("f must have shape (n,)")
-    kf = l.scale * _matvec(l.kernel.packed, l.scale * f)
+    kf = l.scale * _matvec(l.kernel, l.scale * f)
     if l.form is LaplacianForm.UNNORMALIZED:
         lf = l.degrees * f - kf
     else:
@@ -148,7 +148,7 @@ def smallest_eigenpairs(l, k):
         raise ValueError("k must be an integer in [1, n - 1]")
     root = 1.0 / np.sqrt(l.degrees)
     r = l.scale * root
-    a = l.kernel.packed
+    a = l.kernel
     op = LinearOperator((n, n), matvec=lambda x: r * _matvec(a, r * x), dtype=float)
     v0 = np.full(n, 1.0 / np.sqrt(n))
     try:

@@ -3,9 +3,9 @@
 A Laplacian (``sinklap.laplacian``) is A under a diagonal scaling s,
 made here: ``dm_scale`` gives (A 1)^-1/2 and ``approx_sym_sk`` a
 positive eta with D_eta A D_eta (approximately) doubly stochastic.
-Both read a matrix A, never a dataset, through ``kernel.packed_kernel``,
-which checks and packs an ndarray on each call and takes an
-``Affinity``'s stored triangle as it is.
+Both read a matrix A, never a dataset: an ``Affinity`` as it is, and
+an ndarray as ``Affinity(a, 1.0)``, checked on each call (no scaling
+reads the bandwidth).
 One accelerated SK iteration alternates the two classical half-updates
 
     u = 1 / (A eta),    v = 1 / (A u),
@@ -95,17 +95,14 @@ class ScalingResult:
     product: np.ndarray | None = field(default=None, repr=False)
 
 
-def _inverse_root_degrees(packed):
-    """(A 1)^-1/2 of a packed kernel A; raises on a zero row."""
-    deg = _matvec(packed, np.ones(packed.n))
+def dm_scale(a):
+    """Scale vector (A 1)^-1/2 of the degree-normalized affinity; raises
+    on a zero row."""
+    a = packed_kernel(a)
+    deg = _matvec(a, np.ones(a.n))
     if np.any(deg <= 0):
         raise DegenerateInputError("affinity matrix has a zero row")
     return 1.0 / np.sqrt(deg)
-
-
-def dm_scale(a):
-    """Scale vector (A 1)^-1/2 of the degree-normalized affinity."""
-    return _inverse_root_degrees(packed_kernel(a))
 
 
 def scaling_residual(a, eta):
@@ -135,7 +132,8 @@ def approx_sym_sk(a, config=None):
     Parameters
     ----------
     a : Affinity or ndarray
-        Square, symmetric, entrywise non-negative, no zero rows.
+        Square, symmetric, entrywise non-negative, no zero rows.  An
+        ndarray is read as ``Affinity(a, 1.0)``, checked on each call.
     config : SkConfig, optional
         Solver knobs; defaults to ``SkConfig()``.  Any other object
         raises a TypeError.
@@ -148,8 +146,7 @@ def approx_sym_sk(a, config=None):
     ------
     ValueError
         If an ndarray ``a`` is not square, finite, symmetric and
-        non-negative (``kernel.packed_kernel``); an Affinity was checked
-        when built.
+        non-negative; an Affinity was checked when built.
     DegenerateInputError
         If the matrix has a zero row.
     NumericalFailureError
@@ -157,11 +154,11 @@ def approx_sym_sk(a, config=None):
     """
     cfg = SkConfig() if config is None else config
     instance_of("config", cfg, SkConfig)
-    packed = packed_kernel(a)
-    eta, hits = _project(_inverse_root_degrees(packed), cfg.c_sk)
+    a = packed_kernel(a)
+    eta, hits = _project(dm_scale(a), cfg.c_sk)
     history = []
     for k in range(1, cfg.max_iter + 1):
-        a_eta = _matvec(packed, eta)
+        a_eta = _matvec(a, eta)
         res = float(np.max(np.abs(eta * a_eta - 1.0)))
         history.append(res)
         if not np.isfinite(res):
@@ -171,7 +168,7 @@ def approx_sym_sk(a, config=None):
         if res < cfg.eps_sk:
             break
         u = _checked_reciprocal(a_eta, "A eta", k)
-        v = _checked_reciprocal(_matvec(packed, u), "A u", k)
+        v = _checked_reciprocal(_matvec(a, u), "A u", k)
         eta, clamped = _project(np.sqrt(u * v), cfg.c_sk)
         hits += clamped
 

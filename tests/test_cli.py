@@ -263,6 +263,10 @@ class TestExitCodes:
              "sinklap sweep: error: n must be an integer >= 2"),
             (["skdiag", "--n", "1", "--epsilon", "1e-3"],
              "sinklap skdiag: error: n must be an integer >= 2"),
+            (["skdiag", "--n", "50", "--epsilon", "-1"],
+             "sinklap skdiag: error: epsilon must be positive and finite"),
+            (["skdiag", "--n", "50", "--epsilon", "nan"],
+             "sinklap skdiag: error: epsilon must be positive and finite"),
             (["embed", "--n", "5", "--epsilon", "1e-3", "--replicas", "1", "--m", "8"],
              "sinklap embed: error: n must be an integer >= 6"),
             (["generate", "--n", "5", "--seed", "-3"],
@@ -273,7 +277,8 @@ class TestExitCodes:
             (["sweep", "--n", "20", "--eps-grid", "0:1e-3:3lin", "--replicas", "1"],
              "sinklap sweep: error: epsilons must be positive and finite"),
         ],
-        ids=["pointwise-n", "sweep-n", "skdiag-n", "embed-n", "generate-seed",
+        ids=["pointwise-n", "sweep-n", "skdiag-n", "skdiag-epsilon-negative",
+             "skdiag-epsilon-nan", "embed-n", "generate-seed",
              "sweep-decreasing-grid", "sweep-zero-grid"],
     )
     def test_bad_input_named_before_sampling(self, tmp_path, capsys, sample_calls,

@@ -38,7 +38,7 @@ from sinklap import (
     pointwise_experiment,
     sample_dataset,
 )
-from sinklap.kernel import _BLOCK, _TILE, PackedTriangle, _matvec, _stored_size
+from sinklap.kernel import _BLOCK, _TILE, _matvec, _stored, _stored_size
 
 
 def pdist_kernel(pts, eps):
@@ -109,8 +109,8 @@ def assert_matches_split(ds, eps):
     with an outlier.
     """
     aff = build_affinity(ds, eps)
-    a, weights = aff.dense(), aff.packed.weights
-    single = aff.packed.data.dtype == np.float32
+    a, weights = aff.dense(), aff.weights
+    single = aff.data.dtype == np.float32
     # the float32 rounding of a float32 B; none in a float64 A
     u_store = np.finfo(np.float32).eps / 2 if single else 0.0
     assert np.array_equal(a, a.T) and a.min() >= 0.0 and a.max() <= 1.0 + 2 * u_store
@@ -138,7 +138,7 @@ def assert_matches_split(ds, eps):
     if single:
         split += u * (np.abs(d2 - t[:, None] - t) + t[:, None] + t) / (4.0 * eps) + 6 * u
 
-    dtype = aff.packed.data.dtype
+    dtype = aff.data.dtype
     assert np.array_equal(a[np.ix_(inliers, inliers)],
                           ref[np.ix_(inliers, inliers)].astype(dtype))
 
@@ -203,9 +203,9 @@ def dense_path_kernel(ds, eps):
             return weights, mat.astype(np.float32)
 
 
-def stored_matrix(packed):
-    """B of a packed kernel A = diag(w) B diag(w), as a dense array."""
-    return PackedTriangle(packed.data, np.ones(packed.n)).dense()
+def stored_matrix(a):
+    """B of a stored kernel A = diag(w) B diag(w), as a dense array."""
+    return _stored(a.data, np.ones(a.n), a.epsilon).dense()
 
 
 @st.composite
@@ -364,7 +364,7 @@ class TestBuildAffinity:
         # one stored triangle, so an entry and its mirror are one number;
         # n = 60 is one block row, its diagonal tile stored whole
         a = build_affinity(self.ds.points, 1e-3)
-        assert a.packed.data.shape == (60 * 60,)
+        assert a.data.shape == (60 * 60,)
         assert np.array_equal(a.dense(), a.dense().T)
 
     def test_entry_formula(self):
@@ -428,7 +428,7 @@ class TestBuildAffinity:
     def test_bitwise_out_of_place_formula(self):
         # float32 holds this kernel, so A is the float32 rounding of pdist's
         a = build_affinity(self.ds.points, 1e-3)
-        assert a.packed.data.dtype == np.float32
+        assert a.data.dtype == np.float32
         assert np.array_equal(a.dense(), stored(pdist_kernel(self.ds.points, 1e-3)))
 
     def test_rejects_nan_point(self):
@@ -446,7 +446,7 @@ class TestBuildAffinity:
     def test_matrix_readonly(self):
         a = build_affinity(self.ds.points, 1e-3)
         with pytest.raises(ValueError):
-            a.packed.data[0] = 1.0
+            a.data[0] = 1.0
 
 
 class TestInvariant:
@@ -524,14 +524,14 @@ class TestInvariant:
         kept = aff.dense()
         a[0, 1] = a[1, 0] = -1.0
         assert np.array_equal(aff.dense(), kept)
-        assert a.flags.writeable and not aff.packed.data.flags.writeable
+        assert a.flags.writeable and not aff.data.flags.writeable
 
     def test_outside_dtype(self):
         # a float32 kernel stays float32; anything else becomes float64
         a = self.kernel(14)
-        assert Affinity(a.astype(np.float32), 1.0).packed.data.dtype == np.float32
-        assert Affinity(a, 1.0).packed.data.dtype == np.float64
-        assert Affinity(np.ones((2, 2), dtype=int), 1.0).packed.data.dtype == np.float64
+        assert Affinity(a.astype(np.float32), 1.0).data.dtype == np.float32
+        assert Affinity(a, 1.0).data.dtype == np.float64
+        assert Affinity(np.ones((2, 2), dtype=int), 1.0).data.dtype == np.float64
 
     def test_checked_once_per_outside_kernel(self, monkeypatch):
         calls = []
@@ -594,13 +594,13 @@ class TestStorage:
     def test_clean_is_float32(self, eps):
         # the ends of the clean sweep's bandwidth grid
         pts = sample_dataset(400, DensitySpec.SINUSOIDAL_1D, 3).points
-        assert build_affinity(pts, eps).packed.data.dtype == np.float32
+        assert build_affinity(pts, eps).data.dtype == np.float32
         assert_matches_pdist(pts, eps)
 
     def test_simple_noise_is_float32(self):
         noise = NoiseModel(NoiseKind.SIMPLE, m=2000)
         ds = noisy_dataset(400, DensitySpec.SINUSOIDAL_1D, noise, 3)
-        assert build_affinity(ds, 5e-4).packed.data.dtype == np.float32
+        assert build_affinity(ds, 5e-4).data.dtype == np.float32
         assert assert_matches_split(ds, 5e-4) > 0
 
     def test_heteroskedastic_is_float32(self):
@@ -609,9 +609,9 @@ class TestStorage:
         noise = NoiseModel(NoiseKind.HETEROSKEDASTIC, m=2000)
         ds = noisy_dataset(2000, DensitySpec.UNIFORM_CIRCLE, noise, 3)
         a = build_affinity(ds, 5e-4)
-        assert a.packed.data.dtype == np.float32
-        assert a.packed.data.nbytes == 4 * _stored_size(2000)
-        assert a.packed.weights.min() < np.finfo(np.float32).tiny ** 0.5
+        assert a.data.dtype == np.float32
+        assert a.data.nbytes == 4 * _stored_size(2000)
+        assert a.weights.min() < np.finfo(np.float32).tiny ** 0.5
         assert assert_matches_split(noisy_dataset(400, DensitySpec.UNIFORM_CIRCLE, noise, 3),
                                     5e-4) > 0
 
@@ -622,8 +622,8 @@ class TestStorage:
         noise = NoiseModel(NoiseKind.HETEROSKEDASTIC, m=2000, sigma_out=1.0)
         ds = noisy_dataset(400, DensitySpec.UNIFORM_CIRCLE, noise, 3)
         a = build_affinity(ds, 5e-4)
-        assert a.packed.data.dtype == np.float64
-        assert np.array_equal(a.packed.weights, np.ones(400))
+        assert a.data.dtype == np.float64
+        assert np.array_equal(a.weights, np.ones(400))
         _, ref = dense_path_kernel(ds, 5e-4)
         assert ref.dtype == np.float64 and np.array_equal(a.dense(), ref)
         assert assert_matches_split(ds, 5e-4) > 0
@@ -658,12 +658,12 @@ class TestStorage:
         ds = Dataset(t=np.zeros(2), clean_points=np.zeros((2, 1)),
                      outlier_flags=np.ones(2, bool), outlier_offsets=xi)
         a = build_affinity(ds, eps)
-        assert a.packed.data.dtype == dtype
+        assert a.data.dtype == dtype
         if dtype == np.float64:
-            assert np.array_equal(a.packed.weights, np.ones(2))
+            assert np.array_equal(a.weights, np.ones(2))
             assert np.array_equal(a.dense(), np.array([[0.0, 1.0], [1.0, 0.0]]))
         else:
-            assert np.all(a.packed.weights == np.exp(xi[0, 1] ** 2 / (-4.0 * eps)))
+            assert np.all(a.weights == np.exp(xi[0, 1] ** 2 / (-4.0 * eps)))
         assert assert_matches_split(ds, eps) == 4
 
     def test_own_pair_cannot_overflow(self):
@@ -677,9 +677,9 @@ class TestStorage:
         ds = Dataset(t=np.zeros(2), clean_points=np.zeros((2, 1)),
                      outlier_flags=np.array([True, False]), outlier_offsets=xi)
         a = build_affinity(ds, eps)
-        assert a.packed.data.dtype == np.float32
-        assert np.array_equal(a.packed.weights, [np.exp(xi[0, 1] ** 2 / (-4.0 * eps)), 1.0])
-        assert np.array_equal(stored_matrix(a.packed), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert a.data.dtype == np.float32
+        assert np.array_equal(a.weights, [np.exp(xi[0, 1] ** 2 / (-4.0 * eps)), 1.0])
+        assert np.array_equal(stored_matrix(a), np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_float64_kernel_keeps_its_products(self, monkeypatch):
         # on a float64 kernel the packed product is a float64 product:
@@ -692,7 +692,7 @@ class TestStorage:
         noise = NoiseModel(NoiseKind.IID, m=2000)
         for seed in (0, 1):
             ds = noisy_dataset(1000, DensitySpec.UNIFORM_CIRCLE, noise, seed)
-            assert build_affinity(ds, 3e-4).packed.data.dtype == np.float64
+            assert build_affinity(ds, 3e-4).data.dtype == np.float64
 
         def run():
             return embedding_experiment(1000, noise, 3e-4, replicas=2, threads=1)
@@ -732,7 +732,7 @@ class TestPackedTriangle:
         rng = np.random.default_rng(n)
         mat = rng.uniform(size=(n, n))
         mat += mat.T
-        packed = Affinity(mat, 1.0).packed
+        packed = Affinity(mat, 1.0)
         q, r = divmod(n, _BLOCK)
         assert packed.data.shape == (_BLOCK**2 * q * (q + 1) // 2 + r * n,)
         assert [(s, e) for s, e, _ in packed.panels()] == [
@@ -746,20 +746,20 @@ class TestPackedTriangle:
         aff = Affinity(mat, 1.0)
         for other in (pickle.loads(pickle.dumps(aff)), copy.deepcopy(aff)):
             assert np.array_equal(other.dense(), mat) and other.epsilon == 1.0
-            assert not other.packed.data.flags.writeable
-            assert np.array_equal(_matvec(other.packed, np.ones(3)), mat.sum(axis=1))
+            assert not other.data.flags.writeable
+            assert np.array_equal(_matvec(other, np.ones(3)), mat.sum(axis=1))
 
     def test_copies_keep_the_factors(self):
         # w travels with B: a copy of a factored kernel has the same
         # read-only factors and the same products, bit for bit
         noise = NoiseModel(NoiseKind.HETEROSKEDASTIC, m=200)
         aff = build_affinity(noisy_dataset(300, DensitySpec.UNIFORM_CIRCLE, noise, 1), 5e-4)
-        assert aff.packed.weights.min() < 1.0
+        assert aff.weights.min() < 1.0
         x = np.random.default_rng(0).uniform(0.5, 1.5, aff.n)
         for other in (pickle.loads(pickle.dumps(aff)), copy.deepcopy(aff)):
-            assert np.array_equal(other.packed.weights, aff.packed.weights)
-            assert not other.packed.weights.flags.writeable
-            assert np.array_equal(_matvec(other.packed, x), _matvec(aff.packed, x))
+            assert np.array_equal(other.weights, aff.weights)
+            assert not other.weights.flags.writeable
+            assert np.array_equal(_matvec(other, x), _matvec(aff, x))
 
     @pytest.mark.parametrize("n", [1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
     def test_product(self, n):
@@ -768,7 +768,7 @@ class TestPackedTriangle:
         mat = rng.uniform(size=(n, n))
         mat += mat.T
         x = rng.uniform(size=n)
-        got = _matvec(Affinity(mat, 1.0).packed, x)
+        got = _matvec(Affinity(mat, 1.0), x)
         assert np.allclose(got, mat @ x, rtol=n * np.finfo(float).eps, atol=0)
 
 
@@ -882,9 +882,9 @@ class TestDensePath:
             counts = np.add.reduceat(ds.outlier_flags, np.arange(0, ds.t.size, _TILE))
             assert counts.tolist() == [4, 0, 2, 4, 1, 2, 1, 0]
         a, (weights, ref) = build_affinity(ds, 5e-4), dense_path_kernel(ds, 5e-4)
-        assert a.packed.data.dtype == ref.dtype
-        assert np.array_equal(a.packed.weights, weights)
-        for s, e, panel in a.packed.panels():
+        assert a.data.dtype == ref.dtype
+        assert np.array_equal(a.weights, weights)
+        for s, e, panel in a.panels():
             assert np.array_equal(panel, ref[s:e, :e])
         dense = ref if np.all(weights == 1.0) else np.outer(weights, weights) * ref
         assert np.array_equal(a.dense(), dense)
@@ -900,13 +900,13 @@ class TestDensePath:
         ds = self.dataset(kind, 700)
         a, (weights, ref) = build_affinity(ds, 5e-4), dense_path_kernel(ds, 5e-4)
         pts = ds.points
-        assert a.packed.data.dtype == ref.dtype
-        assert np.array_equal(a.packed.weights, weights)
+        assert a.data.dtype == ref.dtype
+        assert np.array_equal(a.weights, weights)
         tail = np.einsum("ij,ij->i", pts, pts)
         u = np.finfo(float).eps / 2
         delta = 2 * pts.shape[1] * u * (tail[:, None] + tail)
-        rel = np.expm1(delta / (4.0 * 5e-4)) + np.finfo(a.packed.data.dtype).eps
-        got, want = stored_matrix(a.packed).astype(float), ref.astype(float)
+        rel = np.expm1(delta / (4.0 * 5e-4)) + np.finfo(a.data.dtype).eps
+        got, want = stored_matrix(a).astype(float), ref.astype(float)
         assert np.all(np.abs(got - want) <= rel * want + np.finfo(float).tiny)
 
     @pytest.mark.parametrize(
@@ -924,11 +924,11 @@ class TestDensePath:
         # reference errs the same way in its own u, 2^-53, which the bound
         # adds, and covers the roundings of w w^T B and of the product by w
         a = build_affinity(self.dataset(kind, sigma_out=sigma_out), 5e-4)
-        assert a.packed.data.dtype == (np.float64 if sigma_out == 1.0 else np.float32)
+        assert a.data.dtype == (np.float64 if sigma_out == 1.0 else np.float32)
         x = np.random.default_rng(0).uniform(0.5, 1.5, a.n)
         want = a.dense().astype(float) @ x
-        u = (np.finfo(a.packed.data.dtype).eps + np.finfo(float).eps) / 2
-        got = _matvec(a.packed, x)
+        u = (np.finfo(a.data.dtype).eps + np.finfo(float).eps) / 2
+        got = _matvec(a, x)
         assert got.dtype == np.float64
         assert np.all(np.abs(got - want) <= (a.n + 1) * u * want)
 
@@ -957,8 +957,8 @@ iid = build_affinity(noisy_dataset(1000, DensitySpec.UNIFORM_CIRCLE,
                                    NoiseModel(NoiseKind.IID, m=2000), 0), 3e-4)
 for a in (*singles, double, iid):
     x = np.random.default_rng(0).uniform(0.5, 1.5, a.n)
-    for v in (a.packed.data, _matvec(a.packed, x), approx_sym_sk(a).eta):
-        print(a.n, a.packed.data.dtype, hashlib.sha256(v.tobytes()).hexdigest())
+    for v in (a.data, _matvec(a, x), approx_sym_sk(a).eta):
+        print(a.n, a.data.dtype, hashlib.sha256(v.tobytes()).hexdigest())
 """
 
     # README's embed line on iid data, whose float64 kernel takes a BLAS
@@ -1077,7 +1077,7 @@ class TestMemory:
         # float32 attempt is freed before a float64 restart), and 1 MiB
         # for the tile temporaries
         n = a.n
-        return a.packed.data.itemsize * (n * n // 2 + _BLOCK // 2 * n) + 2**20
+        return a.data.itemsize * (n * n // 2 + _BLOCK // 2 * n) + 2**20
 
     @pytest.mark.parametrize("make", _MEMORY_CASES, ids=_MEMORY_IDS)
     def test_peak_is_one_matrix(self, make):
@@ -1102,8 +1102,8 @@ class TestMemory:
         for make in (_MEMORY_CASES[0], _MEMORY_CASES[2]):
             ds = make()
             a, peak = traced_peak(lambda: build_affinity(ds, 5e-4))
-            assert a.packed.data.dtype == np.float32
-            extra.append(peak - a.packed.data.nbytes)
+            assert a.data.dtype == np.float32
+            extra.append(peak - a.data.nbytes)
         assert extra[1] - extra[0] <= 8 * _TILE**2, f"{extra[1] - extra[0]} B above clean"
 
     def test_noisy_pipeline_keeps_outlier_rows(self):
@@ -1131,10 +1131,10 @@ class TestDegree:
         ds = sample_dataset(40, DensitySpec.UNIFORM_CIRCLE, 8)
         single = build_affinity(ds.points, 1e-3)
         double = Affinity(matrix=single.dense().astype(float), epsilon=1e-3)
-        assert single.packed.data.dtype == np.float32
+        assert single.data.dtype == np.float32
         for a, rtol in ((single, 1e-6), (double, 1e-14)):
             s = dm_scale(a)
-            assert np.array_equal(s, 1.0 / np.sqrt(_matvec(a.packed, np.ones(a.n))))
+            assert np.array_equal(s, 1.0 / np.sqrt(_matvec(a, np.ones(a.n))))
             assert np.array_equal(dm_scale(a.dense()), s)
             ref = 1.0 / np.sqrt(a.dense().sum(axis=1, dtype=float))
             assert np.max(np.abs(s - ref) / ref) <= rtol

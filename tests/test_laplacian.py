@@ -215,7 +215,7 @@ class TestDenseEquivalence:
             return self.eta
         s = dm_scale(self.aff)
         ones = np.ones(self.aff.n)
-        assert np.array_equal(s, 1.0 / np.sqrt(_matvec(self.aff.packed, ones)))
+        assert np.array_equal(s, 1.0 / np.sqrt(_matvec(self.aff, ones)))
         return s
 
     @pytest.mark.parametrize("kind", list(LaplacianKind))
@@ -381,7 +381,7 @@ class TestAgainstDenseSpectrum:
     def test_eigenvalues(self, name, method):
         aff = self.KERNELS[name]()
         dtype = np.float32 if name.endswith("float32") else np.float64
-        assert aff.packed.data.dtype == dtype
+        assert aff.data.dtype == dtype
         scale = approx_sym_sk(aff).eta if method == "sk" else dm_scale(aff)
         lap = laplacian_from_affinity(aff, LaplacianForm.RANDOM_WALK, scale)
         got = smallest_eigenpairs(lap, 5).values
@@ -408,7 +408,7 @@ def test_float32_solve_stops_at_float32_accuracy(monkeypatch):
     # float32's roundoff takes 49 products, and asked for float64
     # residuals from float32 products it takes 108
     aff = heteroskedastic_affinity()
-    assert aff.packed.data.dtype == np.float32
+    assert aff.data.dtype == np.float32
     res = approx_sym_sk(aff, SkConfig())
     lap = laplacian_from_affinity(aff, LaplacianForm.RANDOM_WALK, res.eta, res.product)
     products = []
@@ -429,7 +429,7 @@ class TestFloat32Memory:
 
     def setup_method(self):
         _, self.aff = circle_affinity(n=1000, eps=5e-4, seed=0)
-        assert self.aff.packed.data.dtype == np.float32
+        assert self.aff.data.dtype == np.float32
         self.dense = self.aff.dense()
         self.eta = approx_sym_sk(self.aff).eta
         self.lap = {
@@ -459,7 +459,7 @@ class TestFloat32Memory:
     def test_no_float64_kernel_copy(self, step, packs):
         # a quarter of one n x n float64 array; an ndarray kernel adds
         # one float32 copy of its lower block triangle
-        bound = 2 * 2**20 + (self.aff.packed.data.nbytes if packs else 0)
+        bound = 2 * 2**20 + (self.aff.data.nbytes if packs else 0)
         tracemalloc.start()
         try:
             step(self)

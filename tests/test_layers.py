@@ -163,6 +163,20 @@ def test_only_the_kernel_reads_the_stored_triangle():
     assert found == []
 
 
+def test_products_take_the_affinity():
+    # an Affinity is A's stored triangle itself, and kernel._matvec takes
+    # it as it is: no module reaches through it for a .packed part or
+    # holds one apart from it as packed
+    found = [
+        f"{path.stem} reads packed"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "packed"
+        or isinstance(node, ast.Name) and node.id == "packed"
+    ]
+    assert found == []
+
+
 def test_only_the_kernel_names_a_precision():
     # kernel.py stores A and so owns its precision: which dtype B takes,
     # the range checks of a float32 triangle and the roundoff of its

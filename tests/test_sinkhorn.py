@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sinklap import (
+    Affinity,
     DegenerateInputError,
     DensitySpec,
     NumericalFailureError,
@@ -66,6 +67,18 @@ class TestFixture:
         a = random_spd_affinity(rng, 5)
         eta = rng.uniform(0.5, 1.5, size=5)
         assert np.array_equal(scaling_residual(a, eta), eta * (a @ eta) - 1.0)
+        # every scaling reads an ndarray as its Affinity with bandwidth 1,
+        # in the array's own precision, bit for bit
+        for m in (a, a.astype(np.float32)):
+            kernel = Affinity(m, 1.0)
+            got, want = approx_sym_sk(m), approx_sym_sk(kernel)
+            assert got.converged and want.converged
+            for x, y in ((got.eta, want.eta),
+                         (got.residual_history, want.residual_history),
+                         (got.product, want.product),
+                         (dm_scale(m), dm_scale(kernel)),
+                         (scaling_residual(m, eta), scaling_residual(kernel, eta))):
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 class TestOracle:
@@ -130,7 +143,7 @@ class TestProperties:
         good = approx_sym_sk(a, SkConfig(eps_sk=1e-6, max_iter=50))
         assert good.converged == (good.residual_history[-1] < 1e-6)
         # the residual's product comes with a converged eta, bitwise
-        assert np.array_equal(good.product, _matvec(a.packed, good.eta))
+        assert np.array_equal(good.product, _matvec(a, good.eta))
         starved = approx_sym_sk(a, SkConfig(eps_sk=1e-300, max_iter=4))
         assert not starved.converged and starved.product is None
         assert starved.iterations == 4
@@ -263,7 +276,7 @@ class TestConventions:
         # A is float32: kappa A rounds every entry again (2^-24 relative)
         # and each product rounds in float32, whose residuals stall near
         # 1e-7, so both solve to 1e-6 and agree to that (1.7e-7 measured)
-        assert a.packed.data.dtype == np.float32
+        assert a.data.dtype == np.float32
         cfg = SkConfig(c_sk=0.0, eps_sk=1e-6, max_iter=200)
         ru = approx_sym_sk(a, cfg)
         rn = approx_sym_sk(kappa * a.dense(), cfg)
