@@ -210,18 +210,20 @@ def pointwise_experiment(
     if sk_config is not None:
         instance_of("config", sk_config, SkConfig)
     ds = noisy_dataset(n, spec, noise_model, seed)
-    return _pointwise_on(ds, spec, epsilon, kind, sk_config)
+    return _pointwise_on(ds, epsilon, kind, sk_config, test_function(ds.t),
+                         delta_p_f(ds.t, spec))
 
 
-def _pointwise_on(ds, spec, epsilon, kind, sk_config):
-    """The pipeline of ``pointwise_experiment`` on a sampled dataset."""
+def _pointwise_on(ds, epsilon, kind, sk_config, f, lap_f):
+    """The pipeline of ``pointwise_experiment`` on a sampled dataset:
+    the test function f at its clean coordinates, and lap_f, f's
+    closed-form weighted Laplacian there, as the reference."""
     aff = build_affinity(ds, epsilon)
     scaling = approx_sym_sk(aff, sk_config) if kind.bistochastic else None
     scale, product = ((dm_scale(aff), None) if scaling is None
                       else (scaling.eta, scaling.product))
     lap = laplacian_from_affinity(aff, kind.form, scale, product)
-    est = apply_rescaled(lap, test_function(ds.t))
-    relerr2, relerrinf = rel_errors(est, delta_p_f(ds.t, spec))
+    relerr2, relerrinf = rel_errors(apply_rescaled(lap, f), lap_f)
     if scaling is None:
         return PointwiseResult(relerr2=relerr2, relerrinf=relerrinf, sk_iters=0)
     eta_norm = scaling.eta / np.sqrt(normalized_prefactor(ds.n, aff.epsilon, 1))
@@ -253,8 +255,9 @@ def epsilon_sweep(
     epsilons is an iterable (a list, an array or an iterator) of single
     numbers, positive, finite and non-decreasing, each checked as given.
     Replica r draws its dataset once, with seed base_seed + r (as
-    ``pointwise_experiment`` would), and walks the whole grid on it, so
-    per-epsilon aggregates are over the same family of datasets.  Means
+    ``pointwise_experiment`` would), evaluates the test function and its
+    reference on it once, and walks the whole grid on it, so per-epsilon
+    aggregates are over the same family of datasets.  Means
     and standard deviations are population-style (ddof=0);
     mean_sk_iters and sk_unconverged are 0 for the dm kinds.
     """
@@ -280,7 +283,8 @@ def epsilon_sweep(
 
     def job(r):
         ds = noisy_dataset(n, spec, noise_model, base_seed + r)
-        return [_pointwise_on(ds, spec, eps, kind, sk_config) for eps in epsilons]
+        f, lap_f = test_function(ds.t), delta_p_f(ds.t, spec)
+        return [_pointwise_on(ds, eps, kind, sk_config, f, lap_f) for eps in epsilons]
 
     per_replica = _replicate(job, replicas, threads)
     records = []

@@ -21,10 +21,12 @@ after another in one array (``data``), at most n^2 / 2 + 128 n
 entries.  An entry left of the diagonal blocks is
 stored once, for itself and its mirror, and each 256 x 256 diagonal
 block whole, its upper half the transpose of its lower half, so A is
-symmetric by construction.  One loop over the lower pairs of 128-row
-tiles turns each tile into kernel values in place, one division and
-one exponential per entry, and writes it once, into its block row's
-rectangle; no panel, no n x n temporary and no mirror write outside
+symmetric by construction.  One loop over the rows of 128-row tiles
+builds each tile row one stored block column at a time: one ``cdist``
+into one reused float64 buffer, one division and one
+exponential per entry, the exponential rounding to the stored dtype as
+it writes the chunk's rectangle of the block row.  There is no panel,
+no n x n temporary, no per-tile temporary and no mirror write outside
 the diagonal blocks.  A tile on the diagonal needs no mirror write:
 ``cdist``'s per-pair sum, t_i + t_j, g + g^T, the clamp and exp
 (below) are all symmetric in IEEE arithmetic, so it is symmetric as
@@ -43,7 +45,7 @@ below), so it scales row and column i of A by one factor,
 w_i = exp(-t_i / (4 epsilon)), a diagonal scaling that Sinkhorn-Knopp
 scaling absorbs.  ``build_affinity`` keeps that factor out of the
 stored entries: B_ij = exp(-(c_ij - 2 g_ij) / (4 epsilon)), and w_i = 1
-for an inlier and for every array.  Every tile is computed in float64
+for an inlier and for every array.  Every chunk is computed in float64
 and B stored in float32, the float32 rounding of its float64 value,
 off by at most 2^-24 relative per entry, while w keeps the magnitude
 in float64.  Far outliers put A itself below float32's smallest
@@ -83,7 +85,7 @@ splits its sums by a thread count read from the environment.
 
 One split reads each input as it declares itself.  An array is one
 cloud: its squared distances are scipy's "sqeuclidean" ``cdist`` over
-all its columns, tile by tile, so A is bitwise the kernel of ``pdist``
+all its columns, chunk by chunk, so A is bitwise the kernel of ``pdist``
 (its float32 rounding where A is float32).  A ``Dataset`` declares its
 clean rows x^c (n, k), its outlier flags and its outliers' noise
 vectors xi in R^m, and every squared distance is the paper's split
@@ -95,9 +97,10 @@ row, an outlier's x^c + xi[:k]), t_i the squares of an outlier's xi
 past column k (0 for an inlier) and g_ij the dot product of two
 outliers' tails, one BLAS product per pair of tiles.  Only a pair of
 outliers has a g term, so only those entries, about 1 % of them at
-10 % outliers, are corrected: each tile's outlier x outlier sub-block
-is taken out once, has 2 g subtracted (g + g^T on a diagonal tile),
-is clamped and is written back before the tile's one exponentiation;
+10 % outliers, are corrected: each tile pair's outlier x outlier
+sub-block is taken out once, has 2 g subtracted (g + g^T on a diagonal
+tile), is clamped and is written back before the chunk's one
+exponentiation;
 every other entry has d^2 = c + (t_i + t_j) >= 0, which the clamp
 would leave as it is.  The tails are views of xi, so
 the n x m cloud is never built.  A clean dataset has
@@ -132,13 +135,14 @@ from scipy.special import gammaln, xlogy
 from .errors import finite, finite_nonnegative, integer_at_least, positive_finite, scalar
 
 
-# rows per tile in ``build_affinity``, which bounds its temporaries
+# rows per tile in ``build_affinity``: a chunk of its rows, one block
+# column wide, bounds its temporaries
 _TILE = 128
 # rows per block row of the stored triangle, a multiple of _TILE: it sets
 # the number of BLAS calls per product, each of which hands the GIL over
 # and back, which slows replica threads that share it.  256 rows make
 # half of 128's calls for 64 n more stored entries; 384 rows measured no
-# faster
+# faster.  It is also the width of ``build_affinity``'s chunks
 _BLOCK = 256
 
 
@@ -399,15 +403,15 @@ def build_affinity(points, epsilon):
     A is stored as diag(w) B diag(w) (module docstring): w_i =
     exp(-t_i / (4 epsilon)) with t_i the squares of outlier i's tail
     (w_i = 1 for an inlier), and B the kernel with those squares left
-    out.  Each lower pair of 128-row tiles of B is a ``cdist`` of the
-    first columns, minus 2 g_ij on its outlier x outlier sub-block
-    alone, the only part clamped; then each entry is divided and
-    exponentiated once, in float64, and the tile is stored, once, into
-    its block row of B's float32 lower block triangle, a tile on the
-    diagonal symmetric as computed.  A w_i or an entry of B that is
-    not a float32 normal restarts the loop into the float64 triangle of
-    A itself, with w = 1, which adds t_i + t_j to each tile: at worst
-    double the build time.
+    out.  Each 128-row tile row of B is built one stored block column
+    at a time: one ``cdist`` of the first columns, minus 2 g_ij on each
+    tile pair's outlier x outlier sub-block alone, the only part
+    clamped; then each entry is divided and exponentiated once, in
+    float64, straight into the chunk's rectangle of B's float32 lower
+    block triangle, a tile on the diagonal symmetric as computed.  A
+    w_i or a stored entry of B that is not a float32 normal restarts
+    the loop into the float64 triangle of A itself, with w = 1, which
+    adds t_i + t_j to each chunk: at worst double the build time.
 
     Parameters
     ----------
@@ -494,10 +498,12 @@ def _fill_kernel(data, prefix, epsilon, tiles, tail, tails):
     rows, its outliers' offsets in it (a vector and a column), the slice
     of their rows in tails, read as a view, and their tail squares.
 
-    Each tile left of and on the diagonal is computed in float64, in
-    one pass, and stored by rounding into its block row's rectangle, of
-    data's dtype.  Its exponent is c in float32 and c + (t_i + t_j) in
-    float64.  On a tile with outliers on both sides the outlier x
+    A tile row's entries left of and on the diagonal are computed one
+    chunk at a time, the chunk one stored block column wide (``_BLOCK``
+    columns, fewer where the row's diagonal tile ends it), in a float64
+    buffer made once per call.  Its exponent, one ``cdist`` into the
+    buffer, is c in float32 and c + (t_i + t_j) in float64.  On each
+    128 x 128 pair in it with outliers on both sides the outlier x
     outlier sub-block, the only entries with a tail Gram term, is taken
     out once, has 2 g subtracted (g + g^T on a diagonal tile: the same
     bits where the product is symmetric), is clamped (at -(t_i + t_j)
@@ -505,48 +511,60 @@ def _fill_kernel(data, prefix, epsilon, tiles, tail, tails):
     every other entry has c >= 0 >= -(t_i + t_j), so the clamp would
     leave it as it is.  A diagonal tile's diagonal is zeroed in
     exponent space, so that an outlier's own pair, exp(t_i / (2
-    epsilon)) in float32, cannot pass float32's largest value, and
-    again after the exponential, as A_ii is 0.  The whole tile is then
-    divided and exponentiated once and range-checked in one test: below
-    float32's smallest normal, or above its largest value on a
-    two-sided tile, the only kind whose entries can exceed 1 (c - 2 g <
-    0).  A diagonal tile is symmetric as computed (module docstring);
-    one left of the diagonal inside a diagonal block is also stored
-    transposed into the block's upper half.
+    epsilon)) in float32, cannot pass float32's largest value.  The
+    chunk is then divided in place and exponentiated once, in float64,
+    straight into its rectangle of data, rounding to data's dtype as
+    it stores.  The stored entries are range-checked in one test: below
+    float32's smallest normal, or above its largest value (an overflow
+    stores infinity) where a pair is two-sided, the only kind whose
+    entries can exceed 1 (c - 2 g < 0).  Then the diagonal is zeroed
+    again, as A_ii is 0.  A diagonal tile is symmetric as computed
+    (module docstring); the tile left of it inside its diagonal block
+    is also stored transposed into the block's upper half.
     """
     single = data.dtype == np.float32
     tiny, huge = np.finfo(np.float32).tiny, np.finfo(np.float32).max
     scale = -4.0 * epsilon
+    buf = np.empty(_TILE * _BLOCK)
     panels = _panels(data, prefix.shape[0])
     for i, (rows, out_rows, pick_rows, at_rows, t_rows) in enumerate(tiles):
         if rows.start % _BLOCK == 0:
             s, _, panel = next(panels)
-        for j, (cols, out_cols, _, at_cols, t_cols) in enumerate(tiles[: i + 1]):
-            block = cdist(prefix[rows], prefix[cols], "sqeuclidean")
-            if not single and (out_rows.size or out_cols.size):
-                block += tail[rows, None] + tail[cols]
-            two_sided = out_rows.size and out_cols.size
-            if two_sided:
-                pairs = block[pick_rows, out_cols]
-                # on a diagonal tile numpy's product of the tails with
-                # their own transpose is one syrk, half a gemm's work
-                gram = tails[at_rows] @ tails[at_cols].T
-                pairs -= gram + gram.T if j == i else 2.0 * gram
-                np.maximum(pairs, -(t_rows[:, None] + t_cols) if single else 0.0, out=pairs)
-                block[pick_rows, out_cols] = pairs
-            if j == i:
-                np.fill_diagonal(block, 0.0)
+        stored_rows, height = slice(rows.start - s, rows.stop - s), rows.stop - rows.start
+        for c in range(0, rows.stop, _BLOCK):
+            cols = slice(c, min(c + _BLOCK, rows.stop))
+            chunk = buf[: height * (cols.stop - c)].reshape(height, -1)
+            cdist(prefix[rows], prefix[cols], "sqeuclidean", out=chunk)
+            pairs = tiles[c // _TILE : min(i + 1, (c + _BLOCK) // _TILE)]
+            if not single and (out_rows.size or any(p[1].size for p in pairs)):
+                chunk += tail[rows, None] + tail[cols]
+            two_sided = False
+            for tile_cols, out_cols, _, at_cols, t_cols in pairs:
+                block = chunk[:, tile_cols.start - c : tile_cols.stop - c]
+                if out_rows.size and out_cols.size:
+                    two_sided = True
+                    cross = block[pick_rows, out_cols]
+                    # on a diagonal tile numpy's product of the tails with
+                    # their own transpose is one syrk, half a gemm's work
+                    gram = tails[at_rows] @ tails[at_cols].T
+                    cross -= gram + gram.T if tile_cols == rows else 2.0 * gram
+                    np.maximum(cross, -(t_rows[:, None] + t_cols) if single else 0.0,
+                               out=cross)
+                    block[pick_rows, out_cols] = cross
+                if tile_cols == rows:
+                    np.fill_diagonal(block, 0.0)
             # exp(-d2 / (4 epsilon)) in place, bitwise equal to the
             # out-of-place expression: IEEE division is sign-symmetric
-            np.divide(block, scale, out=block)
-            np.exp(block, out=block)
-            if single and (block.min() < tiny or two_sided and block.max() > huge):
+            np.divide(chunk, scale, out=chunk)
+            stored = panel[stored_rows, cols]
+            with np.errstate(over="ignore"):
+                np.exp(chunk, out=stored)
+            if single and (stored.min() < tiny or two_sided and stored.max() > huge):
                 return False
-            if j == i:
-                np.fill_diagonal(block, 0.0)
-            panel[rows.start - s : rows.stop - s, cols] = block
-            if j < i and cols.start >= s:
-                panel[cols.start - s : cols.stop - s, rows] = block.T
+            if cols.stop == rows.stop:
+                np.fill_diagonal(panel[stored_rows, rows], 0.0)
+            if c == s and rows.start > s:
+                panel[: rows.start - s, rows] = panel[stored_rows, s : rows.start].T
     return True
 
 

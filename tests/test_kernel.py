@@ -889,6 +889,45 @@ class TestDensePath:
         dense = ref if np.all(weights == 1.0) else np.outer(weights, weights) * ref
         assert np.array_equal(a.dense(), dense)
 
+    @pytest.mark.parametrize("n", [2, 127, 129, 255, 257, 383, 385, 513, 1001])
+    @pytest.mark.parametrize("case", ["array", "clean", "sparse", "restart"])
+    def test_bitwise_across_sizes(self, case, n):
+        # sizes on both sides of tile and block-row edges, so block columns
+        # of one and of two tiles, partial last tiles and a partial last
+        # block row all occur; "sparse" has chunks with and without
+        # outliers, and "restart" is built again into float64
+        if case == "array":
+            pts = np.random.default_rng(n).normal(size=(n, 3))
+            a = build_affinity(pts, 0.3)
+            weights, ref = np.ones(n), stored(pdist_kernel(pts, 0.3))
+        else:
+            kind, sigma_out, p_out = {"clean": (None, 0.1, 0.1),
+                                      "sparse": (NoiseKind.SIMPLE, 0.1, 0.01),
+                                      "restart": (NoiseKind.HETEROSKEDASTIC, 1.0, 0.1)}[case]
+            ds = self.dataset(kind, n, sigma_out, p_out)
+            (weights, ref), a = dense_path_kernel(ds, 5e-4), build_affinity(ds, 5e-4)
+        assert (a.data.dtype == np.float64) == (case == "restart")
+        assert a.data.dtype == ref.dtype
+        assert np.array_equal(a.weights, weights)
+        for s, e, panel in a.panels():
+            assert np.array_equal(panel, ref[s:e, :e])
+
+    def test_one_distance_call_per_block_column(self, monkeypatch):
+        # each 128-row tile row takes one cdist per stored block column up
+        # to its diagonal tile: at n = 1000 the eight tile rows reach 1, 1,
+        # 2, 2, 3, 3, 4 and 4 block columns, 20 calls in all
+        shapes = []
+
+        def counted(xa, xb, metric, **kwargs):
+            shapes.append((xa.shape[0], xb.shape[0]))
+            return cdist(xa, xb, metric, **kwargs)
+
+        monkeypatch.setattr(sinklap.kernel, "cdist", counted)
+        build_affinity(self.dataset(NoiseKind.SIMPLE, 1000), 5e-4)
+        assert len(shapes) == 20
+        assert shapes[:4] == [(_TILE, _TILE), (_TILE, _BLOCK), (_TILE, _BLOCK), (_TILE, _TILE)]
+        assert shapes[-1] == (1000 - 7 * _TILE, _BLOCK - 24)
+
     @pytest.mark.parametrize("kind", [NoiseKind.HETEROSKEDASTIC, NoiseKind.IID])
     def test_outlier_entries_within_tolerance(self, kind):
         # a lower tile's tail product is a gemm with its operands swapped,
@@ -1067,7 +1106,7 @@ def traced_peak(call):
 
 
 class TestMemory:
-    """build_affinity allocates the stored triangle and tile temporaries
+    """build_affinity allocates the stored triangle and chunk temporaries
     only: no n x n array, no (_BLOCK, n) panel, no copy of any tail and,
     from a dataset, no n x m cloud."""
 
@@ -1075,7 +1114,7 @@ class TestMemory:
     def bound(a):
         # the triangle in A's dtype, n^2 / 2 + n _BLOCK / 2 entries (a
         # float32 attempt is freed before a float64 restart), and 1 MiB
-        # for the tile temporaries
+        # for the chunk temporaries
         n = a.n
         return a.data.itemsize * (n * n // 2 + _BLOCK // 2 * n) + 2**20
 
