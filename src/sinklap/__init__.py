@@ -33,7 +33,6 @@ from .experiments import (
 from .kernel import (
     Affinity,
     build_affinity,
-    gaussian_kernel,
     kernel_moments,
     normalized_prefactor,
 )

@@ -31,7 +31,6 @@ from sinklap import (
     embed_ambient,
     embedding_experiment,
     epsilon_sweep,
-    gaussian_kernel,
     kernel_moments,
     noisy_dataset,
     normalized_prefactor,
@@ -310,27 +309,6 @@ def noisy_datasets(draw):
                    outlier_offsets=xi)
 
 
-class TestGaussianKernel:
-    def test_value_at_origin(self):
-        assert gaussian_kernel(0.0, 2) == (4.0 * np.pi) ** -1.0
-
-    def test_radial_decay(self):
-        # xi is the squared radius; |u| = 2 gives exp(-1)
-        want = (4.0 * np.pi) ** -1.5 * np.exp(-1.0)
-        assert np.isclose(gaussian_kernel(4.0, 3), want, rtol=1e-14)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            gaussian_kernel(-0.5, 1)
-        # xi is a finite real number and d a dimension, by the errors rules
-        for xi in (np.nan, np.inf, "1", None, [0.0, -1.0]):
-            with pytest.raises(ValueError, match="^xi must be finite and >= 0$"):
-                gaussian_kernel(xi, 1)
-        for d in (0, -2, 1.5, True):
-            with pytest.raises(ValueError, match=r"^d must be an integer >= 1$"):
-                gaussian_kernel(1.0, d)
-
-
 class TestMoments:
     # past d = 3 the integrand's peak, at r = sqrt(2 (d - 1)), moves out
     # toward any fixed cutoff, and past d ~ 340 Gamma(d/2) and r^(d-1)
@@ -451,9 +429,10 @@ class TestBuildAffinity:
 
 class TestInvariant:
     """Affinity owns the square, non-empty, finite, symmetric, non-negative
-    kernel: it checks outside data once, at construction, on its own
-    copy; build_affinity's matrix holds the invariant by construction and
-    is not checked."""
+    kernel: it checks outside data once, at construction, each block row
+    as it copies it, so a non-finite entry is named wherever it lies and
+    asymmetry is reported before sign; build_affinity's matrix holds the
+    invariant by construction and is not checked."""
 
     @staticmethod
     def kernel(seed):
@@ -472,6 +451,16 @@ class TestInvariant:
         a[10, 400] = a[400, 10] = np.nan
         with pytest.raises(ValueError, match="matrix must be finite"):
             Affinity(a, 1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_below_the_diagonal(self, value):
+        # an entry left of the last block row's diagonal block, its mirror
+        # finite: the entry is named, not the asymmetry it makes
+        a = self.kernel(16)
+        a[599, 3] = value
+        for check in (lambda m: Affinity(m, 1.0), approx_sym_sk, dm_scale):
+            with pytest.raises(ValueError, match="^matrix must be finite$"):
+                check(a)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_infinite_pair(self, value):
@@ -534,11 +523,15 @@ class TestInvariant:
         assert Affinity(np.ones((2, 2), dtype=int), 1.0).data.dtype == np.float64
 
     def test_checked_once_per_outside_kernel(self, monkeypatch):
+        # Affinity.__init__ is the check, so its calls count the checks
         calls = []
-        check = sinklap.kernel._checked_kernel
-        monkeypatch.setattr(
-            sinklap.kernel, "_checked_kernel", lambda a: calls.append(1) or check(a)
-        )
+        init = Affinity.__init__
+
+        def counted(self, matrix, epsilon):
+            calls.append(1)
+            init(self, matrix, epsilon)
+
+        monkeypatch.setattr(Affinity, "__init__", counted)
         noise = NoiseModel(NoiseKind.SIMPLE, m=8)
         for kind in LaplacianKind:
             pointwise_experiment(80, DensitySpec.SINUSOIDAL_1D, 2e-3, kind,
@@ -647,12 +640,16 @@ class TestStorage:
         assert a.dtype == np.float64
         assert np.array_equal(a, pdist_kernel(pts, 0.1))
 
-    @pytest.mark.parametrize("exponent, dtype", [(60.0, np.float64), (40.0, np.float32)])
+    @pytest.mark.parametrize(
+        "exponent, dtype",
+        [(60.0, np.float64), (44.3625, np.float64), (44.36, np.float32), (40.0, np.float32)],
+    )
     def test_coincident_outliers_overflow(self, exponent, dtype):
         # two outliers at one point, each with tail squares t, t / (4 eps)
         # = exponent: w = exp(-exponent) is a float32 normal, and B_01 =
-        # exp(2 exponent) is above float32's largest value at 60 (e^120)
-        # and below it at 40 (e^80), so only 60 restarts into float64
+        # exp(2 exponent) is above float32's largest value past
+        # ln(max) / 2 = 44.3614, at 44.3625 and 60 (e^120), and below it
+        # at 44.36 and 40 (e^80), so only the first two restart into float64
         eps = 0.01
         xi = np.array([[0.0, np.sqrt(4.0 * eps * exponent)]] * 2)
         ds = Dataset(t=np.zeros(2), clean_points=np.zeros((2, 1)),
