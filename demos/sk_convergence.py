@@ -80,7 +80,7 @@ def main():
     for label, kind, cfg in (
         [(f"eps_sk = {tol:g}", LaplacianKind.BISTOCH_UN,
           SkConfig(c_sk=c_sk, eps_sk=tol)) for tol in (0.5, 1e-3, 1e-6)]
-        + [("dm (degree)", LaplacianKind.DM_UN, None)]
+        + [("dm (degree)", LaplacianKind.DM_UN, SkConfig())]
     ):
         runs = [pointwise_experiment(n, DensitySpec.SINUSOIDAL_1D, eps, kind,
                                      sk_config=cfg, noise_model=model, seed=s)

@@ -192,7 +192,7 @@ def noisy_dataset(n, spec, noise_model, seed):
 
 
 def pointwise_experiment(
-    n, spec, epsilon, kind, sk_config=None, noise_model=None, seed=0
+    n, spec, epsilon, kind, sk_config=SkConfig(), noise_model=None, seed=0
 ):
     """One pipeline run: sample, scale, apply, compare to the closed form.
 
@@ -200,15 +200,14 @@ def pointwise_experiment(
     scaling (BISTOCH_* kinds, using sk_config) or the degree
     normalization (DM_* kinds); the reference is the closed-form
     weighted Laplacian evaluated at the clean intrinsic coordinates,
-    also when the observed points are noisy.  A given sk_config is an
-    ``SkConfig`` for every kind.
+    also when the observed points are noisy.  sk_config is an
+    ``SkConfig`` for every kind, ``SkConfig()`` if not given.
     """
     integer_at_least("n", n, 2)
     scalar("epsilon", epsilon)
     positive_finite("epsilon", epsilon)
     member(LaplacianKind, kind, "laplacian kind")
-    if sk_config is not None:
-        instance_of("config", sk_config, SkConfig)
+    instance_of("config", sk_config, SkConfig)
     ds = noisy_dataset(n, spec, noise_model, seed)
     return _pointwise_on(ds, epsilon, kind, sk_config, test_function(ds.t),
                          delta_p_f(ds.t, spec))
@@ -245,7 +244,7 @@ def epsilon_sweep(
     epsilons,
     replicas,
     kind,
-    sk_config=None,
+    sk_config=SkConfig(),
     noise_model=None,
     base_seed=0,
     threads=None,
@@ -278,8 +277,7 @@ def epsilon_sweep(
     if any(b < a for a, b in zip(epsilons, epsilons[1:])):
         raise ValueError("epsilons must be non-decreasing")
     member(LaplacianKind, kind, "laplacian kind")
-    if sk_config is not None:
-        instance_of("config", sk_config, SkConfig)
+    instance_of("config", sk_config, SkConfig)
 
     def job(r):
         ds = noisy_dataset(n, spec, noise_model, base_seed + r)
@@ -387,7 +385,7 @@ def _embed_one(n, noise_model, epsilon, sk_config, seed):
 
 
 def embedding_experiment(
-    n, noise_model, epsilon, sk_config=None, replicas=1, base_seed=0, threads=None
+    n, noise_model, epsilon, sk_config=SkConfig(), replicas=1, base_seed=0, threads=None
 ):
     """Spectral embedding quality of both pipelines on the noisy circle.
 
@@ -402,8 +400,7 @@ def embedding_experiment(
     integer_at_least("seed", base_seed, 0)
     scalar("epsilon", epsilon)
     positive_finite("epsilon", epsilon)
-    if sk_config is not None:
-        instance_of("config", sk_config, SkConfig)
+    instance_of("config", sk_config, SkConfig)
     per_rep = _replicate(
         lambda r: _embed_one(n, noise_model, epsilon, sk_config, base_seed + r),
         replicas,

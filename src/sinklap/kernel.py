@@ -171,7 +171,9 @@ class Affinity:
     rectangle B[s:e, :e]; ``data`` holds the rectangles one after
     another, read-only.  ``weights`` is w, n positive float64 factors,
     read-only: ones where nothing is factored, so that B is A.
-    ``dense()`` rebuilds A.
+    ``dense()`` rebuilds A.  An Affinity is immutable: it is checked
+    once, when made, and setting or deleting any attribute raises
+    AttributeError.
     """
 
     __slots__ = ("data", "weights", "epsilon", "n", "_calls")
@@ -205,20 +207,28 @@ class Affinity:
 
     def _store(self, data, weights, epsilon):
         """Hold B's triangle, w and epsilon, the arrays made read-only,
-        and return self."""
+        and return self; the one place an Affinity's slots are set."""
         data.setflags(write=False)
         weights.setflags(write=False)
-        self.data, self.weights, self.epsilon = data, weights, epsilon
-        self.n = weights.shape[0]
+        for name, value in zip(self.__slots__, (data, weights, epsilon, len(weights))):
+            object.__setattr__(self, name, value)
         # ``_matvec``'s BLAS arguments for each block row, made once: rows,
         # width, the width left of the diagonal block (None on the first
         # block row), the rectangle's address and s in bytes
-        self._calls = [
+        object.__setattr__(self, "_calls", [
             (_int_ref(e - s), _int_ref(e), _int_ref(s) if s else None,
              ctypes.c_void_p(panel.ctypes.data), s * data.itemsize)
             for s, e, panel in self.panels()
-        ]
+        ])
         return self
+
+    def __setattr__(self, name, value=None):
+        # the call table holds addresses into ``data`` and is sized by
+        # ``n``: a rebound or deleted slot would leave it pointing at
+        # freed memory
+        raise AttributeError(f"an Affinity is immutable: cannot set or delete {name}")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
         # the BLAS arguments hold addresses, so a copy rebuilds them

@@ -25,6 +25,8 @@ from .errors import finite, integer_at_least, member, unit_interval, zero_or_one
 _OMEGA = 2.0
 _CURVE_SCALE = 1.0 / (2.0 * np.pi * np.sqrt(5.0))
 _CIRCLE_SCALE = 1.0 / (2.0 * np.pi)
+# a Dataset's checked, read-only array fields
+_ARRAYS = ("t", "clean_points", "outlier_flags", "outlier_offsets")
 
 
 class DensitySpec(Enum):
@@ -34,7 +36,7 @@ class DensitySpec(Enum):
     UNIFORM_CIRCLE = "uniform_circle"
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """A sampled manifold dataset, split as the paper writes each
     observed sample: x_i = x_i^c + xi_i, its clean point plus its noise
@@ -59,10 +61,11 @@ class Dataset:
 
     A clean dataset is one with no flag set.  The dataset holds
     read-only views of the given arrays, so the caller's own arrays stay
-    writeable and are not copied; treat instances as immutable values.
-    Two datasets are equal when their seeds are and their four arrays
-    are bitwise equal; like any mutable dataclass, a dataset is not
-    hashable.
+    writeable and are not copied.  A dataset is immutable and checked
+    once, when made: assigning to a field raises
+    ``dataclasses.FrozenInstanceError``.  Two datasets are equal when
+    their seeds are and their four arrays are bitwise equal; a dataset
+    is not hashable.
     """
 
     t: np.ndarray
@@ -72,41 +75,40 @@ class Dataset:
     seed: int = 0
 
     def __post_init__(self):
-        self.t = np.asarray(self.t, dtype=float).view()
-        self.clean_points = np.asarray(self.clean_points, dtype=float).view()
-        if self.t.ndim != 1 or self.clean_points.ndim != 2:
+        t = np.asarray(self.t, dtype=float).view()
+        pts = np.asarray(self.clean_points, dtype=float).view()
+        if t.ndim != 1 or pts.ndim != 2:
             raise ValueError("t must be (n,) and clean_points (n, m)")
-        n, k = self.clean_points.shape
-        if self.t.shape[0] != n:
+        n, k = pts.shape
+        if t.shape[0] != n:
             raise ValueError("t and clean_points disagree on n")
-        unit_interval("t", self.t)
-        finite("clean_points", self.clean_points)
+        unit_interval("t", t)
+        finite("clean_points", pts)
         # the arguments as given: one left out is a clean dataset's
         flags, xi = self.outlier_flags, self.outlier_offsets
         flags = np.zeros(n, bool) if flags is None else flags
         zero_or_one("outlier_flags", flags)
-        self.outlier_flags = np.asarray(flags, dtype=bool).view()
-        self.outlier_offsets = np.asarray(np.zeros((0, k)) if xi is None else xi,
-                                          dtype=float).view()
-        if self.outlier_flags.shape != (n,):
+        flags = np.asarray(flags, dtype=bool).view()
+        xi = np.asarray(np.zeros((0, k)) if xi is None else xi, dtype=float).view()
+        if flags.shape != (n,):
             raise ValueError("outlier_flags must be (n,)")
-        flagged = int(np.count_nonzero(self.outlier_flags))
-        if self.outlier_offsets.ndim != 2 or self.outlier_offsets.shape[0] != flagged:
+        flagged = int(np.count_nonzero(flags))
+        if xi.ndim != 2 or xi.shape[0] != flagged:
             raise ValueError(f"outlier_offsets must be (n_out, m) with one row per "
                              f"set outlier flag, {flagged}")
-        if self.outlier_offsets.shape[1] < k:
+        if xi.shape[1] < k:
             raise ValueError("outlier_offsets must be at least as wide as clean_points")
-        finite("outlier_offsets", self.outlier_offsets)
+        finite("outlier_offsets", xi)
         integer_at_least("seed", self.seed, 0)
-        for arr in (self.t, self.clean_points, self.outlier_flags, self.outlier_offsets):
+        for name, arr in zip(_ARRAYS, (t, pts, flags, xi)):
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
         return self.seed == other.seed and all(
-            _same_bits(getattr(self, name), getattr(other, name))
-            for name in ("t", "clean_points", "outlier_flags", "outlier_offsets")
+            _same_bits(getattr(self, name), getattr(other, name)) for name in _ARRAYS
         )
 
     @property

@@ -47,9 +47,10 @@ class NoiseKind(Enum):
     IID = "iid"
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseModel:
-    """Noise regime plus ambient dimension and scale knobs.
+    """Noise regime plus ambient dimension and scale knobs, immutable
+    and checked once, when made.
 
     kind is a ``NoiseKind``.  p_out is only read by the SIMPLE regime.
     m is the ambient dimension of the observed points: an integer, at

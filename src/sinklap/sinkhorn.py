@@ -12,6 +12,10 @@ One accelerated SK iteration alternates the two classical half-updates
 
 and takes their entrywise geometric mean eta = sqrt(u * v), which
 converges markedly faster than plain alternation on kernel matrices.
+The mean is taken from mantissas and exponents, with u * v never
+formed: it is bitwise sqrt(u * v) wherever u * v is a normal double,
+and finite and positive for every positive finite u and v, so the
+update cannot overflow.
 The iteration is wrapped with
 
 * the degree-based start eta = (A 1)^-1/2, the ``dm_scale`` vector,
@@ -48,9 +52,9 @@ from .errors import (
 from .kernel import _matvec, packed_kernel
 
 
-@dataclass
+@dataclass(frozen=True)
 class SkConfig:
-    """Scaling solver knobs.
+    """Scaling solver knobs, immutable and checked once, when made.
 
     c_sk is the projection's lower bound in the units of the matrix the
     solver is given (a bound b in normalized-kernel units is
@@ -121,12 +125,21 @@ def _checked_reciprocal(x, what, k):
     return 1.0 / x
 
 
+def _geometric_mean(u, v):
+    """sqrt(u * v) entrywise for positive u and v, u * v never formed:
+    the root of the mantissas' product times 2^(e mod 2), scaled by
+    2^(e // 2), e the sum of the exponents; a power of two scales
+    exactly."""
+    (mu, eu), (mv, ev) = np.frexp(u), np.frexp(v)
+    return np.ldexp(np.sqrt(np.ldexp(mu * mv, (eu + ev) % 2)), (eu + ev) // 2)
+
+
 def _project(eta, c_sk):
     """eta clamped below at c_sk, and the number of entries clamped."""
     return np.maximum(eta, c_sk), int(np.count_nonzero(eta < c_sk))
 
 
-def approx_sym_sk(a, config=None):
+def approx_sym_sk(a, config=SkConfig()):
     """Scale a symmetric non-negative matrix towards doubly stochastic.
 
     Parameters
@@ -134,9 +147,9 @@ def approx_sym_sk(a, config=None):
     a : Affinity or ndarray
         Square, symmetric, entrywise non-negative, no zero rows.  An
         ndarray is read as ``Affinity(a, 1.0)``, checked on each call.
-    config : SkConfig, optional
-        Solver knobs; defaults to ``SkConfig()``.  Any other object
-        raises a TypeError.
+    config : SkConfig
+        Solver knobs, ``SkConfig()`` if not given.  Any other object,
+        None included, raises a TypeError.
 
     Returns
     -------
@@ -150,29 +163,29 @@ def approx_sym_sk(a, config=None):
     DegenerateInputError
         If the matrix has a zero row.
     NumericalFailureError
-        If an update produces non-positive or non-finite values.
+        If a product, A eta or A u, is non-positive or non-finite at
+        iteration k (the error carries k).  This is the one failure
+        rule: the mean cannot overflow, so a non-finite residual comes
+        only with a non-finite A eta, named on the same iteration, and
+        a residual whose eta * A eta alone overflows float64 is
+        recorded as inf, not raised.
     """
-    cfg = SkConfig() if config is None else config
-    instance_of("config", cfg, SkConfig)
+    instance_of("config", config, SkConfig)
     a = packed_kernel(a)
-    eta, hits = _project(dm_scale(a), cfg.c_sk)
+    eta, hits = _project(dm_scale(a), config.c_sk)
     history = []
-    for k in range(1, cfg.max_iter + 1):
+    for k in range(1, config.max_iter + 1):
         a_eta = _matvec(a, eta)
         res = float(np.max(np.abs(eta * a_eta - 1.0)))
         history.append(res)
-        if not np.isfinite(res):
-            raise NumericalFailureError(
-                f"residual became non-finite at iteration {k}", iteration=k
-            )
-        if res < cfg.eps_sk:
+        if res < config.eps_sk:
             break
         u = _checked_reciprocal(a_eta, "A eta", k)
         v = _checked_reciprocal(_matvec(a, u), "A u", k)
-        eta, clamped = _project(np.sqrt(u * v), cfg.c_sk)
+        eta, clamped = _project(_geometric_mean(u, v), config.c_sk)
         hits += clamped
 
-    converged = history[-1] < cfg.eps_sk
+    converged = history[-1] < config.eps_sk
     return ScalingResult(
         eta=eta,
         iterations=len(history),

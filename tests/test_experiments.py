@@ -513,11 +513,14 @@ BAD_EPSILON = (ValueError, "epsilon must be positive and finite")
         (lambda: epsilon_sweep(50, DensitySpec.UNIFORM_CIRCLE, 1e-3, 1,
                                LaplacianKind.DM_UN),
          (ValueError, "epsilons must be an iterable of numbers, not float")),
+        (lambda: pointwise_experiment(50, DensitySpec.UNIFORM_CIRCLE, 1e-3,
+                                      LaplacianKind.BISTOCH_UN, sk_config=None),
+         (TypeError, "config must be a SkConfig, not NoneType")),
     ],
     ids=["pointwise-dm", "sweep-dm", "pointwise-bistoch", "embedding",
          "pointwise-noise", "sweep-noise", "embedding-noise", "pointwise-density",
          "pointwise-epsilon", "embedding-epsilon", "pointwise-epsilon-list",
-         "sweep-scalar-grid"],
+         "sweep-scalar-grid", "pointwise-none"],
 )
 def test_sk_config_checked_before_sampling(sample_calls, run, error):
     # a given config, noise model, density and bandwidth are each judged
@@ -613,7 +616,7 @@ class TestApproximateScaling:
         model = NoiseModel(NoiseKind.SIMPLE, 2000)
         c_sk = 0.1 * np.sqrt(normalized_prefactor(n, eps, 1))
 
-        def mean_relerr2(kind, config=None):
+        def mean_relerr2(kind, config=SkConfig()):
             runs = [
                 pointwise_experiment(n, DensitySpec.SINUSOIDAL_1D, eps, kind,
                                      sk_config=config, noise_model=model, seed=seed)

@@ -515,6 +515,22 @@ class TestInvariant:
         assert np.array_equal(aff.dense(), kept)
         assert a.flags.writeable and not aff.data.flags.writeable
 
+    @pytest.mark.parametrize("name", ["data", "weights", "epsilon", "n"])
+    def test_slots_cannot_be_rebound(self, name):
+        # the product's BLAS arguments point into data and are sized by n,
+        # so a rebound triangle would leave them pointing at freed memory
+        a = build_affinity(sample_dataset(600, DensitySpec.SINUSOIDAL_1D, 0), 1e-3)
+        x = np.linspace(0.5, 1.5, a.n)
+        held, before = getattr(a, name), _matvec(a, x)
+        replacement = np.zeros_like(held) if isinstance(held, np.ndarray) else held * 2
+        message = f"^an Affinity is immutable: cannot set or delete {name}$"
+        with pytest.raises(AttributeError, match=message):
+            setattr(a, name, replacement)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(a, name)
+        assert getattr(a, name) is held
+        assert np.array_equal(_matvec(a, x), before)
+
     def test_outside_dtype(self):
         # a float32 kernel stays float32; anything else becomes float64
         a = self.kernel(14)

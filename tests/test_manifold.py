@@ -1,5 +1,7 @@
 """Geometry, density, and sampling checks against independent oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
@@ -209,6 +211,23 @@ class TestDataset:
         for arr in (ds.t, ds.outlier_flags, ds.outlier_offsets):
             with pytest.raises(ValueError):
                 arr[:1] = 0
+
+    def test_frozen(self):
+        # a rebound outlier_flags would put the noise on another sample,
+        # unchecked; the dataset keeps its own equality and no hash
+        flags = np.array([False, True, False])
+        ds = Dataset(t=np.zeros(3), clean_points=np.zeros((3, 2)),
+                     outlier_flags=flags, outlier_offsets=np.ones((1, 4)), seed=1)
+        copy = Dataset(t=ds.t, clean_points=ds.clean_points, outlier_flags=flags,
+                       outlier_offsets=ds.outlier_offsets, seed=1)
+        for name, value in (("t", np.ones(3)), ("clean_points", np.ones((3, 2))),
+                            ("outlier_flags", np.roll(flags, 1)),
+                            ("outlier_offsets", np.zeros((1, 4))), ("seed", 2)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ds, name, value)
+        assert ds == copy and np.array_equal(ds.outlier_flags, flags)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(ds)
 
     def test_callers_arrays_stay_writeable(self):
         t, pts = np.zeros(3), np.zeros((3, 2))

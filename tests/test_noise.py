@@ -1,5 +1,6 @@
 """Outlier noise models and the distance decomposition diagnostics."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -110,6 +111,15 @@ class TestAddNoise:
         assert np.array_equal(again.outlier_flags, once.outlier_flags)
         assert np.array_equal(again.outlier_offsets, once.outlier_offsets)
 
+    def test_model_is_frozen(self):
+        # a field set after the checks would skip them: add_noise reads any
+        # kind it does not know as IID, and a negative sigma_out as a scale
+        model = NoiseModel(NoiseKind.SIMPLE, 10)
+        for name, value in (("kind", "bogus"), ("m", 3), ("sigma_out", -1.0),
+                            ("p_out", 2.0)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(model, name, value)
+        assert model == NoiseModel(NoiseKind.SIMPLE, 10)
 
     @pytest.mark.parametrize("kind", list(NoiseKind))
     def test_draw_order(self, kind):

@@ -1,5 +1,8 @@
 """Scaling solver checks against a brute-force fixed-point oracle."""
 
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +23,7 @@ from sinklap import (
     scaling_residual,
 )
 from sinklap.kernel import _matvec
+from sinklap.sinkhorn import _geometric_mean
 
 PERM2 = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -128,6 +132,32 @@ class TestProperties:
         e1 = approx_sym_sk(a[np.ix_(perm, perm)], cfg).eta
         e2 = approx_sym_sk(a, cfg).eta[perm]
         assert np.max(np.abs(e1 - e2) / e2) < 1e-12
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.tuples(*[st.floats(5e-324, sys.float_info.max)] * 2),
+                    min_size=1, max_size=8))
+    def test_geometric_mean_never_forms_the_product(self, pairs):
+        # finite and positive across float64's whole range, subnormals
+        # included, and bitwise sqrt(u * v) wherever u * v is normal
+        u, v = np.array(pairs).T
+        mean = _geometric_mean(u, v)
+        assert np.all(np.isfinite(mean)) and np.all(mean > 0)
+        with np.errstate(over="ignore", under="ignore"):
+            product = u * v
+        normal = (product >= np.finfo(float).tiny) & np.isfinite(product)
+        assert np.array_equal(mean[normal], np.sqrt(product[normal]))
+
+    def test_update_spans_float64_range(self):
+        # u and v are both 5e199 on the third row at iteration 1, so
+        # u * v would overflow, though the mean and the limit,
+        # 1/(sqrt(2) delta), fit
+        delta = 1e-200
+        a = np.array([[0.0, 1.0, delta], [1.0, 0.0, delta], [delta, delta, 0.0]])
+        with np.errstate(over="raise", invalid="raise"):
+            res = approx_sym_sk(a, SkConfig(c_sk=0.0, eps_sk=1e-12))
+        assert res.converged and res.iterations == 29
+        expected = np.array([1.0, 1.0, 1.0 / delta]) / np.sqrt(2.0)
+        assert np.max(np.abs(res.eta - expected) / expected) < 1e-10
 
     def test_history_decreases_on_kernel(self):
         ds = sample_dataset(200, DensitySpec.SINUSOIDAL_1D, 6)
@@ -242,6 +272,16 @@ class TestValidation:
             with pytest.raises(NumericalFailureError) as err:
                 approx_sym_sk(a, SkConfig(c_sk=0.0))
         assert err.value.iteration == 1
+
+    def test_config_is_frozen_and_required(self):
+        # a field set after the checks would skip them: max_iter = 0 would
+        # leave the residual history empty
+        cfg = SkConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.max_iter = 0
+        assert cfg == SkConfig()
+        with pytest.raises(TypeError, match="^config must be a SkConfig, not NoneType$"):
+            approx_sym_sk(PERM2, None)
 
     def test_config_validation(self):
         for bad in (
